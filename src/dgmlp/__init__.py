@@ -12,11 +12,13 @@ from .errors import ConfigurationError, DgmlpError, DimensionError, \
 from .graph import Graph, NormalizedAdjacency, build_graph, normalize
 from .nn import Adam, Metrics, ResidualMlp, TrainConfig, accuracy, forward, \
     load_checkpoint, loss_and_grad, save_checkpoint, sgc_baseline, softmax, train
-from .propagation import PropagatedStack, propagate, spmm, stationary_features
+from .propagation import PropagatedStack, propagate, spmm, \
+    stationary_direction, stationary_features
 from .runner import RunConfig, prepare_combined, row_normalize, run_profile, \
     run_scale, run_sweep, run_train
-from .smoothness import SmoothnessProfile, combine, combine_streaming, \
-    compute_nsl, cosine_similarity, matrix_nsl, nsl_streaming, \
-    propagation_weights, smoothness_profile
+from .smoothness import PropagationPass, SmoothnessProfile, combine, \
+    combine_streaming, compute_nsl, cosine_similarity, matrix_nsl, \
+    nsl_streaming, propagation_pass, propagation_steps, propagation_weights, \
+    smoothness_profile
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DgmlpError
@@ -42,8 +44,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bias", action="store_true", help="enable bias terms (off by default)")
     p.add_argument("--feature-norm", choices=("none", "l1", "l2"), default="l1",
                    help="per-row feature normalization applied before propagation")
-    p.add_argument("--stack-budget-mb", type=int, default=2048,
-                   help="above this, propagation avoids materializing the stack")
     p.add_argument("--out", help="output path (file, or directory for profile)")
 
 
@@ -96,8 +96,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         temperature=args.temperature, r=args.r, lr=args.lr,
         epochs=args.epochs, weight_decay=args.weight_decay,
         dropout=args.dropout, seed=args.seed, use_bias=args.bias,
-        feature_norm=args.feature_norm, stack_budget_mb=args.stack_budget_mb,
-        out=args.out,
+        feature_norm=args.feature_norm, out=args.out,
         baseline=getattr(args, "baseline", None),
         caps=getattr(args, "caps", None),
         dp_grid=getattr(args, "dp_grid", None),
@@ -132,25 +131,65 @@ def write_csv(rows: list[dict], path) -> None:
         writer.writerows(rows)
 
 
+def _check_output(path, *, directory: bool = False) -> None:
+    """Fail before any work when path cannot be written (or created)."""
+    path = Path(path)
+    if directory:
+        if path.exists() and not path.is_dir():
+            raise DgmlpError(f"output directory {path} exists and is not a directory")
+        parent = path
+        while not parent.exists():  # mkdir(parents=True) creates the rest
+            parent = parent.parent
+    else:
+        if path.is_dir():
+            raise DgmlpError(f"output file {path} is a directory")
+        parent = path.parent
+    if not parent.is_dir():
+        problem = "is not a directory" if parent.exists() else "does not exist"
+        raise DgmlpError(f"cannot write {path}: {parent} {problem}")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise DgmlpError(f"cannot write {path}: {parent} is not writable")
+
+
+@contextmanager
+def _writing():
+    """Report a failed write as one DgmlpError line instead of a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise DgmlpError(f"cannot write output: {exc}") from None
+
+
 def _cmd_train(cfg: RunConfig, checkpoint: str | None) -> int:
+    out = cfg.out or "train_result.json"
+    _check_output(out)
+    if checkpoint:
+        _check_output(checkpoint)
     dataset = load_run_dataset(cfg)
     result, model, _ = run_train(dataset, cfg)
-    if checkpoint and model is not None:
-        save_checkpoint(model, checkpoint)
-        result["checkpoint"] = checkpoint
-    out = cfg.out or "train_result.json"
-    write_json(result, out)
+    with _writing():
+        if checkpoint and model is not None:
+            save_checkpoint(model, checkpoint)
+            result["checkpoint"] = checkpoint
+        write_json(result, out)
     print(f"test_accuracy={result['test_accuracy']:.4f} "
           f"best_epoch={result['best_epoch']} -> {out}")
     return 0
 
 
 def _cmd_profile(cfg: RunConfig) -> int:
+    out_dir = Path(cfg.out or "profile_out")
+    _check_output(out_dir, directory=True)
     dataset = load_run_dataset(cfg)
     result = run_profile(dataset, cfg)
-    out_dir = Path(cfg.out or "profile_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing():
+        _write_profile(result, out_dir)
+    print(f"wrote smoothness profile to {out_dir}/")
+    return 0
 
+
+def _write_profile(result: dict, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     profile = result.pop("profile")
     write_gsl_csv(profile, out_dir / "gsl_raw.csv")
     write_node_profile_csv(profile, out_dir / "node_profile.csv")
@@ -171,23 +210,25 @@ def _cmd_profile(cfg: RunConfig) -> int:
         out_dir / "nsl_by_degree.csv",
     )
     write_json(result, out_dir / "profile.json")
-    print(f"wrote smoothness profile to {out_dir}/")
-    return 0
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    out = cfg.out or "sweep_results.csv"
+    _check_output(out)
     dataset = load_run_dataset(cfg)
     rows = run_sweep(dataset, cfg)
-    out = cfg.out or "sweep_results.csv"
-    write_csv(rows, out)
+    with _writing():
+        write_csv(rows, out)
     print(f"{len(rows)} sweep rows -> {out}")
     return 0
 
 
 def _cmd_scale(cfg: RunConfig) -> int:
-    rows = run_scale(cfg)
     out = cfg.out or "scale_results.csv"
-    write_csv(rows, out)
+    _check_output(out)
+    rows = run_scale(cfg)
+    with _writing():
+        write_csv(rows, out)
     for row in rows:
         print(f"n={row['num_nodes']} preprocess={row['preprocess_seconds']:.2f}s "
               f"train={row['train_seconds']:.2f}s peak={row['peak_traced_mb']:.0f}MB")

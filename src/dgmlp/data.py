@@ -27,6 +27,19 @@ from .errors import ParameterError, ValidationError
 from .graph import Graph, build_graph
 
 
+def check_disjoint(splits) -> None:
+    """Reject train/val/test index sets that share a node."""
+    names = ("train", "val", "test")
+    arrays = [np.asarray(getattr(splits, n), dtype=np.int64) for n in names]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            common = np.intersect1d(arrays[i], arrays[j])
+            if common.size:
+                raise ValidationError(
+                    f"splits '{names[i]}' and '{names[j]}' overlap at index {int(common[0])}"
+                )
+
+
 @dataclass(frozen=True)
 class Splits:
     train: np.ndarray
@@ -37,15 +50,7 @@ class Splits:
         for name in ("train", "val", "test"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             object.__setattr__(self, name, arr)
-        names = ("train", "val", "test")
-        arrays = [self.train, self.val, self.test]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                common = np.intersect1d(arrays[i], arrays[j])
-                if common.size:
-                    raise ValidationError(
-                        f"splits '{names[i]}' and '{names[j]}' overlap at index {int(common[0])}"
-                    )
+        check_disjoint(self)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,13 @@ logistic regression, which doubles as the propagate-then-regress baseline.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
+from .data import check_disjoint
 from .errors import ConfigurationError, DimensionError, ParameterError, ValidationError
 from .propagation import PropagatedStack
 
@@ -300,18 +303,6 @@ class Metrics:
         }
 
 
-def _check_disjoint(splits) -> None:
-    names = ("train", "val", "test")
-    arrays = [np.asarray(getattr(splits, n), dtype=np.int64) for n in names]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            common = np.intersect1d(arrays[i], arrays[j])
-            if common.size:
-                raise ValidationError(
-                    f"splits '{names[i]}' and '{names[j]}' overlap at index {int(common[0])}"
-                )
-
-
 def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
           splits, config: TrainConfig):
     """Full-batch Adam training; deterministic given config.seed.
@@ -321,7 +312,7 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     accuracy is reported at the epoch with the best validation accuracy
     (first epoch wins ties).
     """
-    _check_disjoint(splits)
+    check_disjoint(splits)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     tr = np.asarray(splits.train, dtype=np.int64)
@@ -409,11 +400,58 @@ def save_checkpoint(model: ResidualMlp, path) -> None:
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
+def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta entry and the arrays of a checkpoint archive."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(archive, NpzFile):
+        raise ValidationError(f"cannot read checkpoint {path}: not an .npz archive")
+    with archive:
+        try:
+            arrays = {name: archive[name] for name in archive.files}
+            meta = json.loads(str(arrays.pop("meta")))
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(meta, dict) or meta.get("format") != "dgmlp-checkpoint-v1":
+        raise ValidationError(f"unrecognized checkpoint format in {path}")
+    return meta, arrays
+
+
+def _check_layer_shapes(model: ResidualMlp, path) -> None:
+    """input_proj -> hidden -> output must chain, hidden square, biases match."""
+    mats = model.weight_matrices()
+    if any(w.ndim != 2 for w in mats):
+        raise ValidationError(f"checkpoint {path}: every weight must be a matrix")
+    for a, b in zip(mats, mats[1:]):
+        if a.shape[1] != b.shape[0]:
+            raise ValidationError(
+                f"checkpoint {path}: layer shapes {a.shape} and {b.shape} do not chain"
+            )
+    if any(w.shape[0] != w.shape[1] for w in model.hidden):
+        raise ValidationError(f"checkpoint {path}: residual hidden weights must be square")
+    if model.use_bias:
+        pairs = [(model.input_bias, model.input_proj)]
+        pairs += list(zip(model.hidden_biases, model.hidden))
+        pairs += [(model.output_bias, model.output)]
+        for bias, w in pairs:
+            if w is not None and bias.shape != (w.shape[1],):
+                raise ValidationError(
+                    f"checkpoint {path}: bias shape {bias.shape} does not match "
+                    f"weight shape {w.shape}"
+                )
+
+
 def load_checkpoint(path) -> ResidualMlp:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("format") != "dgmlp-checkpoint-v1":
-            raise ValidationError(f"unrecognized checkpoint format in {path}")
+    """Restore a model written by save_checkpoint.
+
+    Raises ValidationError naming path when the file cannot be read, is
+    not a checkpoint, lacks an entry, or holds layer shapes that do not
+    chain.
+    """
+    meta, data = _read_checkpoint(path)
+    try:
         model = ResidualMlp(
             input_proj=data["input_proj"] if meta["has_input_proj"] else None,
             hidden=[data[f"hidden_{i}"] for i in range(meta["num_hidden"])],
@@ -426,4 +464,7 @@ def load_checkpoint(path) -> ResidualMlp:
                 model.input_bias = data["input_bias"]
             model.hidden_biases = [data[f"hidden_bias_{i}"] for i in range(meta["num_hidden"])]
             model.output_bias = data["output_bias"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"checkpoint {path}: missing or malformed entry {exc}") from None
+    _check_layer_shapes(model, path)
     return model

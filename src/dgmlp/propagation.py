@@ -76,14 +76,12 @@ def propagate(adj: NormalizedAdjacency, x0, k: int) -> PropagatedStack:
     return PropagatedStack(tuple(steps))
 
 
-def stationary_features(graph: Graph, x0, r: float = 0.5) -> np.ndarray:
-    """The infinite-propagation limit of A_hat^k X.
+def stationary_direction(graph: Graph, x0, r: float = 0.5) -> np.ndarray:
+    """The (d,) vector s = dtil^(1-r) @ X shared by every stationary row.
 
-    Row i equals dtil_i^r / (2M + N) * sum_j dtil_j^(1-r) x_j, evaluated
-    as a rank-1 product so A_hat^inf is never materialized. The global
-    expression is used even on disconnected graphs, where the true limit
-    is per-component; smoothing levels are defined against exactly this
-    reference, so the approximation is intentional.
+    Row i of stationary_features is dtil_i^r / (2M + N) * s, a positive
+    multiple of s, so cos(x_i, x_inf_i) = x_i . s / (|x_i| |s|) needs s
+    alone and never the N x d matrix.
     """
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"normalization exponent r must lie in [0, 1], got {r}")
@@ -93,6 +91,19 @@ def stationary_features(graph: Graph, x0, r: float = 0.5) -> np.ndarray:
             f"graph has {graph.num_nodes} nodes but features have shape {x0.shape}"
         )
     dtil = (graph.degrees + 1).astype(np.float64)
+    return dtil ** (1.0 - r) @ x0
+
+
+def stationary_features(graph: Graph, x0, r: float = 0.5) -> np.ndarray:
+    """The infinite-propagation limit of A_hat^k X.
+
+    Row i equals dtil_i^r / (2M + N) * sum_j dtil_j^(1-r) x_j, evaluated
+    as a rank-1 product so A_hat^inf is never materialized. The global
+    expression is used even on disconnected graphs, where the true limit
+    is per-component; smoothing levels are defined against exactly this
+    reference, so the approximation is intentional.
+    """
+    weighted_sum = stationary_direction(graph, x0, r)  # (d,)
+    dtil = (graph.degrees + 1).astype(np.float64)
     total = 2.0 * graph.num_edges + graph.num_nodes
-    weighted_sum = dtil ** (1.0 - r) @ x0  # (d,)
     return np.outer(dtil ** r, weighted_sum) / total

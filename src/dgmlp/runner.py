@@ -3,9 +3,10 @@
 The training pipeline is: row-normalize features -> normalized adjacency
 -> multi-step propagation -> per-node smoothing levels -> softmax step
 weights -> combined features -> residual MLP (or the propagate-then-
-logistic-regression baseline). Propagation stacks larger than a memory
-budget switch to streaming recomputation that yields bitwise-identical
-results.
+logistic-regression baseline). Propagation, smoothing levels and the
+combination share one walk over the steps (smoothness.propagation_pass),
+so working memory stays O(N*d) at any depth and the stack is never
+stored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import resource
 import time
 import tracemalloc
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -24,9 +25,8 @@ from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
 from .errors import ConfigurationError
 from .graph import Graph, normalize
 from .nn import Metrics, ResidualMlp, TrainConfig, sgc_baseline, train
-from .propagation import PropagatedStack, propagate, spmm, stationary_features
-from .smoothness import SmoothnessProfile, combine, combine_streaming, \
-    matrix_nsl, nsl_streaming, propagation_weights, smoothness_profile
+from .propagation import PropagatedStack
+from .smoothness import propagation_pass, propagation_steps
 
 
 @dataclass
@@ -48,7 +48,6 @@ class RunConfig:
     baseline: str | None = None      # "sgc" trains on the dp-step features
     out: str | None = None
     feature_norm: str = "l1"         # none | l1 | l2
-    stack_budget_mb: int = 2048
     # profile
     caps: list[int] | None = None
     # sweep
@@ -106,37 +105,16 @@ def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
     return out
 
 
-def _stack_fits(num_nodes: int, dim: int, dp: int, budget_mb: int) -> bool:
-    return (dp + 1) * num_nodes * dim * 8 <= budget_mb * (1 << 20)
-
-
 def prepare_combined(graph: Graph, features: np.ndarray, *, dp: int, r: float,
-                     temperature: float, stack_budget_mb: int = 2048):
+                     temperature: float):
     """Propagate, profile smoothness, and combine; returns (combined, profile)."""
-    adj = normalize(graph, r)
-    stationary = stationary_features(graph, features, r)
-    if _stack_fits(graph.num_nodes, features.shape[1], dp, stack_budget_mb):
-        stack = propagate(adj, features, dp)
-        profile = smoothness_profile(stack, stationary, temperature)
-        combined = combine(stack, profile.weights)
-    else:
-        profile = nsl_streaming(adj, features, stationary, dp)
-        profile.weights = propagation_weights(profile, temperature)
-        profile.temperature = float(temperature)
-        combined = combine_streaming(adj, features, profile.weights)
-    return combined, profile
+    walk = propagation_pass(graph, features, k=dp, r=r, temperature=temperature)
+    return walk.combined, walk.profile
 
 
-def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float,
-                     stack_budget_mb: int = 2048) -> np.ndarray:
-    """A_hat^k X without necessarily retaining the stack."""
-    adj = normalize(graph, r)
-    if _stack_fits(graph.num_nodes, features.shape[1], k, stack_budget_mb):
-        return propagate(adj, features, k).steps[k]
-    cur = features
-    for _ in range(k):
-        cur = spmm(adj, cur)
-    return cur
+def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float) -> np.ndarray:
+    """A_hat^k X, holding one step at a time."""
+    return deque(propagation_steps(normalize(graph, r), features, k), maxlen=1)[0]
 
 
 def _train_on(features: np.ndarray, labels: np.ndarray, splits: Splits,
@@ -156,16 +134,14 @@ def run_train(dataset: Dataset, cfg: RunConfig):
     t0 = time.perf_counter()
     feats = row_normalize(dataset.features, cfg.feature_norm)
     if cfg.baseline == "sgc":
-        kth = _propagated_step(dataset.graph, feats, k=cfg.dp, r=cfg.r,
-                               stack_budget_mb=cfg.stack_budget_mb)
+        kth = _propagated_step(dataset.graph, feats, k=cfg.dp, r=cfg.r)
         t1 = time.perf_counter()
         metrics = sgc_baseline(PropagatedStack((kth,)), 0, dataset.labels,
                                dataset.splits, cfg.train_config())
         model = None
     else:
         combined, _ = prepare_combined(
-            dataset.graph, feats, dp=cfg.dp, r=cfg.r,
-            temperature=cfg.temperature, stack_budget_mb=cfg.stack_budget_mb,
+            dataset.graph, feats, dp=cfg.dp, r=cfg.r, temperature=cfg.temperature,
         )
         t1 = time.perf_counter()
         num_classes = dataset.num_classes
@@ -199,26 +175,12 @@ def _default_caps(dp: int) -> list[int]:
 def run_profile(dataset: Dataset, cfg: RunConfig) -> dict:
     """Smoothness curves: raw per-step GSL, combined GSL per depth cap,
     and per-step mean NSL of three degree terciles."""
-    feats = row_normalize(dataset.features, cfg.feature_norm)
-    adj = normalize(dataset.graph, cfg.r)
-    stationary = stationary_features(dataset.graph, feats, cfg.r)
-    profile = nsl_streaming(adj, feats, stationary, cfg.dp)
-    profile.weights = propagation_weights(profile, cfg.temperature)
-    profile.temperature = cfg.temperature
-
     caps = cfg.caps if cfg.caps else _default_caps(cfg.dp)
-    for cap in caps:
-        if not 0 <= cap <= cfg.dp:
-            raise ConfigurationError(f"cap {cap} outside [0, {cfg.dp}]")
-    combined_gsl = []
-    for cap in caps:
-        truncated = SmoothnessProfile(
-            nsl=profile.nsl[:, :cap + 1],
-            gsl=profile.gsl[:cap + 1],
-        )
-        w = propagation_weights(truncated, cfg.temperature)
-        m = combine_streaming(adj, feats, w)
-        combined_gsl.append(float(matrix_nsl(m, feats, stationary).mean()))
+    feats = row_normalize(dataset.features, cfg.feature_norm)
+    walk = propagation_pass(dataset.graph, feats, k=cfg.dp, r=cfg.r,
+                            temperature=cfg.temperature, caps=caps)
+    profile = walk.profile
+    combined_gsl = [walk.cap_gsl[cap] for cap in caps]
 
     order = np.argsort(dataset.graph.degrees, kind="stable")
     groups = np.array_split(order, 3)  # low, mid, high degree terciles
@@ -271,12 +233,10 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
             masked = mask_features(replace(dataset, features=base_feats), mask, seed)
             feats = masked.features
         if cfg.baseline == "sgc":
-            out = _propagated_step(graph, feats, k=dp, r=cfg.r,
-                                   stack_budget_mb=cfg.stack_budget_mb)
+            out = _propagated_step(graph, feats, k=dp, r=cfg.r)
         else:
             out, _ = prepare_combined(graph, feats, dp=dp, r=cfg.r,
-                                      temperature=cfg.temperature,
-                                      stack_budget_mb=cfg.stack_budget_mb)
+                                      temperature=cfg.temperature)
         cache[key] = out
         if len(cache) > 4:
             cache.popitem(last=False)
@@ -342,8 +302,7 @@ def run_scale(cfg: RunConfig) -> list[dict]:
         graph = erdos_renyi(n, cfg.edge_prob, cfg.seed)
         features, labels, splits = synthetic_node_data(n, cfg, cfg.seed + 1)
         combined, _ = prepare_combined(
-            graph, features, dp=cfg.dp, r=cfg.r,
-            temperature=cfg.temperature, stack_budget_mb=cfg.stack_budget_mb,
+            graph, features, dp=cfg.dp, r=cfg.r, temperature=cfg.temperature,
         )
         t1 = time.perf_counter()
         metrics = _train_on(combined, labels, splits, cfg,

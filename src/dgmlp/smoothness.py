@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .graph import NormalizedAdjacency
-from .propagation import PropagatedStack, as_feature_matrix, spmm
+from .graph import Graph, NormalizedAdjacency, normalize
+from .propagation import PropagatedStack, as_feature_matrix, spmm, \
+    stationary_direction
 
 
 def cosine_similarity(a, b) -> float:
@@ -123,27 +124,130 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 
 
 # ---------------------------------------------------------------------------
-# Streaming variants for large propagation depths. These recompute the
-# power chain step by step instead of retaining the whole stack, producing
-# bitwise-identical values with O(N*d) working memory.
+# The pipeline's propagation pass: one walk over the steps in O(N*d) memory.
+# ---------------------------------------------------------------------------
+
+def propagation_steps(adj: NormalizedAdjacency, x0, k: int):
+    """Yield X, A_hat X, ..., A_hat^k X, holding only the current step."""
+    if k < 0:
+        raise ParameterError(f"propagation depth must be >= 0, got {k}")
+    cur = as_feature_matrix(x0)
+    yield cur
+    for _ in range(k):
+        cur = spmm(adj, cur)
+        yield cur
+
+
+def _rank_one_nsl(x0: np.ndarray, s: np.ndarray):
+    """matrix_nsl(., x0, x_inf) for an x_inf whose rows are positive multiples of s.
+
+    cos(x_v, x_inf_v) = x_v . s / (|x_v| |s|), so the N x d stationary
+    matrix is never built; the norms of x0 and s are taken once. A zero
+    norm gives a zero cosine, as in _row_cosines.
+    """
+    x0_norm = np.sqrt(np.einsum("ij,ij->i", x0, x0))
+    s_norm = float(np.linalg.norm(s))
+
+    def nsl(x: np.ndarray) -> np.ndarray:
+        x_norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+        alpha = np.zeros(x.shape[0])
+        mask = (x_norm > 0.0) & (x0_norm > 0.0)
+        alpha[mask] = (np.einsum("ij,ij->i", x, x0)[mask]
+                       / (x_norm[mask] * x0_norm[mask]))
+        beta = np.zeros(x.shape[0])
+        if s_norm > 0.0:
+            mask = x_norm > 0.0
+            beta[mask] = (x @ s)[mask] / (x_norm[mask] * s_norm)
+        return alpha * (1.0 - beta)
+
+    return nsl
+
+
+@dataclass
+class PropagationPass:
+    """What one walk over the propagation steps yields."""
+
+    profile: SmoothnessProfile  # nsl, gsl, step weights, temperature
+    combined: np.ndarray        # (N, d), sum_k w_v(k) x_v^k
+    cap_gsl: dict[int, float]   # cap c -> GSL of the combination truncated at c
+
+
+def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
+                     caps=()) -> PropagationPass:
+    """Smoothing levels, combined features and per-cap combined GSL in one walk.
+
+    Walks x_k = A_hat x_{k-1} once. Each step is scored against the rank-1
+    stationary state and folded into a per-node online softmax: a running
+    max m, an accumulator acc and a normalizer z (Milakov & Gimelshein
+    2018, arXiv:1805.02867). acc / z after step c is the combination of
+    steps 0..c weighted by propagation_weights on those steps alone, so
+    every cap comes from the same walk. Agrees with compute_nsl and
+    combine on the stored stack up to rounding; working memory is O(N*d)
+    at any depth.
+    """
+    if k < 0:
+        raise ParameterError(f"propagation depth must be >= 0, got {k}")
+    if temperature <= 0.0:
+        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    caps = set(caps)
+    for cap in caps:
+        if not 0 <= cap <= k:
+            raise ParameterError(f"cap {cap} outside [0, {k}]")
+    x0 = as_feature_matrix(x0)
+    nsl_of = _rank_one_nsl(x0, stationary_direction(graph, x0, r))
+    nsl = np.empty((x0.shape[0], k + 1))
+    gsl = np.empty(k + 1)
+    cap_gsl = {}
+    # row blocks of ~2 MB keep each product e_v * x_v in cache, so adding
+    # a step reads x and acc once and allocates no N x d temporary
+    block = max(1, (1 << 18) // max(1, x0.shape[1]))
+    for step, x in enumerate(propagation_steps(normalize(graph, r), x0, k)):
+        nsl[:, step] = level = nsl_of(x)
+        gsl[step] = level.mean()
+        logit = level / temperature
+        if step == 0:
+            m, acc, z = logit, x.copy(), np.ones(x.shape[0])
+        else:
+            # only rows whose running max rises are rescaled; the others
+            # would be multiplied by exactly 1
+            rise = logit > m
+            if rise.any():
+                rescale = np.exp(m[rise] - logit[rise])
+                acc[rise] *= rescale[:, None]
+                z[rise] *= rescale
+                m = np.maximum(m, logit)
+            e = np.exp(logit - m)
+            for lo in range(0, len(e), block):
+                rows = slice(lo, lo + block)
+                acc[rows] += e[rows, None] * x[rows]
+            z += e
+        if step in caps:
+            # nsl is a product of cosines, blind to the positive row
+            # scale z: the GSL of acc is the GSL of acc / z
+            cap_gsl[step] = float(nsl_of(acc).mean())
+    acc /= z[:, None]
+    profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
+    profile.weights = propagation_weights(profile, temperature)
+    profile.temperature = float(temperature)
+    return PropagationPass(profile, acc, cap_gsl)
+
+
+# ---------------------------------------------------------------------------
+# Stack-free forms of compute_nsl and combine against an N x d stationary
+# matrix, one spmm chain each. The pipeline uses propagation_pass instead;
+# these stay as public reference functions.
 # ---------------------------------------------------------------------------
 
 def nsl_streaming(adj: NormalizedAdjacency, x0, stationary, k: int) -> SmoothnessProfile:
     """compute_nsl(propagate(adj, x0, k), stationary) without keeping the stack."""
-    if k < 0:
-        raise ParameterError(f"propagation depth must be >= 0, got {k}")
     x0 = as_feature_matrix(x0)
     stationary = as_feature_matrix(stationary)
     if stationary.shape != x0.shape:
         raise DimensionError(
             f"stationary shape {stationary.shape} does not match features {x0.shape}"
         )
-    nsl = np.empty((x0.shape[0], k + 1))
-    cur = x0
-    nsl[:, 0] = matrix_nsl(cur, x0, stationary)
-    for step in range(1, k + 1):
-        cur = spmm(adj, cur)
-        nsl[:, step] = matrix_nsl(cur, x0, stationary)
+    nsl = np.column_stack([matrix_nsl(x, x0, stationary)
+                           for x in propagation_steps(adj, x0, k)])
     return SmoothnessProfile(nsl=nsl, gsl=nsl.mean(axis=0))
 
 
@@ -155,11 +259,9 @@ def combine_streaming(adj: NormalizedAdjacency, x0, weights: np.ndarray) -> np.n
         raise DimensionError(
             f"weights shape {weights.shape} does not match features {x0.shape}"
         )
-    out = weights[:, 0:1] * x0
-    cur = x0
-    for l in range(1, weights.shape[1]):
-        cur = spmm(adj, cur)
-        out += weights[:, l:l + 1] * cur
+    out = np.zeros_like(x0)
+    for l, xl in enumerate(propagation_steps(adj, x0, weights.shape[1] - 1)):
+        out += weights[:, l:l + 1] * xl
     return out
 
 

@@ -6,8 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dgmlp import Graph, build_graph, load_dataset
+
+# Property tests draw the same examples on every run: no flakes, and a
+# fixed cost on a small shared machine.
+settings.register_profile("dgmlp", derandomize=True, deadline=None, database=None)
+settings.load_profile("dgmlp")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA_ROOT = Path(os.environ.get("DGMLP_DATA",

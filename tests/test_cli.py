@@ -207,6 +207,56 @@ class TestScaleCommand:
             assert float(r1["peak_traced_mb"]) > 0.0
 
 
+class TestOutputPaths:
+    """Unwritable outputs fail with one error line before any data is read."""
+
+    def _fails_on_output(self, capsys, *argv):
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+    def test_train(self, tmp_path, capsys, flag):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = {"--out": tmp_path / "r.json", "--checkpoint": tmp_path / "m.npz"}
+        args[flag] = blocker / "x"
+        err = self._fails_on_output(
+            capsys, "train", "--dataset", tmp_path / "missing",
+            *[tok for kv in args.items() for tok in kv])
+        assert "not a directory" in err and "dataset" not in err
+
+    def test_profile(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        err = self._fails_on_output(capsys, "profile", "--dataset", tmp_path / "missing",
+                                    "--out", blocker / "sub" / "dir")
+        assert "not a directory" in err and "dataset" not in err
+        err = self._fails_on_output(capsys, "profile", "--dataset", tmp_path / "missing",
+                                    "--out", blocker)
+        assert "not a directory" in err
+
+    def test_sweep(self, tmp_path, capsys):
+        err = self._fails_on_output(capsys, "sweep", "--dataset", tmp_path / "missing",
+                                    "--dp-grid", "1", "--out", tmp_path / "no" / "s.csv")
+        assert "does not exist" in err and "dataset" not in err
+
+    def test_scale(self, tmp_path, capsys):
+        err = self._fails_on_output(capsys, "scale", "--sizes", "50", "--out", tmp_path)
+        assert "is a directory" in err
+
+    def test_write_failure_is_one_line(self, tiny_dir, tmp_path, capsys, monkeypatch):
+        def refuse(payload, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("dgmlp.cli.write_json", refuse)
+        err = self._fails_on_output(capsys, "train", "--dataset", tiny_dir, "--dp", 1,
+                                    "--epochs", 2, "--out", tmp_path / "r.json")
+        assert "Permission denied" in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tiny_dir, tmp_path):
         out = tmp_path / "r.json"

@@ -223,3 +223,49 @@ class TestCheckpoint:
         assert np.array_equal(forward(model, x), forward(loaded, x))
         assert loaded.use_bias == model.use_bias
         assert loaded.dropout_rate == model.dropout_rate
+
+    @pytest.mark.parametrize("content", [
+        b"not a checkpoint at all",
+        b"\x80\x04\x95\x05\x00\x00\x00\x00\x00\x00\x00}\x94.",  # a pickled dict
+        b"PK\x03\x04truncated zip",
+    ])
+    def test_unreadable_file_named(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="bad.npz"):
+            load_checkpoint(path)
+
+    def test_missing_file_and_plain_array_named(self, tmp_path):
+        with pytest.raises(ValidationError, match="absent.npz"):
+            load_checkpoint(tmp_path / "absent.npz")
+        np.save(tmp_path / "array.npy", np.zeros(3))
+        with pytest.raises(ValidationError, match="array.npy"):
+            load_checkpoint(tmp_path / "array.npy")
+
+    @staticmethod
+    def _resave(tmp_path, drop=(), **replace):
+        model = ResidualMlp.create(5, 3, num_layers=3, hidden_dim=4, use_bias=True, seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k not in drop}
+        arrays.update(replace)
+        np.savez(path, **arrays)
+        return path
+
+    @pytest.mark.parametrize("drop", ["meta", "output", "hidden_0", "hidden_bias_0"])
+    def test_missing_entry(self, tmp_path, drop):
+        path = self._resave(tmp_path, drop=(drop,))
+        with pytest.raises(ValidationError, match="model.npz"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry,value", [
+        ("output", np.zeros((6, 3))),        # input_proj -> hidden -> output
+        ("hidden_0", np.zeros((4, 5))),      # residual layers are square
+        ("input_proj", np.zeros(5)),         # not a matrix
+        ("output_bias", np.zeros(4)),        # bias width
+    ])
+    def test_mismatched_shapes(self, tmp_path, entry, value):
+        path = self._resave(tmp_path, **{entry: value})
+        with pytest.raises(ValidationError, match="model.npz"):
+            load_checkpoint(path)

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from dgmlp import ConfigurationError, load_dataset
-from dgmlp.runner import RunConfig, prepare_combined, row_normalize, run_sweep, run_train
+from dgmlp import ConfigurationError, combine, compute_nsl, load_dataset, normalize, \
+    propagate, propagation_weights, smoothness, stationary_features
+from dgmlp.runner import RunConfig, prepare_combined, row_normalize, run_profile, \
+    run_sweep, run_train
 
-from conftest import random_graph
+from conftest import FIXTURES, random_graph
 
 
 class TestRunConfig:
@@ -43,17 +48,41 @@ class TestRowNormalize:
         assert row_normalize(x, "none") is x
 
 
-class TestStackBudgetSwitch:
-    def test_streaming_path_bitwise_equals_stack_path(self):
+class TestPrepareCombined:
+    def test_matches_stack_oracle(self):
         g = random_graph(40, 120, 0)
         x = np.random.default_rng(1).random((40, 6))
-        stacked, prof_a = prepare_combined(g, x, dp=6, r=0.5, temperature=0.7,
-                                           stack_budget_mb=2048)
-        streamed, prof_b = prepare_combined(g, x, dp=6, r=0.5, temperature=0.7,
-                                            stack_budget_mb=0)  # force streaming
-        assert np.array_equal(stacked, streamed)
-        assert np.array_equal(prof_a.nsl, prof_b.nsl)
-        assert np.array_equal(prof_a.weights, prof_b.weights)
+        combined, profile = prepare_combined(g, x, dp=6, r=0.5, temperature=0.7)
+        stack = propagate(normalize(g, 0.5), x, 6)
+        oracle = compute_nsl(stack, stationary_features(g, x, 0.5))
+        weights = propagation_weights(oracle, 0.7)
+        expected = combine(stack, weights)
+        assert np.abs(combined - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(profile.nsl - oracle.nsl).max() <= 1e-12
+        assert np.abs(profile.weights - weights).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset():
+    return load_dataset(FIXTURES / "tiny")
+
+
+class TestRunProfile:
+    @given(dp=st.integers(0, 8), data=st.data())
+    def test_one_spmm_per_step_for_any_caps(self, tiny_dataset, dp, data):
+        caps = data.draw(st.lists(st.integers(0, dp), max_size=dp + 2))
+        calls = []
+        spmm = smoothness.spmm
+
+        def counted(*args):
+            calls.append(1)
+            return spmm(*args)
+
+        cfg = RunConfig(dp=dp, caps=caps, temperature=0.2)
+        with mock.patch.object(smoothness, "spmm", counted):
+            result = run_profile(tiny_dataset, cfg)
+        assert len(calls) == dp
+        assert len(result["gsl_combined"]) == len(result["caps"])
 
 
 class TestRunTrain:

@@ -2,11 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dgmlp import DimensionError, ParameterError, SmoothnessProfile, build_graph, \
     combine, combine_streaming, compute_nsl, cosine_similarity, matrix_nsl, \
-    normalize, nsl_streaming, propagate, propagation_weights, smoothness_profile, \
-    stationary_features
+    normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
+    smoothness_profile, stationary_direction, stationary_features
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import write_gsl_csv, write_node_profile_csv
 
@@ -193,6 +195,104 @@ class TestStreamingEquivalence:
             combine(stack, profile.weights),
             combine_streaming(adj, x, profile.weights),
         )
+
+
+@st.composite
+def graphs_with_features(draw):
+    """Small graphs (isolated nodes and several components are common) with
+    signed, dyadic features and some all-zero rows."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    d = draw(st.integers(1, 4))
+    x = draw(arrays(np.int64, (n, d), elements=st.integers(-4, 4))) / 4.0
+    x[draw(arrays(np.bool_, n))] = 0.0
+    return build_graph(pairs, n), x
+
+
+def max_rel_error(got, oracle) -> float:
+    """max |got - oracle| / max |oracle|; 0 when both are all zero."""
+    err = float(np.abs(got - oracle).max())
+    scale = float(np.abs(oracle).max())
+    return err / scale if scale > 0.0 else err
+
+
+class TestPropagationPass:
+    # nsl and GSL are cosine products, bounded by 2, and are compared
+    # absolutely; the combined features relative to their largest entry.
+    TOL = 1e-12
+
+    def check_against_stack(self, graph, x, k, r, temperature):
+        adj = normalize(graph, r)
+        stack = propagate(adj, x, k)
+        stat = stationary_features(graph, x, r)
+        oracle = compute_nsl(stack, stat)
+        walk = propagation_pass(graph, x, k=k, r=r, temperature=temperature,
+                                caps=range(k + 1))
+        profile = walk.profile
+
+        assert np.abs(profile.nsl - oracle.nsl).max() <= self.TOL
+        assert np.abs(profile.gsl - oracle.gsl).max() <= self.TOL
+        weights = propagation_weights(profile, temperature)
+        assert np.array_equal(profile.weights, weights)
+        assert profile.temperature == temperature
+        combined = combine(stack, propagation_weights(oracle, temperature))
+        assert max_rel_error(walk.combined, combined) <= self.TOL
+
+        # each cap's combined GSL against truncate-then-combine
+        for cap in range(k + 1):
+            truncated = SmoothnessProfile(nsl=oracle.nsl[:, :cap + 1],
+                                          gsl=oracle.gsl[:cap + 1])
+            m = combine(PropagatedStack(stack.steps[:cap + 1]),
+                        propagation_weights(truncated, temperature))
+            assert abs(walk.cap_gsl[cap] - matrix_nsl(m, x, stat).mean()) <= self.TOL
+        assert walk.cap_gsl[0] == profile.gsl[0]
+
+        for values in (profile.nsl, profile.gsl, profile.weights, walk.combined,
+                       list(walk.cap_gsl.values())):
+            assert np.isfinite(values).all()
+
+    @settings(max_examples=300)
+    @given(case=graphs_with_features(), k=st.integers(0, 6),
+           r=st.sampled_from([0.0, 0.5, 1.0]),
+           temperature=st.sampled_from([1e-3, 0.2, 1.0]))
+    def test_matches_stack_oracle(self, case, k, r, temperature):
+        graph, x = case
+        self.check_against_stack(graph, x, k, r, temperature)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("temperature", [1e-3, 0.2, 1.0])
+    def test_zero_stationary_direction(self, r, temperature):
+        # two mirrored components; each feature column holds one value and
+        # its negation at mirrored nodes, so s = 0 exactly for every r
+        g = random_graph(6, 10, 4)
+        edges = g.undirected_edges()
+        mirrored = build_graph(np.concatenate([edges, edges + 6]), 12)
+        x = np.zeros((12, 3))
+        for col, (node, value) in enumerate([(0, 1.3), (2, -0.7), (5, 2.1)]):
+            x[node, col], x[node + 6, col] = value, -value
+        assert not stationary_direction(mirrored, x, r).any()
+        self.check_against_stack(mirrored, x, 5, r, temperature)
+
+    def test_stationary_features_are_multiples_of_direction(self):
+        g = random_graph(15, 30, 6)
+        x = np.random.default_rng(7).standard_normal((15, 4))
+        s = stationary_direction(g, x, 0.5)
+        dtil = g.degrees + 1.0
+        expected = np.outer(dtil ** 0.5, s) / (2 * g.num_edges + g.num_nodes)
+        assert np.array_equal(stationary_features(g, x, 0.5), expected)
+
+    def test_bad_arguments(self):
+        g = random_graph(5, 6, 0)
+        x = np.ones((5, 2))
+        with pytest.raises(ParameterError):
+            propagation_pass(g, x, k=2, r=0.5, temperature=0.0)
+        with pytest.raises(ParameterError, match="cap 3"):
+            propagation_pass(g, x, k=2, r=0.5, temperature=1.0, caps=[0, 3])
+        with pytest.raises(ParameterError):
+            propagation_pass(g, x, k=-3, r=0.5, temperature=1.0)
+        with pytest.raises(DimensionError):
+            propagation_pass(g, np.ones((4, 2)), k=2, r=0.5, temperature=1.0)
 
 
 class TestMatrixNsl:

@@ -11,7 +11,7 @@ from .errors import ConfigurationError, DgmlpError, DimensionError, \
     ParameterError, ValidationError
 from .graph import Graph, NormalizedAdjacency, build_graph, normalize
 from .nn import Adam, Metrics, ResidualMlp, TrainConfig, accuracy, forward, \
-    load_checkpoint, loss_and_grad, save_checkpoint, sgc_baseline, softmax, train
+    load_checkpoint, loss_and_grad, save_checkpoint, softmax, train
 from .propagation import PropagatedStack, propagate, spmm, \
     stationary_direction, stationary_features
 from .runner import RunConfig, prepare_combined, row_normalize, run_profile, \

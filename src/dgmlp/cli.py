@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import DgmlpError
@@ -31,23 +32,26 @@ def _float_list(text: str) -> list[float]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="dataset directory")
-    p.add_argument("--dp", type=int, default=2, help="propagation depth K")
-    p.add_argument("--dt", type=int, default=1, help="transformation depth (1 = logistic head)")
-    p.add_argument("--hidden", type=int, default=64, help="hidden width of the MLP")
-    p.add_argument("--temperature", type=float, default=1.0, help="softmax temperature for step weights")
-    p.add_argument("--r", type=float, default=0.5, help="normalization exponent in [0, 1]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--weight-decay", type=float, default=5e-6)
-    p.add_argument("--bias", action="store_true", help="enable bias terms (off by default)")
-    p.add_argument("--feature-norm", choices=("none", "l1", "l2"), default="l1",
+    p.add_argument("--dp", type=int, help="propagation depth K")
+    p.add_argument("--dt", type=int, help="transformation depth (1 = logistic head)")
+    p.add_argument("--hidden", type=int, help="hidden width of the MLP")
+    p.add_argument("--temperature", type=float, help="softmax temperature for step weights")
+    p.add_argument("--r", type=float, help="normalization exponent in [0, 1]")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--bias", action="store_true", dest="use_bias",
+                   help="enable bias terms (off by default)")
+    p.add_argument("--feature-norm", choices=("none", "l1", "l2"),
                    help="per-row feature normalization applied before propagation")
     p.add_argument("--out", help="output path (file, or directory for profile)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommand parsers; an option left out stays off the namespace, so
+    its default comes from RunConfig."""
     parser = argparse.ArgumentParser(
         prog="dgmlp",
         description="Node classification via precomputed propagation, "
@@ -55,65 +59,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run the full pipeline once")
-    _add_common(p)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        _add_common(p)
+        return p
+
+    p = command("train", "run the full pipeline once")
     p.add_argument("--baseline", choices=("sgc",),
                    help="train the propagate-then-logistic-regression baseline instead")
     p.add_argument("--checkpoint", help="also save the trained model here (.npz)")
 
-    p = sub.add_parser("profile", help="smoothness curves and per-node weights")
-    _add_common(p)
+    p = command("profile", "smoothness curves and per-node weights")
     p.add_argument("--caps", type=_int_list,
                    help="comma-separated depth caps for combined-feature GSL")
 
-    p = sub.add_parser("sweep", help="grid sweep with mean/std over seeds")
-    _add_common(p)
+    p = command("sweep", "grid sweep with mean/std over seeds")
     p.add_argument("--baseline", choices=("sgc",))
     p.add_argument("--dp-grid", type=_int_list)
     p.add_argument("--dt-grid", type=_int_list)
     p.add_argument("--keep-edges-grid", type=_float_list)
     p.add_argument("--labels-per-class-grid", type=_int_list)
     p.add_argument("--mask-features-grid", type=_float_list)
-    p.add_argument("--num-seeds", type=int, default=1)
+    p.add_argument("--num-seeds", type=int)
 
-    p = sub.add_parser("scale", help="synthetic-graph scalability benchmark")
-    _add_common(p)
-    p.add_argument("--sizes", type=_int_list, default=[10_000],
-                   help="comma-separated node counts")
-    p.add_argument("--p", type=float, default=1e-4, dest="edge_prob",
+    p = command("scale", "synthetic-graph scalability benchmark")
+    p.add_argument("--sizes", type=_int_list, help="comma-separated node counts")
+    p.add_argument("--p", type=float, dest="edge_prob",
                    help="edge probability of the generated graphs")
-    p.add_argument("--dim", type=int, default=64, help="synthetic feature width")
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--train-nodes", type=int, default=1000)
-    p.add_argument("--val-nodes", type=int, default=500)
-    p.add_argument("--test-nodes", type=int, default=1000)
+    p.add_argument("--dim", type=int, help="synthetic feature width")
+    p.add_argument("--classes", type=int)
+    p.add_argument("--train-nodes", type=int)
+    p.add_argument("--val-nodes", type=int)
+    p.add_argument("--test-nodes", type=int)
+    p.set_defaults(sizes=[10_000])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = dict(
-        dataset=args.dataset, dp=args.dp, dt=args.dt, hidden=args.hidden,
-        temperature=args.temperature, r=args.r, lr=args.lr,
-        epochs=args.epochs, weight_decay=args.weight_decay,
-        dropout=args.dropout, seed=args.seed, use_bias=args.bias,
-        feature_norm=args.feature_norm, out=args.out,
-        baseline=getattr(args, "baseline", None),
-        caps=getattr(args, "caps", None),
-        dp_grid=getattr(args, "dp_grid", None),
-        dt_grid=getattr(args, "dt_grid", None),
-        keep_edges_grid=getattr(args, "keep_edges_grid", None),
-        labels_per_class_grid=getattr(args, "labels_per_class_grid", None),
-        mask_features_grid=getattr(args, "mask_features_grid", None),
-        num_seeds=getattr(args, "num_seeds", 1),
-        sizes=getattr(args, "sizes", None),
-        edge_prob=getattr(args, "edge_prob", 1e-4),
-        dim=getattr(args, "dim", 64),
-        classes=getattr(args, "classes", 10),
-        train_nodes=getattr(args, "train_nodes", 1000),
-        val_nodes=getattr(args, "val_nodes", 500),
-        test_nodes=getattr(args, "test_nodes", 1000),
-    )
-    return RunConfig(**fields)
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                        if f.name in given})
 
 
 def write_json(payload: dict, path) -> None:
@@ -168,7 +153,7 @@ def _cmd_train(cfg: RunConfig, checkpoint: str | None) -> int:
     dataset = load_run_dataset(cfg)
     result, model, _ = run_train(dataset, cfg)
     with _writing():
-        if checkpoint and model is not None:
+        if checkpoint:
             save_checkpoint(model, checkpoint)
             result["checkpoint"] = checkpoint
         write_json(result, out)

@@ -67,11 +67,17 @@ class Dataset:
         return self.graph.num_nodes
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_text(path: Path) -> str:
     if not path.is_file():
         raise ValidationError(f"missing dataset file: {path}")
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_lines(path: Path) -> list[str]:
+    lines = _read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
@@ -167,10 +173,8 @@ def _parse_edges(path: Path, num_nodes: int) -> tuple[list[tuple[int, int]], dic
 
 
 def _parse_splits(path: Path, num_nodes: int) -> Splits:
-    if not path.is_file():
-        raise ValidationError(f"missing dataset file: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     parts = {}

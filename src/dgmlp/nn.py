@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.npyio import NpzFile
 
 from .data import check_disjoint
 from .errors import ConfigurationError, DimensionError, ParameterError, ValidationError
-from .propagation import PropagatedStack
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -292,15 +291,7 @@ class Metrics:
     test_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "val_accuracy": self.val_accuracy,
-            "test_accuracy_per_epoch": self.test_accuracy_per_epoch,
-            "best_epoch": self.best_epoch,
-            "best_val_accuracy": self.best_val_accuracy,
-            "test_accuracy": self.test_accuracy,
-        }
+        return asdict(self)
 
 
 def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
@@ -356,23 +347,6 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     return model, metrics
 
 
-def sgc_baseline(stack: PropagatedStack, k: int, labels: np.ndarray,
-                 splits, config: TrainConfig) -> Metrics:
-    """Logistic regression on the k-step propagated features, same trainer."""
-    if not 0 <= k <= stack.max_step:
-        raise ParameterError(
-            f"k must lie in [0, {stack.max_step}], got {k}"
-        )
-    feats = stack.steps[k]
-    num_classes = int(np.asarray(labels).max()) + 1
-    model = ResidualMlp.create(
-        feats.shape[1], num_classes, num_layers=1,
-        dropout_rate=config.dropout_rate, seed=config.seed,
-    )
-    _, metrics = train(model, feats, labels, splits, config)
-    return metrics
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing: an .npz archive with a JSON metadata entry plus one array
 # per weight/bias (layout documented in the README).
@@ -397,7 +371,10 @@ def save_checkpoint(model: ResidualMlp, path) -> None:
         for i, b in enumerate(model.hidden_biases):
             arrays[f"hidden_bias_{i}"] = b
         arrays["output_bias"] = model.output_bias
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    # an open file, so np.savez writes path as given (a name without
+    # .npz would otherwise gain the suffix)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), **arrays)
 
 
 def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

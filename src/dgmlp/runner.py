@@ -24,8 +24,7 @@ from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
     mask_features, subsample_labels
 from .errors import ConfigurationError
 from .graph import Graph, normalize
-from .nn import Metrics, ResidualMlp, TrainConfig, sgc_baseline, train
-from .propagation import PropagatedStack
+from .nn import ResidualMlp, TrainConfig, train
 from .smoothness import propagation_pass, propagation_steps
 
 
@@ -117,41 +116,39 @@ def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float) ->
     return deque(propagation_steps(normalize(graph, r), features, k), maxlen=1)[0]
 
 
+def _classifier_input(graph: Graph, features: np.ndarray, cfg: RunConfig,
+                      dp: int) -> np.ndarray:
+    """A_hat^dp X for the SGC baseline, else the node-adaptive combination."""
+    if cfg.baseline == "sgc":
+        return _propagated_step(graph, features, k=dp, r=cfg.r)
+    combined, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
+                                   temperature=cfg.temperature)
+    return combined
+
+
 def _train_on(features: np.ndarray, labels: np.ndarray, splits: Splits,
-              cfg: RunConfig, *, num_layers: int, seed: int) -> Metrics:
-    num_classes = int(labels.max()) + 1
+              cfg: RunConfig, *, dt: int | None = None, seed: int | None = None):
+    """Train the classifier on precomputed features; returns (model, metrics).
+
+    dt and seed default to cfg's; the SGC baseline is always one layer.
+    """
+    seed = cfg.seed if seed is None else seed
+    num_layers = 1 if cfg.baseline == "sgc" else (cfg.dt if dt is None else dt)
     model = ResidualMlp.create(
-        features.shape[1], num_classes, num_layers=num_layers,
+        features.shape[1], int(labels.max()) + 1, num_layers=num_layers,
         hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
         dropout_rate=cfg.dropout, seed=seed,
     )
-    _, metrics = train(model, features, labels, splits, cfg.train_config(seed))
-    return metrics
+    return train(model, features, labels, splits, cfg.train_config(seed))
 
 
 def run_train(dataset: Dataset, cfg: RunConfig):
     """Full pipeline on a loaded dataset; returns (result dict, model, metrics)."""
     t0 = time.perf_counter()
     feats = row_normalize(dataset.features, cfg.feature_norm)
-    if cfg.baseline == "sgc":
-        kth = _propagated_step(dataset.graph, feats, k=cfg.dp, r=cfg.r)
-        t1 = time.perf_counter()
-        metrics = sgc_baseline(PropagatedStack((kth,)), 0, dataset.labels,
-                               dataset.splits, cfg.train_config())
-        model = None
-    else:
-        combined, _ = prepare_combined(
-            dataset.graph, feats, dp=cfg.dp, r=cfg.r, temperature=cfg.temperature,
-        )
-        t1 = time.perf_counter()
-        num_classes = dataset.num_classes
-        model = ResidualMlp.create(
-            combined.shape[1], num_classes, num_layers=cfg.dt,
-            hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
-            dropout_rate=cfg.dropout, seed=cfg.seed,
-        )
-        model, metrics = train(model, combined, dataset.labels,
-                               dataset.splits, cfg.train_config())
+    feats = _classifier_input(dataset.graph, feats, cfg, cfg.dp)
+    t1 = time.perf_counter()
+    model, metrics = _train_on(feats, dataset.labels, dataset.splits, cfg)
     t2 = time.perf_counter()
     result = {
         "command": "train",
@@ -232,11 +229,7 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
         if mask > 0.0:
             masked = mask_features(replace(dataset, features=base_feats), mask, seed)
             feats = masked.features
-        if cfg.baseline == "sgc":
-            out = _propagated_step(graph, feats, k=dp, r=cfg.r)
-        else:
-            out, _ = prepare_combined(graph, feats, dp=dp, r=cfg.r,
-                                      temperature=cfg.temperature)
+        out = _classifier_input(graph, feats, cfg, dp)
         cache[key] = out
         if len(cache) > 4:
             cache.popitem(last=False)
@@ -257,9 +250,8 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
             ds = dataset
             if per_class is not None:
                 ds = subsample_labels(dataset, per_class, seed)
-            num_layers = 1 if cfg.baseline == "sgc" else dt
-            metrics = _train_on(feats, ds.labels, ds.splits, cfg,
-                                num_layers=num_layers, seed=seed)
+            _, metrics = _train_on(feats, ds.labels, ds.splits, cfg,
+                                   dt=dt, seed=seed)
             accs.append(metrics.test_accuracy)
         accs = np.asarray(accs)
         row = {
@@ -301,12 +293,9 @@ def run_scale(cfg: RunConfig) -> list[dict]:
         t0 = time.perf_counter()
         graph = erdos_renyi(n, cfg.edge_prob, cfg.seed)
         features, labels, splits = synthetic_node_data(n, cfg, cfg.seed + 1)
-        combined, _ = prepare_combined(
-            graph, features, dp=cfg.dp, r=cfg.r, temperature=cfg.temperature,
-        )
+        features = _classifier_input(graph, features, cfg, cfg.dp)
         t1 = time.perf_counter()
-        metrics = _train_on(combined, labels, splits, cfg,
-                            num_layers=cfg.dt, seed=cfg.seed)
+        _, metrics = _train_on(features, labels, splits, cfg)
         t2 = time.perf_counter()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from dgmlp import ResidualMlp, RunConfig, TrainConfig, combine, normalize, \
-    nsl_streaming, propagate, propagation_weights, sgc_baseline, \
-    smoothness_profile, spmm, stationary_features, subsample_labels, train
+    nsl_streaming, propagate, propagation_weights, smoothness_profile, spmm, \
+    stationary_features, subsample_labels, train
 from dgmlp.nn import loss_and_grad
-from dgmlp.runner import prepare_combined, row_normalize, run_scale
+from dgmlp.runner import _propagated_step, _train_on, prepare_combined, \
+    row_normalize, run_scale
 from dgmlp.smoothness import SmoothnessProfile, combine_streaming, matrix_nsl
 
 from conftest import citation_dataset, dense_normalized, random_graph
@@ -55,10 +56,10 @@ def _dgmlp_accuracies(ds, dp: int, seeds, temperature: float = 1.0):
 
 
 def _sgc_accuracies(ds, k: int, seeds):
-    feats = row_normalize(ds.features, "l1")
-    stack = propagate(normalize(ds.graph, 0.5), feats, k)
+    feats = _propagated_step(ds.graph, row_normalize(ds.features, "l1"), k=k, r=0.5)
+    cfg = RunConfig(baseline="sgc")  # its defaults are _train_config's knobs
     return np.asarray([
-        sgc_baseline(stack, k, ds.labels, ds.splits, _train_config(seed)).test_accuracy
+        _train_on(feats, ds.labels, ds.splits, cfg, seed=seed)[1].test_accuracy
         for seed in seeds
     ])
 

@@ -1,13 +1,17 @@
+import argparse
 import csv
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dgmlp import load_checkpoint
-from dgmlp.cli import main
+from dgmlp import load_checkpoint, load_dataset
+from dgmlp.cli import build_parser, config_from_args, main
+from dgmlp.runner import RunConfig, run_train
 
 
 def run_cli(*argv):
@@ -59,7 +63,7 @@ class TestTrainCommand:
         assert a["metrics"] == b["metrics"]
         assert a["test_accuracy"] == b["test_accuracy"]
 
-    def test_sgc_baseline_dispatch(self, tiny_dir, tmp_path):
+    def test_sgc_dispatch(self, tiny_dir, tmp_path):
         out = tmp_path / "sgc.json"
         code = run_cli("train", "--dataset", tiny_dir, "--dp", 2, "--baseline", "sgc",
                        "--epochs", 20, "--lr", 0.05, "--dropout", 0, "--out", out)
@@ -77,6 +81,42 @@ class TestTrainCommand:
         assert code == 0
         model = load_checkpoint(ckpt)
         assert model.num_layers == 3
+
+    def test_sgc_checkpoint(self, tiny_dir, tmp_path):
+        out, ckpt = tmp_path / "r.json", tmp_path / "sgc.npz"
+        argv = ["train", "--dataset", tiny_dir, "--dp", 2, "--baseline", "sgc",
+                "--bias", "--epochs", 5, "--lr", 0.05]
+        assert run_cli(*argv, "--out", out, "--checkpoint", ckpt) == 0
+        result = json.loads(out.read_text())
+        assert result["checkpoint"] == str(ckpt)
+        cfg = config_from_args(build_parser().parse_args([str(a) for a in argv]))
+        _, model, _ = run_train(load_dataset(tiny_dir), cfg)
+        loaded = load_checkpoint(ckpt)
+        assert loaded.num_layers == 1 and loaded.use_bias
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(loaded.parameters(), model.parameters()))
+
+    def test_checkpoint_written_at_exact_path(self, tiny_dir, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli("train", "--dataset", tiny_dir, "--dp", 1, "--epochs", 2,
+                       "--out", out, "--checkpoint", tmp_path / "model")
+        assert code == 0
+        recorded = json.loads(out.read_text())["checkpoint"]
+        assert recorded == str(tmp_path / "model")
+        assert load_checkpoint(recorded).num_layers == 1
+        assert not (tmp_path / "model.npz").exists()
+
+    @pytest.mark.parametrize("name", ["features.csv", "splits.json"])
+    def test_non_utf8_input_is_one_line(self, tiny_dir, tmp_path, capsys, name):
+        data = tmp_path / "ds"
+        shutil.copytree(tiny_dir, data)
+        path = data / name
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        code = run_cli("train", "--dataset", data, "--out", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "UTF-8" in err
 
     @pytest.mark.parametrize("extra", [
         ["--r", "0"], ["--r", "1"], ["--feature-norm", "none"],
@@ -255,6 +295,31 @@ class TestOutputPaths:
         err = self._fails_on_output(capsys, "train", "--dataset", tiny_dir, "--dp", 1,
                                     "--epochs", 2, "--out", tmp_path / "r.json")
         assert "Permission denied" in err
+
+
+class TestParserMatchesRunConfig:
+    """RunConfig is the one source of option defaults."""
+
+    @staticmethod
+    def _subparsers():
+        (action,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_every_dest_is_a_run_config_field(self):
+        names = {f.name for f in fields(RunConfig)}
+        subparsers = self._subparsers()
+        assert set(subparsers) == {"train", "profile", "sweep", "scale"}
+        for command, sub in subparsers.items():
+            dests = {a.dest for a in sub._actions} - {"help", "checkpoint"}
+            assert dests <= names, (command, dests - names)
+
+    @pytest.mark.parametrize("command", ["train", "profile", "sweep", "scale"])
+    def test_bare_command_gives_defaults(self, command):
+        cfg = config_from_args(build_parser().parse_args([command]))
+        expected = RunConfig(sizes=[10_000]) if command == "scale" else RunConfig()
+        assert cfg == expected
+        assert RunConfig().sizes is None
 
 
 class TestEntryPoint:

@@ -5,8 +5,7 @@ import pytest
 
 from dgmlp import ConfigurationError, DimensionError, ParameterError, \
     ResidualMlp, Splits, TrainConfig, ValidationError, forward, load_checkpoint, \
-    loss_and_grad, save_checkpoint, sgc_baseline, softmax, train
-from dgmlp.propagation import PropagatedStack
+    loss_and_grad, save_checkpoint, softmax, train
 
 
 def finite_difference_grads(model, x, y, idx, weight_decay, h=1e-5):
@@ -192,21 +191,6 @@ class TestTrainConfig:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ParameterError):
             TrainConfig(weight_decay=-1e-3)
-
-
-class TestSgcBaseline:
-    def test_k0_equals_plain_logistic(self):
-        x, y, splits = toy_blobs(seed=7)
-        cfg = TrainConfig(learning_rate=0.05, epochs=30, seed=2)
-        metrics_sgc = sgc_baseline(PropagatedStack((x,)), 0, y, splits, cfg)
-        model = ResidualMlp.create(2, 2, num_layers=1, seed=2)
-        _, metrics_lr = train(model, x, y, splits, cfg)
-        assert metrics_sgc.to_dict() == metrics_lr.to_dict()
-
-    def test_k_out_of_range(self):
-        x, y, splits = toy_blobs()
-        with pytest.raises(ParameterError):
-            sgc_baseline(PropagatedStack((x,)), 2, y, splits, TrainConfig(epochs=1))
 
 
 class TestCheckpoint:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dgmlp import ConfigurationError, combine, compute_nsl, load_dataset, normalize, \
-    propagate, propagation_weights, smoothness, stationary_features
-from dgmlp.runner import RunConfig, prepare_combined, row_normalize, run_profile, \
-    run_sweep, run_train
+from dgmlp import ConfigurationError, ResidualMlp, combine, compute_nsl, \
+    load_dataset, normalize, propagate, propagation_weights, smoothness, \
+    stationary_features, train
+from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
+    row_normalize, run_profile, run_sweep, run_train
 
 from conftest import FIXTURES, random_graph
 
@@ -103,6 +104,34 @@ class TestRunTrain:
         sgc, _, _ = run_train(ds, RunConfig(baseline="sgc", **base))
         assert set(dg.keys()) == set(sgc.keys())
         assert len(sgc["metrics"]["val_accuracy"]) == 10
+
+
+class TestSgcBaseline:
+    BASE = dict(baseline="sgc", dp=2, epochs=15, lr=0.05, seed=3)
+
+    def test_dp0_equals_plain_logistic(self, tiny_dataset):
+        cfg = RunConfig(**{**self.BASE, "dp": 0})
+        _, model, metrics = run_train(tiny_dataset, cfg)
+        x = row_normalize(tiny_dataset.features, cfg.feature_norm)
+        plain = ResidualMlp.create(x.shape[1], tiny_dataset.num_classes,
+                                   dropout_rate=cfg.dropout, seed=cfg.seed)
+        plain, expected = train(plain, x, tiny_dataset.labels, tiny_dataset.splits,
+                                cfg.train_config())
+        assert metrics.to_dict() == expected.to_dict()
+        assert model.num_layers == 1
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(model.parameters(), plain.parameters()))
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_run_train_matches_train_on(self, tiny_dataset, use_bias):
+        # dt is ignored: the baseline always trains one layer
+        cfg = RunConfig(dt=3, use_bias=use_bias, **self.BASE)
+        result, model, _ = run_train(tiny_dataset, cfg)
+        x = row_normalize(tiny_dataset.features, cfg.feature_norm)
+        xk = _propagated_step(tiny_dataset.graph, x, k=cfg.dp, r=cfg.r)
+        _, expected = _train_on(xk, tiny_dataset.labels, tiny_dataset.splits, cfg)
+        assert result["metrics"] == expected.to_dict()
+        assert model.num_layers == 1 and model.use_bias == use_bias
 
 
 class TestRunSweepValidation:

@@ -177,17 +177,22 @@ def _parse_splits(path: Path, num_nodes: int) -> Splits:
         raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected an object with train/val/test lists")
     parts = {}
     for name in ("train", "val", "test"):
         if name not in raw:
             raise ValidationError(f"{path}: missing split '{name}'")
-        idx = np.asarray(raw[name], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= num_nodes):
-            bad = idx[(idx < 0) | (idx >= num_nodes)][0]
+        entries = raw[name]
+        # exact int: numpy would truncate 0.7 to node 0 and read true as 1
+        if not isinstance(entries, list) or any(type(v) is not int for v in entries):
             raise ValidationError(
-                f"{path}: split '{name}' contains out-of-range index {int(bad)}"
+                f"{path}: split '{name}' must be a list of integer node indices"
             )
-        parts[name] = idx
+        bad = next((v for v in entries if not 0 <= v < num_nodes), None)
+        if bad is not None:
+            raise ValidationError(f"{path}: split '{name}' contains out-of-range index {bad}")
+        parts[name] = entries
     return Splits(**parts)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -110,43 +111,62 @@ class ResidualMlp:
         return params
 
 
-def _dropout_mask(rng, shape, rate):
-    # inverted dropout: scaling happens at train time, eval is a no-op
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def _layers(model: ResidualMlp) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
+    """(weight, bias or None, residual) for each ReLU layer, input first."""
+    layers = [] if model.input_proj is None else [(model.input_proj, model.input_bias, False)]
+    for idx, w in enumerate(model.hidden):
+        layers.append((w, model.hidden_biases[idx] if model.use_bias else None, True))
+    return layers
 
 
-def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng):
-    """Returns (logits, caches); caches hold what backprop needs per layer."""
+def _masked(a: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """Inverted dropout a * keep * scale with a bool keep mask.
+
+    Multiplying by the mask, then by scale = 1 / (1 - rate), gives the same
+    bits, signed zeros included, as one multiply by the float mask
+    keep / (1 - rate).
+    """
+    out = np.multiply(a, keep, out=out)
+    out *= scale
+    return out
+
+
+def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng, caches=None):
+    """Logits for the rows of x, with inverted dropout at rate.
+
+    ReLU and the residual add run in place. When caches is a list, it gets
+    what backprop needs: (hd, z > 0, keep) per ReLU layer, then (hd, keep)
+    for the output layer, where hd is the layer's dropped-out input and both
+    masks are bool (keep is None without dropout).
+    """
+    scale = 1.0 / (1.0 - rate)
+
     def drop(h):
         if rate <= 0.0:
             return h, None
-        mask = _dropout_mask(rng, h.shape, rate)
-        return h * mask, mask
+        keep = rng.random(h.shape) >= rate
+        return _masked(h, keep, scale), keep
 
     h = x
-    cache_in = None
-    if model.input_proj is not None:
-        hd, mask = drop(h)
-        z = hd @ model.input_proj
-        if model.input_bias is not None:
-            z = z + model.input_bias
-        cache_in = (hd, z, mask)
-        h = np.maximum(z, 0.0)
-
-    cache_hidden = []
-    for idx, w in enumerate(model.hidden):
-        hd, mask = drop(h)
+    for w, b, residual in _layers(model):
+        hd, keep = drop(h)
         z = hd @ w
-        if model.use_bias:
-            z = z + model.hidden_biases[idx]
-        cache_hidden.append((hd, z, mask))
-        h = np.maximum(z, 0.0) + h
+        if b is not None:
+            z += b
+        if caches is not None:
+            caches.append((hd, z > 0.0, keep))
+        np.maximum(z, 0.0, out=z)
+        if residual:
+            z += h
+        h = z
 
-    hd, mask_out = drop(h)
+    hd, keep = drop(h)
+    if caches is not None:
+        caches.append((hd, keep))
     logits = hd @ model.output
     if model.output_bias is not None:
-        logits = logits + model.output_bias
-    return logits, (cache_in, cache_hidden, (hd, mask_out))
+        logits += model.output_bias
+    return logits
 
 
 def forward(model: ResidualMlp, features: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
@@ -159,8 +179,7 @@ def forward(model: ResidualMlp, features: np.ndarray, training: bool = False, rn
     rate = model.dropout_rate if training else 0.0
     if rate > 0.0 and rng is None:
         raise ParameterError("an rng is required for dropout in training mode")
-    logits, _ = _forward(model, features, rate, rng)
-    return logits
+    return _forward(model, features, rate, rng)
 
 
 def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
@@ -184,7 +203,8 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     if rate > 0.0 and rng is None:
         raise ParameterError("an rng is required for dropout in training mode")
 
-    logits, (cache_in, cache_hidden, (h_out, mask_out)) = _forward(model, x, rate, rng)
+    caches: list = []
+    logits = _forward(model, x, rate, rng, caches)
     probs = softmax(logits)
     batch = x.shape[0]
     picked = np.clip(probs[np.arange(batch), y], 1e-300, None)
@@ -196,46 +216,40 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     g[np.arange(batch), y] -= 1.0
     g /= batch
 
-    grad_output = h_out.T @ g + 2.0 * weight_decay * model.output
-    grad_output_bias = g.sum(axis=0) if model.output_bias is not None else None
+    scale = 1.0 / (1.0 - rate)
+    h_out, keep = caches.pop()
+    grad_w = [h_out.T @ g + 2.0 * weight_decay * model.output]
+    grad_b = [g.sum(axis=0)] if model.output_bias is not None else []
     dh = g @ model.output.T
-    if mask_out is not None:
-        dh = dh * mask_out
+    if keep is not None:
+        _masked(dh, keep, scale, out=dh)
 
-    grad_hidden = [None] * len(model.hidden)
-    grad_hidden_biases = [None] * len(model.hidden)
-    for idx in range(len(model.hidden) - 1, -1, -1):
-        hd, z, mask = cache_hidden[idx]
-        dz = dh * (z > 0.0)
-        grad_hidden[idx] = hd.T @ dz + 2.0 * weight_decay * model.hidden[idx]
-        if model.use_bias:
-            grad_hidden_biases[idx] = dz.sum(axis=0)
-        branch = dz @ model.hidden[idx].T
-        if mask is not None:
-            branch = branch * mask
-        dh = dh + branch
+    # walk the ReLU layers backwards; grads are collected output-first
+    for (w, b, residual), (hd, relu, keep) in zip(_layers(model)[::-1], caches[::-1]):
+        dz = dh * relu
+        grad_w.append(hd.T @ dz + 2.0 * weight_decay * w)
+        if b is not None:
+            grad_b.append(dz.sum(axis=0))
+        if residual:
+            branch = dz @ w.T
+            if keep is not None:
+                _masked(branch, keep, scale, out=branch)
+            dh += branch
 
-    grad_input = None
-    grad_input_bias = None
-    if model.input_proj is not None:
-        hd, z, mask = cache_in
-        dz = dh * (z > 0.0)
-        grad_input = hd.T @ dz + 2.0 * weight_decay * model.input_proj
-        if model.input_bias is not None:
-            grad_input_bias = dz.sum(axis=0)
-
-    grads = [] if grad_input is None else [grad_input]
-    grads += grad_hidden + [grad_output]
+    grads = grad_w[::-1]
     if model.use_bias:
-        if grad_input_bias is not None:
-            grads.append(grad_input_bias)
-        grads.extend(grad_hidden_biases)
-        grads.append(grad_output_bias)
+        grads += grad_b[::-1]
     return loss, grads
 
 
 class Adam:
-    """Standard Adam with bias correction; updates parameters in place."""
+    """Standard Adam with bias correction; updates parameters in place.
+
+    The update runs through two scratch buffers sized for the largest
+    parameter, in the same operations and order as the textbook
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits
+    without allocating per step.
+    """
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -243,17 +257,26 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
+        size = max((p.size for p in params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, params, grads) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
+            a, b = (s[:p.size].reshape(p.shape) for s in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -302,6 +325,12 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     accuracies are measured after the update with dropout off. Test
     accuracy is reported at the epoch with the best validation accuracy
     (first epoch wins ties).
+
+    Epochs are pipelined: the evaluation of epoch t's updated weights runs
+    on a worker thread while this thread computes epoch t+1's gradient from
+    the same weights. Both only read them, and the evaluation is collected
+    before the next update writes them, so the results are those of running
+    the two one after the other.
     """
     check_disjoint(splits)
     features = np.asarray(features, dtype=np.float64)
@@ -318,32 +347,35 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
 
     union = np.concatenate([tr, va, te])
     union_feats = features[union]
+    union_labels = labels[union]
     n_tr, n_va = tr.size, va.size
 
-    losses, tr_accs, va_accs, te_accs = [], [], [], []
-    best_val, best_epoch, best_test = -1.0, -1, 0.0
-    for epoch in range(config.epochs):
-        loss, grads = loss_and_grad(
-            model, features, labels, tr,
-            weight_decay=config.weight_decay, training=True, rng=drop_rng,
-        )
-        opt.step(params, grads)
-
-        logits = forward(model, union_feats, training=False)
-        pred_ok = logits.argmax(axis=1) == labels[union]
+    def evaluate() -> tuple[float, float, float]:
+        pred_ok = forward(model, union_feats, training=False).argmax(axis=1) == union_labels
         acc_tr = float(pred_ok[:n_tr].mean())
         acc_va = float(pred_ok[n_tr:n_tr + n_va].mean()) if n_va else 0.0
         acc_te = float(pred_ok[n_tr + n_va:].mean()) if te.size else 0.0
+        return acc_tr, acc_va, acc_te
 
-        losses.append(loss)
-        tr_accs.append(acc_tr)
-        va_accs.append(acc_va)
-        te_accs.append(acc_te)
-        if acc_va > best_val:
-            best_val, best_epoch, best_test = acc_va, epoch, acc_te
+    losses, accs = [], []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for _ in range(config.epochs):
+            loss, grads = loss_and_grad(
+                model, features, labels, tr,
+                weight_decay=config.weight_decay, training=True, rng=drop_rng,
+            )
+            if pending is not None:
+                accs.append(pending.result())
+            opt.step(params, grads)
+            losses.append(loss)
+            pending = worker.submit(evaluate)
+        accs.append(pending.result())
 
+    tr_accs, va_accs, te_accs = (list(col) for col in zip(*accs))
+    best_epoch = va_accs.index(max(va_accs))
     metrics = Metrics(losses, tr_accs, va_accs, te_accs,
-                      best_epoch, best_val, best_test)
+                      best_epoch, va_accs[best_epoch], te_accs[best_epoch])
     return model, metrics
 
 

@@ -76,6 +76,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown feature_norm: {self.feature_norm!r}")
         if self.baseline not in (None, "sgc"):
             raise ConfigurationError(f"unknown baseline: {self.baseline!r}")
+        if self.baseline == "sgc" and self.dt_grid:
+            raise ConfigurationError(
+                "dt_grid does not apply to the sgc baseline, which always trains one layer"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -118,6 +118,19 @@ class TestTrainCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("entries", [["a"], [0.7]])
+    def test_non_integer_split_entry_is_one_line(self, tiny_dir, tmp_path, capsys, entries):
+        data = tmp_path / "ds"
+        shutil.copytree(tiny_dir, data)
+        splits = json.loads((data / "splits.json").read_text())
+        (data / "splits.json").write_text(json.dumps(dict(splits, train=entries)))
+        code = run_cli("train", "--dataset", data, "--out", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "splits.json" in err and "'train'" in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("extra", [
         ["--r", "0"], ["--r", "1"], ["--feature-norm", "none"],
         ["--feature-norm", "l2"], ["--bias"], ["--temperature", "0.2"],
@@ -198,6 +211,18 @@ class TestSweepCommand:
         code = run_cli("sweep", "--dataset", tiny_dir, "--out", tmp_path / "s.csv")
         assert code == 2
         assert "empty sweep grid" in capsys.readouterr().err
+
+    def test_sgc_with_dt_grid_is_configuration_error(self, tiny_dir, tmp_path, capsys):
+        # the baseline trains one layer whatever dt says: rows labelled by
+        # dt would repeat one model
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", "--dataset", tiny_dir, "--baseline", "sgc",
+                       "--dt-grid", "1,3", "--epochs", 3, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "dt_grid" in err and "sgc" in err
+        assert not out.exists()
 
     def test_depth_by_edge_grid_shape(self, tiny_dir, tmp_path):
         # edge-sparsity sweeps cross a 7-value depth axis with the keep

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from dgmlp import ConfigurationError, DimensionError, ParameterError, \
+import dgmlp.nn
+from dgmlp import Adam, ConfigurationError, DimensionError, ParameterError, \
     ResidualMlp, Splits, TrainConfig, ValidationError, forward, load_checkpoint, \
     loss_and_grad, save_checkpoint, softmax, train
 
@@ -179,6 +182,143 @@ class TestTrain:
         model = ResidualMlp.create(2, 2, num_layers=1, seed=0)
         with pytest.raises(ConfigurationError):
             train(model, x, y, splits, TrainConfig(epochs=1))
+
+
+def sequential_train(model, x, y, splits, config):
+    """Reference loop: gradient, update, then evaluation, one after another."""
+    rng = np.random.default_rng(config.seed)
+    params = model.parameters()
+    opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    union = np.concatenate([splits.train, splits.val, splits.test])
+    ends = np.cumsum([splits.train.size, splits.val.size, splits.test.size])
+    curves = {"train_loss": [], "train_accuracy": [], "val_accuracy": [],
+              "test_accuracy_per_epoch": []}
+    best_val, best_epoch, best_test = -1.0, -1, 0.0
+    for epoch in range(config.epochs):
+        loss, grads = loss_and_grad(model, x, y, splits.train, config.weight_decay,
+                                    training=True, rng=rng)
+        opt.step(params, grads)
+        pred_ok = forward(model, x[union]).argmax(axis=1) == y[union]
+        accs = [float(part.mean()) if part.size else 0.0
+                for part in np.split(pred_ok, ends[:-1])]
+        for key, value in zip(curves, [loss] + accs):
+            curves[key].append(value)
+        if accs[1] > best_val:
+            best_val, best_epoch, best_test = accs[1], epoch, accs[2]
+    return dict(curves, best_epoch=best_epoch, best_val_accuracy=best_val,
+                test_accuracy=best_test)
+
+
+def pipeline_case(dt=3, use_bias=False, dropout=0.0, epochs=6, empty_eval=False, seed=0):
+    rng = np.random.default_rng(seed)
+    n, d = 90, 7
+    x = rng.normal(size=(n, d))
+    x[::9] = 0.0
+    y = rng.integers(0, 4, n)
+    perm = rng.permutation(n)
+    splits = Splits(train=perm[:40],
+                    val=perm[40:40 if empty_eval else 65],
+                    test=perm[65:65 if empty_eval else n])
+    config = TrainConfig(learning_rate=0.05, epochs=epochs, weight_decay=1e-3,
+                         dropout_rate=dropout, seed=seed + 11)
+
+    def model():
+        return ResidualMlp.create(d, 4, num_layers=dt, hidden_dim=12, use_bias=use_bias,
+                                  dropout_rate=dropout, seed=seed + 5)
+    return model, x, y, splits, config
+
+
+def assert_matches_sequential(case):
+    make_model, x, y, splits, config = case
+    got_model, got = train(make_model(), x, y, splits, config)
+    ref_model = make_model()
+    want = sequential_train(ref_model, x, y, splits, config)
+    assert got.to_dict() == want
+    assert [p.tobytes() for p in got_model.parameters()] == \
+        [p.tobytes() for p in ref_model.parameters()]
+
+
+class TestPipelinedTrain:
+    """train overlaps epoch t's evaluation with epoch t+1's gradient."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("dt", [1, 3, 6])
+    def test_bitwise_equals_sequential_loop(self, dt, use_bias, dropout):
+        assert_matches_sequential(pipeline_case(dt, use_bias, dropout))
+
+    @pytest.mark.parametrize("kwargs", [dict(epochs=1), dict(empty_eval=True),
+                                        dict(epochs=1, empty_eval=True, dropout=0.5)])
+    def test_edge_cases_equal_sequential_loop(self, kwargs):
+        assert_matches_sequential(pipeline_case(**kwargs))
+
+    def test_concurrent_train_calls_stay_independent(self):
+        # more threads than cores and a short switch interval: each call
+        # still matches its own sequential run bit for bit
+        cases = [pipeline_case(dt=3, dropout=0.5, epochs=8, seed=s) for s in range(4)]
+        failures = []
+
+        def run(case):
+            try:
+                assert_matches_sequential(case)
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(c,)) for c in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_evaluation_failure_reraised_and_worker_joined(self, monkeypatch):
+        make_model, x, y, splits, config = pipeline_case(epochs=10)
+        boom = RuntimeError("evaluation failed")
+        callers = []
+        real_forward = dgmlp.nn.forward
+
+        def failing_forward(*args, **kwargs):
+            callers.append(threading.current_thread())
+            if len(callers) == 3:
+                raise boom
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(dgmlp.nn, "forward", failing_forward)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            train(make_model(), x, y, splits, config)
+        assert info.value is boom
+        assert threading.active_count() == before
+        assert len(callers) == 3
+        assert threading.current_thread() not in callers
+
+
+class TestAdam:
+    def test_in_place_step_equals_textbook_update(self):
+        rng = np.random.default_rng(4)
+        shapes = [(5, 3), (3,), (7, 7), (1, 2)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr, b1, b2, eps)
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            grads[1][0] = -0.0
+            opt.step(params, grads)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
+            v = [b2 * vi + (1.0 - b2) * g * g for vi, g in zip(v, grads)]
+            ref = [p - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+                   for p, mi, vi in zip(ref, m, v)]
+            assert [p.tobytes() for p in params] == [p.tobytes() for p in ref]
 
 
 class TestTrainConfig:

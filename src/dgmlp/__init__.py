@@ -10,7 +10,7 @@ from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
 from .errors import ConfigurationError, DgmlpError, DimensionError, \
     ParameterError, ValidationError
 from .graph import Graph, NormalizedAdjacency, build_graph, normalize
-from .nn import Adam, Metrics, ResidualMlp, TrainConfig, accuracy, forward, \
+from .nn import Adam, Metrics, ResidualMlp, TrainConfig, forward, \
     load_checkpoint, loss_and_grad, save_checkpoint, softmax, train
 from .propagation import PropagatedStack, propagate, spmm, \
     stationary_direction, stationary_features

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.npyio import NpzFile
@@ -29,27 +29,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((logits.argmax(axis=1) == labels).mean())
-
-
 @dataclass
 class ResidualMlp:
-    """Weights of the residual transformation stack.
+    """Weights of the residual transformation stack, input projection first.
 
-    input_proj and output never carry a skip connection; every hidden
-    matrix is square and applied as h <- ReLU(h W) + h, so a model whose
-    hidden weights are all zero is the identity between projection and
-    output.
+    weights[0] (the input projection) and weights[-1] (the output layer)
+    never carry a skip connection; every layer between them is square and
+    applied as h <- ReLU(h W) + h, so a model whose middle weights are all
+    zero is the identity between projection and output. The output layer
+    has no ReLU. biases is None for a bias-free model, else one vector per
+    weight.
     """
 
-    input_proj: np.ndarray | None
-    hidden: list[np.ndarray]
-    output: np.ndarray
-    input_bias: np.ndarray | None = None
-    hidden_biases: list[np.ndarray] = field(default_factory=list)
-    output_bias: np.ndarray | None = None
-    use_bias: bool = False
+    weights: list[np.ndarray]
+    biases: list[np.ndarray] | None = None
     dropout_rate: float = 0.0
 
     @classmethod
@@ -62,61 +55,33 @@ class ResidualMlp:
         if not 0.0 <= dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         rng = np.random.default_rng(seed)
-
-        def glorot(fan_in, fan_out):
+        dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [num_classes]
+        weights = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases = [np.zeros(d) for d in dims[1:]] if use_bias else None
+        return cls(weights, biases, dropout_rate)
 
-        if num_layers == 1:
-            input_proj, hidden = None, []
-            output = glorot(in_dim, num_classes)
-        else:
-            input_proj = glorot(in_dim, hidden_dim)
-            hidden = [glorot(hidden_dim, hidden_dim) for _ in range(num_layers - 2)]
-            output = glorot(hidden_dim, num_classes)
-
-        model = cls(input_proj=input_proj, hidden=hidden, output=output,
-                    use_bias=use_bias, dropout_rate=dropout_rate)
-        if use_bias:
-            model.input_bias = None if input_proj is None else np.zeros(hidden_dim)
-            model.hidden_biases = [np.zeros(hidden_dim) for _ in hidden]
-            model.output_bias = np.zeros(num_classes)
-        return model
+    @property
+    def use_bias(self) -> bool:
+        return self.biases is not None
 
     @property
     def in_dim(self) -> int:
-        first = self.input_proj if self.input_proj is not None else self.output
-        return first.shape[0]
+        return self.weights[0].shape[0]
 
     @property
     def num_classes(self) -> int:
-        return self.output.shape[1]
+        return self.weights[-1].shape[1]
 
     @property
     def num_layers(self) -> int:
-        return len(self.hidden) + 1 + (0 if self.input_proj is None else 1)
-
-    def weight_matrices(self) -> list[np.ndarray]:
-        mats = [] if self.input_proj is None else [self.input_proj]
-        return mats + list(self.hidden) + [self.output]
+        return len(self.weights)
 
     def parameters(self) -> list[np.ndarray]:
         """Live parameter arrays in a fixed order (weights, then biases)."""
-        params = self.weight_matrices()
-        if self.use_bias:
-            if self.input_bias is not None:
-                params.append(self.input_bias)
-            params.extend(self.hidden_biases)
-            params.append(self.output_bias)
-        return params
-
-
-def _layers(model: ResidualMlp) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
-    """(weight, bias or None, residual) for each ReLU layer, input first."""
-    layers = [] if model.input_proj is None else [(model.input_proj, model.input_bias, False)]
-    for idx, w in enumerate(model.hidden):
-        layers.append((w, model.hidden_biases[idx] if model.use_bias else None, True))
-    return layers
+        return self.weights + (self.biases or [])
 
 
 def _masked(a: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
@@ -135,38 +100,27 @@ def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng, caches=None):
     """Logits for the rows of x, with inverted dropout at rate.
 
     ReLU and the residual add run in place. When caches is a list, it gets
-    what backprop needs: (hd, z > 0, keep) per ReLU layer, then (hd, keep)
-    for the output layer, where hd is the layer's dropped-out input and both
-    masks are bool (keep is None without dropout).
+    (hd, z > 0, keep) per layer, where hd is the layer's dropped-out input
+    and both masks are bool (z > 0 is None for the output layer, keep is
+    None without dropout).
     """
     scale = 1.0 / (1.0 - rate)
-
-    def drop(h):
-        if rate <= 0.0:
-            return h, None
-        keep = rng.random(h.shape) >= rate
-        return _masked(h, keep, scale), keep
-
+    last = model.num_layers - 1
     h = x
-    for w, b, residual in _layers(model):
-        hd, keep = drop(h)
+    for i, w in enumerate(model.weights):
+        keep = None if rate <= 0.0 else rng.random(h.shape) >= rate
+        hd = h if keep is None else _masked(h, keep, scale)
         z = hd @ w
-        if b is not None:
-            z += b
+        if model.biases is not None:
+            z += model.biases[i]
         if caches is not None:
-            caches.append((hd, z > 0.0, keep))
-        np.maximum(z, 0.0, out=z)
-        if residual:
-            z += h
+            caches.append((hd, z > 0.0 if i < last else None, keep))
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+            if i > 0:
+                z += h
         h = z
-
-    hd, keep = drop(h)
-    if caches is not None:
-        caches.append((hd, keep))
-    logits = hd @ model.output
-    if model.output_bias is not None:
-        logits += model.output_bias
-    return logits
+    return h
 
 
 def forward(model: ResidualMlp, features: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
@@ -210,36 +164,36 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     picked = np.clip(probs[np.arange(batch), y], 1e-300, None)
     loss = float(-np.log(picked).mean())
     if weight_decay:
-        loss += weight_decay * sum(float((w * w).sum()) for w in model.weight_matrices())
+        loss += weight_decay * sum(float((w * w).sum()) for w in model.weights)
 
     g = probs
     g[np.arange(batch), y] -= 1.0
     g /= batch
 
+    # walk the layers backwards with dh = d loss / d (layer output);
+    # grads are collected output-first
     scale = 1.0 / (1.0 - rate)
-    h_out, keep = caches.pop()
-    grad_w = [h_out.T @ g + 2.0 * weight_decay * model.output]
-    grad_b = [g.sum(axis=0)] if model.output_bias is not None else []
-    dh = g @ model.output.T
-    if keep is not None:
-        _masked(dh, keep, scale, out=dh)
-
-    # walk the ReLU layers backwards; grads are collected output-first
-    for (w, b, residual), (hd, relu, keep) in zip(_layers(model)[::-1], caches[::-1]):
-        dz = dh * relu
+    last = model.num_layers - 1
+    grad_w, grad_b = [], []
+    dh = g
+    for i in range(last, -1, -1):
+        w = model.weights[i]
+        hd, relu, keep = caches[i]
+        dz = dh if relu is None else dh * relu
         grad_w.append(hd.T @ dz + 2.0 * weight_decay * w)
-        if b is not None:
+        if model.biases is not None:
             grad_b.append(dz.sum(axis=0))
-        if residual:
-            branch = dz @ w.T
-            if keep is not None:
-                _masked(branch, keep, scale, out=branch)
+        if i == 0:
+            break
+        branch = dz @ w.T
+        if keep is not None:
+            _masked(branch, keep, scale, out=branch)
+        if i < last:  # residual layer: the skip passes dh through
             dh += branch
+        else:
+            dh = branch
 
-    grads = grad_w[::-1]
-    if model.use_bias:
-        grads += grad_b[::-1]
-    return loss, grads
+    return loss, grad_w[::-1] + grad_b[::-1]
 
 
 class Adam:
@@ -284,19 +238,13 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 200
     weight_decay: float = 0.0
-    dropout_rate: float = 0.0
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ParameterError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.weight_decay < 0.0:
             raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
@@ -343,7 +291,7 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
 
     drop_rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    opt = Adam(params, config.learning_rate)
 
     union = np.concatenate([tr, va, te])
     union_feats = features[union]
@@ -384,25 +332,31 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
 # per weight/bias (layout documented in the README).
 # ---------------------------------------------------------------------------
 
+def _entry_names(i: int, num_layers: int) -> tuple[str, str]:
+    """Archive names of layer i's weight and bias."""
+    if i == num_layers - 1:
+        return "output", "output_bias"
+    if i == 0:
+        return "input_proj", "input_bias"
+    return f"hidden_{i - 1}", f"hidden_bias_{i - 1}"
+
+
 def save_checkpoint(model: ResidualMlp, path) -> None:
+    num_layers = model.num_layers
     meta = {
         "format": "dgmlp-checkpoint-v1",
         "use_bias": model.use_bias,
         "dropout_rate": model.dropout_rate,
-        "has_input_proj": model.input_proj is not None,
-        "num_hidden": len(model.hidden),
+        "has_input_proj": num_layers > 1,
+        "num_hidden": max(num_layers - 2, 0),
     }
-    arrays = {"output": model.output}
-    if model.input_proj is not None:
-        arrays["input_proj"] = model.input_proj
-    for i, w in enumerate(model.hidden):
-        arrays[f"hidden_{i}"] = w
-    if model.use_bias:
-        if model.input_bias is not None:
-            arrays["input_bias"] = model.input_bias
-        for i, b in enumerate(model.hidden_biases):
-            arrays[f"hidden_bias_{i}"] = b
-        arrays["output_bias"] = model.output_bias
+    names = [_entry_names(i, num_layers) for i in range(num_layers)]
+    # v1 entry order: the output weight, the other weights in layer order,
+    # then every bias in layer order
+    order = [num_layers - 1, *range(num_layers - 1)]
+    arrays = {names[i][0]: model.weights[i] for i in order}
+    if model.biases is not None:
+        arrays.update((bias_name, b) for (_, bias_name), b in zip(names, model.biases))
     # an open file, so np.savez writes path as given (a name without
     # .npz would otherwise gain the suffix)
     with open(path, "wb") as fh:
@@ -429,27 +383,23 @@ def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _check_layer_shapes(model: ResidualMlp, path) -> None:
-    """input_proj -> hidden -> output must chain, hidden square, biases match."""
-    mats = model.weight_matrices()
-    if any(w.ndim != 2 for w in mats):
+    """Weights must be matrices that chain, residual ones square, biases match."""
+    ws = model.weights
+    if any(w.ndim != 2 for w in ws):
         raise ValidationError(f"checkpoint {path}: every weight must be a matrix")
-    for a, b in zip(mats, mats[1:]):
+    for a, b in zip(ws, ws[1:]):
         if a.shape[1] != b.shape[0]:
             raise ValidationError(
                 f"checkpoint {path}: layer shapes {a.shape} and {b.shape} do not chain"
             )
-    if any(w.shape[0] != w.shape[1] for w in model.hidden):
+    if any(w.shape[0] != w.shape[1] for w in ws[1:-1]):
         raise ValidationError(f"checkpoint {path}: residual hidden weights must be square")
-    if model.use_bias:
-        pairs = [(model.input_bias, model.input_proj)]
-        pairs += list(zip(model.hidden_biases, model.hidden))
-        pairs += [(model.output_bias, model.output)]
-        for bias, w in pairs:
-            if w is not None and bias.shape != (w.shape[1],):
-                raise ValidationError(
-                    f"checkpoint {path}: bias shape {bias.shape} does not match "
-                    f"weight shape {w.shape}"
-                )
+    for bias, w in zip(model.biases or [], ws):
+        if bias.shape != (w.shape[1],):
+            raise ValidationError(
+                f"checkpoint {path}: bias shape {bias.shape} does not match "
+                f"weight shape {w.shape}"
+            )
 
 
 def load_checkpoint(path) -> ResidualMlp:
@@ -461,18 +411,17 @@ def load_checkpoint(path) -> ResidualMlp:
     """
     meta, data = _read_checkpoint(path)
     try:
+        num_layers = 1 + meta["has_input_proj"] + meta["num_hidden"]
+        if num_layers < 1 or meta["has_input_proj"] != (num_layers > 1):
+            raise ValidationError(
+                f"checkpoint {path}: has_input_proj and num_hidden do not describe a model"
+            )
+        names = [_entry_names(i, num_layers) for i in range(num_layers)]
         model = ResidualMlp(
-            input_proj=data["input_proj"] if meta["has_input_proj"] else None,
-            hidden=[data[f"hidden_{i}"] for i in range(meta["num_hidden"])],
-            output=data["output"],
-            use_bias=meta["use_bias"],
+            weights=[data[w] for w, _ in names],
+            biases=[data[b] for _, b in names] if meta["use_bias"] else None,
             dropout_rate=meta["dropout_rate"],
         )
-        if meta["use_bias"]:
-            if meta["has_input_proj"]:
-                model.input_bias = data["input_bias"]
-            model.hidden_biases = [data[f"hidden_bias_{i}"] for i in range(meta["num_hidden"])]
-            model.output_bias = data["output_bias"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"checkpoint {path}: missing or malformed entry {exc}") from None
     _check_layer_shapes(model, path)

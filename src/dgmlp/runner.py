@@ -11,11 +11,12 @@ stored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import resource
 import time
 import tracemalloc
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -76,10 +77,12 @@ class RunConfig:
             raise ConfigurationError(f"unknown feature_norm: {self.feature_norm!r}")
         if self.baseline not in (None, "sgc"):
             raise ConfigurationError(f"unknown baseline: {self.baseline!r}")
-        if self.baseline == "sgc" and self.dt_grid:
+        if self.baseline == "sgc" and (self.dt != 1 or self.dt_grid):
+            name = "dt_grid" if self.dt_grid else "dt"
             raise ConfigurationError(
-                "dt_grid does not apply to the sgc baseline, which always trains one layer"
+                f"{name} does not apply to the sgc baseline, which always trains one layer"
             )
+        self.train_config()  # fail on lr, epochs or weight_decay before any data is read
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -87,7 +90,7 @@ class RunConfig:
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.lr, epochs=self.epochs,
-            weight_decay=self.weight_decay, dropout_rate=self.dropout,
+            weight_decay=self.weight_decay,
             seed=self.seed if seed is None else seed,
         )
 
@@ -134,12 +137,12 @@ def _train_on(features: np.ndarray, labels: np.ndarray, splits: Splits,
               cfg: RunConfig, *, dt: int | None = None, seed: int | None = None):
     """Train the classifier on precomputed features; returns (model, metrics).
 
-    dt and seed default to cfg's; the SGC baseline is always one layer.
+    dt and seed default to cfg's.
     """
     seed = cfg.seed if seed is None else seed
-    num_layers = 1 if cfg.baseline == "sgc" else (cfg.dt if dt is None else dt)
     model = ResidualMlp.create(
-        features.shape[1], int(labels.max()) + 1, num_layers=num_layers,
+        features.shape[1], int(labels.max()) + 1,
+        num_layers=cfg.dt if dt is None else dt,
         hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
         dropout_rate=cfg.dropout, seed=seed,
     )
@@ -220,24 +223,16 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
         raise ConfigurationError(f"num_seeds must be >= 1, got {cfg.num_seeds}")
 
     base_feats = row_normalize(dataset.features, cfg.feature_norm)
-    cache: OrderedDict = OrderedDict()  # prepared features, keyed per structure
 
+    @functools.lru_cache(maxsize=4)
     def prepared(dp, keep, mask, seed):
-        structural = keep < 1.0 or mask > 0.0
-        key = (cfg.baseline, dp, keep, mask, seed if structural else None)
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
+        """Classifier input; seed is None unless edges or features are perturbed."""
         graph = dataset.graph if keep >= 1.0 else drop_edges(dataset.graph, keep, seed)
         feats = base_feats
         if mask > 0.0:
             masked = mask_features(replace(dataset, features=base_feats), mask, seed)
             feats = masked.features
-        out = _classifier_input(graph, feats, cfg, dp)
-        cache[key] = out
-        if len(cache) > 4:
-            cache.popitem(last=False)
-        return out
+        return _classifier_input(graph, feats, cfg, dp)
 
     rows = []
     for cell in itertools.product(*(vals for _, vals in axes)):
@@ -246,11 +241,12 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
         dt = point.get("dt", cfg.dt)
         keep = point.get("keep_edges", 1.0)
         mask = point.get("mask_features", 0.0)
+        structural = keep < 1.0 or mask > 0.0
         per_class = point.get("labels_per_class")
         accs = []
         for s in range(cfg.num_seeds):
             seed = cfg.seed + s
-            feats = prepared(dp, keep, mask, seed)
+            feats = prepared(dp, keep, mask, seed if structural else None)
             ds = dataset
             if per_class is not None:
                 ds = subsample_labels(dataset, per_class, seed)

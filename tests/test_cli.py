@@ -148,6 +148,28 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--lr", 0, "learning_rate"), ("--epochs", 0, "epochs"),
+        ("--weight-decay", -1, "weight_decay"),
+    ])
+    def test_training_knob_fails_before_data(self, tmp_path, capsys, flag, value, name):
+        # no --dataset either: the knob is reported, so it was checked first
+        code = run_cli("train", flag, value, "--out", tmp_path / "x.json")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "dataset" not in err
+
+    def test_sgc_with_dt_is_configuration_error(self, tiny_dir, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run_cli("train", "--dataset", tiny_dir, "--baseline", "sgc",
+                       "--dt", 3, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "dt does not apply" in err and "sgc" in err
+        assert not out.exists()
+
 
 class TestProfileCommand:
     def test_edgeless_gsl_constant(self, tmp_path):

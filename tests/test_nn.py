@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -9,6 +10,10 @@ import dgmlp.nn
 from dgmlp import Adam, ConfigurationError, DimensionError, ParameterError, \
     ResidualMlp, Splits, TrainConfig, ValidationError, forward, load_checkpoint, \
     loss_and_grad, save_checkpoint, softmax, train
+
+from conftest import FIXTURES
+
+GOLDEN = FIXTURES / "checkpoints"
 
 
 def finite_difference_grads(model, x, y, idx, weight_decay, h=1e-5):
@@ -41,7 +46,7 @@ def toy_blobs(seed=0, n=60):
 class TestForward:
     def test_zero_network_uniform_softmax(self):
         model = ResidualMlp.create(5, 7, num_layers=1, seed=0)
-        model.output[:] = 0.0
+        model.weights[-1][:] = 0.0
         x = np.random.default_rng(0).random((10, 5))
         logits = forward(model, x)
         assert np.array_equal(logits, np.zeros((10, 7)))
@@ -51,9 +56,9 @@ class TestForward:
     def test_zero_hidden_residual_identity(self):
         # identity projections around a zeroed hidden stack pass x through
         model = ResidualMlp.create(4, 4, num_layers=5, hidden_dim=4, seed=1)
-        model.input_proj[:] = np.eye(4)
-        model.output[:] = np.eye(4)
-        for w in model.hidden:
+        model.weights[0][:] = np.eye(4)
+        model.weights[-1][:] = np.eye(4)
+        for w in model.weights[1:-1]:
             w[:] = 0.0
         x = np.abs(np.random.default_rng(2).standard_normal((8, 4)))
         assert np.array_equal(forward(model, x), x)
@@ -86,7 +91,7 @@ class TestForward:
 class TestLossAndGrad:
     def test_zero_network_log_c(self):
         model = ResidualMlp.create(5, 7, num_layers=1, seed=0)
-        model.output[:] = 0.0
+        model.weights[-1][:] = 0.0
         x = np.random.default_rng(1).random((9, 5))
         y = np.random.default_rng(2).integers(0, 7, 9)
         loss, _ = loss_and_grad(model, x, y, np.arange(9), training=False)
@@ -117,7 +122,7 @@ class TestLossAndGrad:
         base, _ = loss_and_grad(model, x, y, idx, weight_decay=0.0, training=False)
         lam = 0.037
         with_wd, _ = loss_and_grad(model, x, y, idx, weight_decay=lam, training=False)
-        penalty = lam * sum(float((w * w).sum()) for w in model.weight_matrices())
+        penalty = lam * sum(float((w * w).sum()) for w in model.weights)
         assert with_wd - base == pytest.approx(penalty, rel=1e-12)
 
     def test_empty_labeled_set(self):
@@ -148,8 +153,7 @@ class TestTrain:
             model = ResidualMlp.create(2, 2, num_layers=3, hidden_dim=8,
                                        dropout_rate=0.3, seed=seed)
             _, m = train(model, x, y, splits,
-                         TrainConfig(learning_rate=0.05, epochs=25, seed=seed,
-                                     dropout_rate=0.3))
+                         TrainConfig(learning_rate=0.05, epochs=25, seed=seed))
             return m
         a, b, c = run(0), run(0), run(1)
         assert a.to_dict() == b.to_dict()
@@ -188,7 +192,7 @@ def sequential_train(model, x, y, splits, config):
     """Reference loop: gradient, update, then evaluation, one after another."""
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.eps)
+    opt = Adam(params, config.learning_rate)
     union = np.concatenate([splits.train, splits.val, splits.test])
     ends = np.cumsum([splits.train.size, splits.val.size, splits.test.size])
     curves = {"train_loss": [], "train_accuracy": [], "val_accuracy": [],
@@ -220,7 +224,7 @@ def pipeline_case(dt=3, use_bias=False, dropout=0.0, epochs=6, empty_eval=False,
                     val=perm[40:40 if empty_eval else 65],
                     test=perm[65:65 if empty_eval else n])
     config = TrainConfig(learning_rate=0.05, epochs=epochs, weight_decay=1e-3,
-                         dropout_rate=dropout, seed=seed + 11)
+                         seed=seed + 11)
 
     def model():
         return ResidualMlp.create(d, 4, num_layers=dt, hidden_dim=12, use_bias=use_bias,
@@ -328,9 +332,9 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(epochs=0)
         with pytest.raises(ParameterError):
-            TrainConfig(dropout_rate=1.0)
-        with pytest.raises(ParameterError):
             TrainConfig(weight_decay=-1e-3)
+        with pytest.raises(ParameterError):
+            ResidualMlp.create(3, 2, dropout_rate=1.0)
 
 
 class TestCheckpoint:
@@ -376,6 +380,31 @@ class TestCheckpoint:
         arrays.update(replace)
         np.savez(path, **arrays)
         return path
+
+    @pytest.mark.parametrize("name,layers,use_bias,dropout", [
+        ("linear", 1, False, 0.0), ("deep", 4, True, 0.2),
+    ])
+    def test_golden_file_loads_and_resaves_identically(self, tmp_path, name, layers,
+                                                       use_bias, dropout):
+        path = GOLDEN / f"{name}.npz"
+        model = load_checkpoint(path)
+        assert (model.num_layers, model.use_bias, model.dropout_rate) == \
+            (layers, use_bias, dropout)
+        with np.load(GOLDEN / "logits.npz") as recorded:
+            assert forward(model, recorded["input"]).tobytes() == recorded[name].tobytes()
+        save_checkpoint(model, tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("meta", [
+        dict(has_input_proj=True, num_hidden=-1),
+        dict(has_input_proj=False, num_hidden=1),
+        dict(has_input_proj=False, num_hidden=-1),
+    ])
+    def test_inconsistent_layer_count(self, tmp_path, meta):
+        meta = dict(format="dgmlp-checkpoint-v1", use_bias=True, dropout_rate=0.0, **meta)
+        path = self._resave(tmp_path, meta=json.dumps(meta))
+        with pytest.raises(ValidationError, match="model.npz"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("drop", ["meta", "output", "hidden_0", "hidden_bias_0"])
     def test_missing_entry(self, tmp_path, drop):

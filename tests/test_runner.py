@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgmlp import ConfigurationError, ResidualMlp, combine, compute_nsl, \
-    load_dataset, normalize, propagate, propagation_weights, smoothness, \
-    stationary_features, train
+    load_dataset, normalize, propagate, propagation_weights, runner, \
+    smoothness, stationary_features, train
 from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
     row_normalize, run_profile, run_sweep, run_train
 
@@ -25,6 +25,8 @@ class TestRunConfig:
             RunConfig(feature_norm="bogus")
         with pytest.raises(ConfigurationError):
             RunConfig(baseline="gcn")
+        with pytest.raises(ConfigurationError, match="dt does not apply"):
+            RunConfig(baseline="sgc", dt=3)
 
     def test_echo_contains_seed(self):
         cfg = RunConfig(seed=42)
@@ -124,8 +126,7 @@ class TestSgcBaseline:
 
     @pytest.mark.parametrize("use_bias", [False, True])
     def test_run_train_matches_train_on(self, tiny_dataset, use_bias):
-        # dt is ignored: the baseline always trains one layer
-        cfg = RunConfig(dt=3, use_bias=use_bias, **self.BASE)
+        cfg = RunConfig(use_bias=use_bias, **self.BASE)
         result, model, _ = run_train(tiny_dataset, cfg)
         x = row_normalize(tiny_dataset.features, cfg.feature_norm)
         xk = _propagated_step(tiny_dataset.graph, x, k=cfg.dp, r=cfg.r)
@@ -141,3 +142,23 @@ class TestRunSweepValidation:
                         epochs=2, lr=0.05, dropout=0.0)
         with pytest.raises(ConfigurationError):
             run_sweep(ds, cfg)
+
+
+class TestRunSweepCache:
+    def test_one_classifier_input_per_structural_key(self, tiny_dataset, monkeypatch):
+        # dt and the unperturbed graph's seeds repeat keys; keep < 1 makes
+        # the seed part of the key
+        real = runner._classifier_input
+        calls = []
+
+        def counting(graph, features, cfg, dp):
+            calls.append(dp)
+            return real(graph, features, cfg, dp)
+
+        monkeypatch.setattr(runner, "_classifier_input", counting)
+        cfg = RunConfig(dp_grid=[1, 2], dt_grid=[1, 2], keep_edges_grid=[1.0, 0.5],
+                        num_seeds=2, epochs=2, lr=0.05, dropout=0.0)
+        rows = run_sweep(tiny_dataset, cfg)
+        assert len(rows) == 8
+        # per dp: one unperturbed key plus one per seed with keep 0.5
+        assert len(calls) == 2 * (1 + 2)

@@ -12,12 +12,17 @@ Node count and order are defined by features.csv. Edge endpoints that all
 parse as integers are used directly as node indices; otherwise ids are
 treated as opaque strings and remapped to 0..N-1 in order of first
 appearance (the mapping is kept on the Dataset).
+
+Each text file is parsed by one np.loadtxt call when that provably gives
+what the per-line parser would (see ``_load_table``); otherwise by the
+per-line parser, which names the offending line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -83,7 +88,47 @@ def _read_lines(path: Path) -> list[str]:
     return lines
 
 
-def _parse_features(path: Path) -> np.ndarray:
+# Bytes on which np.loadtxt and the per-line parsers disagree: loadtxt also
+# ends a line at a bare CR (so a blank line can hide the extra row), and it
+# strips the ASCII separators 0x1c-0x1f around a float, which the per-line
+# parser rejects.
+_LOADTXT_ONLY = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Files are scanned in blocks below glibc's 128 KiB mmap threshold: freeing
+# one whole-file buffer raised that threshold, and the heap it then grew
+# made peak RSS later in the run vary by ~35 MB from process to process.
+_SCAN_BLOCK = 1 << 16
+
+
+def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
+    """The whole file parsed by one np.loadtxt call, or None.
+
+    The table counts only if loadtxt raised nothing, warned nothing (it
+    only warns on an empty file) and returned one row per line as
+    ``_read_lines`` counts them (it skips blank lines). None sends the file
+    to its per-line parser, which alone reports what is wrong with it.
+    """
+    num_lines, last = 0, b"\n"
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(_SCAN_BLOCK):
+                if any(byte in block for byte in _LOADTXT_ONLY):
+                    return None
+                num_lines += block.count(b"\n")
+                last = block[-1:]
+    except OSError:
+        return None
+    num_lines += last != b"\n"  # an unterminated last line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(path, delimiter=delimiter, dtype=dtype, comments=None,
+                               ndmin=2, encoding="utf-8")
+        except (ValueError, Warning):
+            return None
+    return table if table.shape[0] == num_lines else None
+
+
+def _parse_feature_lines(path: Path) -> np.ndarray:
     lines = _read_lines(path)
     if not lines:
         raise ValidationError(f"{path}: file is empty")
@@ -101,36 +146,54 @@ def _parse_features(path: Path) -> np.ndarray:
             rows.append(np.asarray(parts, dtype=np.float64))
         except ValueError as exc:
             raise ValidationError(f"{path}: line {i + 1}: {exc}") from None
-    feats = np.vstack(rows)
+    return np.vstack(rows)
+
+
+def _parse_features(path: Path) -> np.ndarray:
+    feats = _load_table(path, np.float64, ",")
+    if feats is None:
+        feats = _parse_feature_lines(path)
     if not np.isfinite(feats).all():
         raise ValidationError(f"{path}: features contain NaN or Inf")
     return feats
 
 
-def _parse_labels(path: Path, num_nodes: int) -> tuple[np.ndarray, int]:
+def _parse_label_lines(path: Path) -> np.ndarray:
     lines = _read_lines(path)
-    if len(lines) != num_nodes:
-        raise ValidationError(
-            f"{path}: expected {num_nodes} label rows, found {len(lines)}"
-        )
-    labels = np.empty(num_nodes, dtype=np.int64)
+    labels = np.empty(len(lines), dtype=np.int64)
     for i, line in enumerate(lines):
         try:
             labels[i] = int(line.strip())
         except ValueError:
             raise ValidationError(f"{path}: line {i + 1}: not an integer: {line!r}") from None
+        except OverflowError:
+            raise ValidationError(f"{path}: line {i + 1}: class id out of range: {line!r}") from None
+    return labels
+
+
+def _parse_labels(path: Path, num_nodes: int) -> tuple[np.ndarray, int]:
+    table = _load_table(path, np.int64, ",")
+    if table is not None and table.shape[1] == 1:
+        labels = table[:, 0]
+    else:
+        labels = _parse_label_lines(path)
+    if labels.size != num_nodes:
+        raise ValidationError(
+            f"{path}: expected {num_nodes} label rows, found {labels.size}"
+        )
     if labels.min() < 0:
         bad = int(np.flatnonzero(labels < 0)[0])
         raise ValidationError(f"{path}: line {bad + 1}: negative class id")
-    num_classes = int(labels.max()) + 1
-    present = np.bincount(labels, minlength=num_classes)
-    missing = np.flatnonzero(present == 0)
+    # classes must be exactly 0..C-1; np.unique, unlike bincount, allocates
+    # nothing in proportion to the largest id
+    classes = np.unique(labels)
+    missing = np.flatnonzero(classes != np.arange(classes.size))
     if missing.size:
         raise ValidationError(f"{path}: class {int(missing[0])} has no nodes")
-    return labels, num_classes
+    return labels, int(classes.size)
 
 
-def _parse_edges(path: Path, num_nodes: int) -> tuple[list[tuple[int, int]], dict[str, int] | None]:
+def _parse_edge_lines(path: Path, num_nodes: int) -> tuple[list[tuple], dict[str, int] | None]:
     lines = _read_lines(path)
     pairs = []
     for i, line in enumerate(lines):
@@ -142,17 +205,9 @@ def _parse_edges(path: Path, num_nodes: int) -> tuple[list[tuple[int, int]], dic
         pairs.append((parts[0].strip(), parts[1].strip()))
 
     try:
-        int_pairs = [(int(u), int(v)) for u, v in pairs]
+        return [(int(u), int(v)) for u, v in pairs], None
     except ValueError:
-        int_pairs = None
-
-    if int_pairs is not None:
-        for i, (u, v) in enumerate(int_pairs):
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValidationError(
-                    f"{path}: line {i + 1}: node id out of range [0, {num_nodes}): ({u}, {v})"
-                )
-        return int_pairs, None
+        pass
 
     # string ids: dense indices in order of first appearance
     id_map: dict[str, int] = {}
@@ -170,6 +225,23 @@ def _parse_edges(path: Path, num_nodes: int) -> tuple[list[tuple[int, int]], dic
             idxs.append(id_map[tok])
         edges.append((idxs[0], idxs[1]))
     return edges, id_map
+
+
+def _parse_edges(path: Path, num_nodes: int) -> tuple[np.ndarray, dict[str, int] | None]:
+    """(M, 2) int64 node indices, and the string-id map if ids were remapped."""
+    edges = _load_table(path, np.int64, "\t")
+    id_map = None
+    if edges is None or edges.shape[1] != 2:
+        pairs, id_map = _parse_edge_lines(path, num_nodes)
+        # object dtype keeps ids past int64 intact for the range message
+        edges = np.array(pairs, dtype=object).reshape(-1, 2)
+    bad = np.flatnonzero(((edges < 0) | (edges >= num_nodes)).any(axis=1))
+    if bad.size:
+        u, v = edges[bad[0]]
+        raise ValidationError(
+            f"{path}: line {bad[0] + 1}: node id out of range [0, {num_nodes}): ({u}, {v})"
+        )
+    return edges.astype(np.int64, copy=False), id_map
 
 
 def _parse_splits(path: Path, num_nodes: int) -> Splits:

@@ -54,13 +54,16 @@ class Graph:
 def build_graph(edge_list, num_nodes: int) -> Graph:
     """Build a validated symmetric CSR graph from an iterable of (u, v) pairs.
 
+    An (M, 2) ndarray is used as it is, without a copy when it is int64.
     Input direction is irrelevant, duplicate edges and self-loops are
     silently dropped. Node ids must already be dense integers in
     [0, num_nodes).
     """
     if num_nodes < 1:
         raise ValidationError(f"num_nodes must be >= 1, got {num_nodes}")
-    edges = np.asarray(list(edge_list), dtype=np.int64)
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = list(edge_list)
+    edges = np.asarray(edge_list, dtype=np.int64)
     if edges.size == 0:
         edges = edges.reshape(0, 2)
     if edges.ndim != 2 or edges.shape[1] != 2:

@@ -71,6 +71,12 @@ class RunConfig:
             raise ConfigurationError(f"dp must be >= 0, got {self.dp}")
         if self.dt < 1:
             raise ConfigurationError(f"dt must be >= 1, got {self.dt}")
+        if self.hidden < 1:
+            raise ConfigurationError(f"hidden must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigurationError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.num_seeds < 1:
+            raise ConfigurationError(f"num_seeds must be >= 1, got {self.num_seeds}")
         if self.temperature <= 0.0:
             raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
         if self.feature_norm not in ("none", "l1", "l2"):
@@ -219,8 +225,6 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
             for name, attr in _SWEEP_AXES if getattr(cfg, attr)]
     if not axes:
         raise ConfigurationError("empty sweep grid: provide at least one *_grid")
-    if cfg.num_seeds < 1:
-        raise ConfigurationError(f"num_seeds must be >= 1, got {cfg.num_seeds}")
 
     base_feats = row_normalize(dataset.features, cfg.feature_norm)
 

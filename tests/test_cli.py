@@ -160,6 +160,19 @@ class TestTrainCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err and "dataset" not in err
 
+    @pytest.mark.parametrize("argv,name", [
+        (["train", "--dt", 2, "--hidden", -3], "hidden"),
+        (["train", "--dt", 2, "--hidden", 0], "hidden"),
+        (["train", "--dropout", 1.0], "dropout"), (["train", "--dropout", -0.1], "dropout"),
+        (["sweep", "--dp-grid", 1, "--num-seeds", 0], "num_seeds"),
+    ])
+    def test_run_config_knob_fails_before_data(self, tmp_path, capsys, argv, name):
+        code = run_cli(*argv, "--out", tmp_path / "x.out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "dataset" not in err
+
     def test_sgc_with_dt_is_configuration_error(self, tiny_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = run_cli("train", "--dataset", tiny_dir, "--baseline", "sgc",

@@ -1,10 +1,14 @@
 import json
 import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgmlp import ParameterError, ValidationError, build_graph, drop_edges, \
+from dgmlp import ParameterError, ValidationError, build_graph, data, drop_edges, \
     erdos_renyi, load_dataset, mask_features, subsample_labels
 
 from conftest import citation_dataset, random_graph
@@ -83,6 +87,157 @@ class TestLoadDataset:
         (d / "labels.csv").write_text("0\n0\n0\n2\n2\n2\n")  # class 1 absent
         with pytest.raises(ValidationError, match="class 1"):
             load_dataset(d)
+
+    @pytest.mark.parametrize("label,message", [
+        ("1000000000000", "class 2 has no nodes"),  # no bincount over 1e12 slots
+        ("99999999999999999999", "line 6: class id out of range"),  # past int64
+    ])
+    def test_huge_class_id_is_one_error(self, tmp_path, tiny_dir, label, message):
+        d = tmp_path / "ds"
+        shutil.copytree(tiny_dir, d)
+        (d / "labels.csv").write_text(f"0\n1\n0\n1\n0\n{label}\n")
+        with pytest.raises(ValidationError, match=f"labels.csv: {message}"):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("final_lf", [True, False])
+    def test_clean_files_skip_the_per_line_parsers(self, tmp_path, tiny_dir, final_lf):
+        d = tmp_path / "ds"
+        shutil.copytree(tiny_dir, d)
+        if not final_lf:
+            for name in ("features.csv", "labels.csv", "edges.tsv"):
+                (d / name).write_text((d / name).read_text().rstrip("\n"))
+        unused = mock.Mock(side_effect=AssertionError("per-line parser called"))
+        with mock.patch.multiple(data, _parse_feature_lines=unused,
+                                 _parse_label_lines=unused, _parse_edge_lines=unused):
+            ds = load_dataset(d)
+        assert ds.features.shape == (6, 4) and ds.graph.num_edges == 7
+
+
+SPLITS = '{"train": [0], "val": [], "test": []}'
+
+
+def _outcome(directory):
+    """Everything load_dataset returns, bit for bit, or its error line."""
+    try:
+        ds = load_dataset(directory)
+    except ValidationError as exc:
+        return str(exc)
+    arrays = (ds.features, ds.labels, ds.graph.row_offsets, ds.graph.col_indices,
+              ds.graph.degrees)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [ds.num_classes, ds.node_id_map]
+
+
+def assert_parsers_agree(features: str, labels: str, edges: str) -> None:
+    """load_dataset gives what the per-line parsers alone give on these texts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, text in (("features.csv", features), ("labels.csv", labels),
+                           ("edges.tsv", edges), ("splits.json", SPLITS)):
+            (d / name).write_bytes(text.encode("utf-8"))
+        fast = _outcome(d)
+        with mock.patch.object(data, "_load_table", return_value=None):
+            per_line = _outcome(d)
+    assert fast == per_line
+
+
+FEATURES = "1.0,0.5\n0.0,-2e-3\n3,4\n"
+LABELS = "0\n1\n0\n"
+EDGES = "0\t1\n1\t2\n"
+
+# inputs on which np.loadtxt and the per-line parsers were seen to differ
+DIVERGENT = {
+    "clean": (FEATURES, LABELS, EDGES),
+    "blank line": ("1.0,0.5\n\n0.0,1.0\n3,4\n", LABELS, EDGES),
+    "blank last line": (FEATURES, LABELS + "\n", EDGES + "\n"),
+    "bare CR and blank line": ("1.0,0.5\r0.0,1.0\n\n3,4\n", LABELS, EDGES),
+    "bare CR in labels": (FEATURES, "0\r1\n\n0\n", EDGES),
+    "underscore": ("1_0,0.5\n0.0,1.0\n3,4\n", "0\n1_0\n0\n", "0\t1_0\n1\t2\n"),
+    "nan": ("nan,0.5\n0.0,1.0\n3,4\n", LABELS, EDGES),
+    "inf": ("-inf,0.5\n0.0,1.0\n3,4\n", LABELS, EDGES),
+    "empty files": ("", "", ""),
+    "empty edges": (FEATURES, LABELS, ""),
+    "lone LF": ("\n", "\n", "\n"),
+    "CRLF": (FEATURES.replace("\n", "\r\n"), LABELS.replace("\n", "\r\n"),
+             EDGES.replace("\n", "\r\n")),
+    "trailing comma": ("1.0,0.5,\n0.0,1.0,\n3,4,\n", LABELS, EDGES),
+    "hash": ("#1.0,0.5\n0.0,1.0\n3,4\n", "0\n#1\n0\n", "#0\t1\n1\t2\n"),
+    "quotes": ('"1.0",0.5\n0.0,1.0\n3,4\n', '0\n"1"\n0\n', '"0"\t1\n1\t2\n'),
+    "BOM": ("\ufeff" + FEATURES, "\ufeff" + LABELS, "\ufeff" + EDGES),
+    "ragged row": ("1.0,0.5\n0.0\n3,4\n", "0\n1,1\n0\n", "0\t1\t2\n1\t2\n"),
+    "two label columns": (FEATURES, "0,0\n1,1\n0,0\n", EDGES),
+    "three edge columns": (FEATURES, LABELS, "0\t1\t2\n1\t2\t0\n"),
+    "no final LF": (FEATURES[:-1], LABELS[:-1], EDGES[:-1]),
+    "string ids": (FEATURES, LABELS, "a\tb\nb\tc\n"),
+    "out-of-range id": (FEATURES, LABELS, "0\t1\n1\t3\n"),
+    "negative id": (FEATURES, LABELS, "0\t1\n-1\t2\n"),
+    "id past int64": (FEATURES, LABELS, "0\t99999999999999999999\n"),
+    "separator 0x1c": ("1.0\x1c,0.5\n0.0,1.0\n3,4\n", "0\n1\x1c\n0\n", EDGES),
+    "unicode space": ("\u20031.0,0.5\n0.0,1.0\n3,4\n", "0\n\u20031\n0\n", "0\t\u20031\n"),
+    "float label": (FEATURES, "0\n1.0\n0\n", EDGES),
+    "label past int64": (FEATURES, "0\n99999999999999999999\n0\n", EDGES),
+    "missing class": (FEATURES, "0\n2\n0\n", EDGES),
+    "short labels": (FEATURES, "0\n1\n", EDGES),
+}
+
+
+class TestParserAgreement:
+    """The one-call loadtxt path against the per-line parsers it stands in for."""
+
+    @pytest.mark.parametrize("case", DIVERGENT.values(), ids=DIVERGENT.keys())
+    def test_divergent_inputs(self, case):
+        assert_parsers_agree(*case)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_generated_files(self, gen):
+        num_nodes = gen.draw(st.integers(1, 4), label="num_nodes")
+        width = gen.draw(st.integers(1, 3), label="width")
+        number = st.one_of(
+            st.floats(allow_subnormal=True).map(repr),
+            st.floats(-1e6, 1e6).map(lambda x: f"{x:.4g}"),
+            st.integers(-5, 5).map(str),
+        )
+        index = st.integers(0, num_nodes - 1).map(str)
+        odd = st.sampled_from(["1_0", " 2 ", "\t2", "+1", "-0", "0003", "1e3", "1.0", "-1",
+                               "7", "", "#1", '"1"', "\ufeff1", "1\x1c", "\x0b1", "\u20031",
+                               "\u0663", "0x1", "1d0", "nan", "-inf", "a", "9" * 20])
+
+        def cells(valid):
+            # about half of the files carry odd tokens
+            return st.one_of(valid, odd) if gen.draw(st.booleans()) else valid
+
+        value, label = cells(number), cells(index)
+        node = cells(st.one_of(index, st.sampled_from(["a", "b"])) if gen.draw(st.booleans())
+                     else index)
+        features = [",".join(gen.draw(st.lists(value, min_size=width, max_size=width)))
+                    for _ in range(num_nodes)]
+        labels = [gen.draw(label) for _ in range(num_nodes)]
+        edges = [f"{gen.draw(node)}\t{gen.draw(node)}"
+                 for _ in range(gen.draw(st.integers(0, 5)))]
+        assert_parsers_agree(*(_layout(gen, lines) for lines in (features, labels, edges)))
+
+
+def _layout(gen, lines: list[str]) -> str:
+    """Join lines into a file, sometimes with one of the layout faults in DIVERGENT."""
+    lines = list(lines)
+    eol = gen.draw(st.sampled_from(["\n", "\r\n"]))
+    fault = gen.draw(st.sampled_from(["none"] * 7 + ["blank", "no final LF", "bare CR",
+                                                     "BOM", "ragged", "lone LF"]))
+    at = gen.draw(st.integers(0, len(lines)))
+    if fault == "blank":
+        lines.insert(at, "")
+    elif fault == "ragged" and lines:
+        lines[min(at, len(lines) - 1)] += ",1"
+    text = "".join(line + eol for line in lines)
+    if fault == "no final LF":
+        text = text[:-len(eol)] if text else text
+    elif fault == "bare CR":
+        text = text[:at] + "\r" + text[at:]
+    elif fault == "BOM":
+        text = "\ufeff" + text
+    elif fault == "lone LF":
+        text = "\n"
+    return text
 
 
 class TestDropEdges:

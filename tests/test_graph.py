@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dgmlp import ParameterError, ValidationError, build_graph, normalize
 
@@ -44,6 +45,21 @@ class TestBuildGraph:
         assert np.array_equal(g1.row_offsets, g2.row_offsets)
         assert np.array_equal(g1.col_indices, g2.col_indices)
         assert np.array_equal(g1.degrees, g2.degrees)
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40))))
+    def test_array_input_matches_tuple_list(self, case):
+        n, pairs = case
+        pairs = pairs + pairs[:2] + [(n - 1, n - 1)]  # a duplicate and a self-loop
+        edges = np.array(pairs, dtype=np.int64)
+        before = edges.copy()
+        from_array = build_graph(edges, n)
+        from_list = build_graph(pairs, n)
+        for field in ("row_offsets", "col_indices", "degrees"):
+            got, want = getattr(from_array, field), getattr(from_list, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(edges, before)  # the caller's array is not written
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_csr_invariants(self, seed):

@@ -28,6 +28,11 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="dt does not apply"):
             RunConfig(baseline="sgc", dt=3)
 
+    def test_num_seeds_must_be_positive(self):
+        # checked when the config is built, before any data is read
+        with pytest.raises(ConfigurationError, match="num_seeds must be >= 1"):
+            RunConfig(dp_grid=[1], num_seeds=0)
+
     def test_echo_contains_seed(self):
         cfg = RunConfig(seed=42)
         assert cfg.to_dict()["seed"] == 42
@@ -133,15 +138,6 @@ class TestSgcBaseline:
         _, expected = _train_on(xk, tiny_dataset.labels, tiny_dataset.splits, cfg)
         assert result["metrics"] == expected.to_dict()
         assert model.num_layers == 1 and model.use_bias == use_bias
-
-
-class TestRunSweepValidation:
-    def test_num_seeds_must_be_positive(self, tiny_dir):
-        ds = load_dataset(tiny_dir)
-        cfg = RunConfig(dataset=str(tiny_dir), dp_grid=[1], num_seeds=0,
-                        epochs=2, lr=0.05, dropout=0.0)
-        with pytest.raises(ConfigurationError):
-            run_sweep(ds, cfg)
 
 
 class TestRunSweepCache:

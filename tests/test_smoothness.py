@@ -9,6 +9,7 @@ from dgmlp import DimensionError, ParameterError, SmoothnessProfile, build_graph
     combine, combine_streaming, compute_nsl, cosine_similarity, matrix_nsl, \
     normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
     smoothness_profile, stationary_direction, stationary_features
+from dgmlp import smoothness
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import write_gsl_csv, write_node_profile_csv
 
@@ -330,6 +331,23 @@ class TestCsvExport:
         with open(gsl_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["gsl"]) for r in rows] == list(profile.gsl)
+
+    @pytest.mark.parametrize("block_rows", [1 << 16, 6, 1])  # blocks of 3, 2 and 1 nodes
+    def test_node_profile_bytes_match_csv_writer(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(smoothness, "_CSV_BLOCK_ROWS", block_rows)
+        nsl = np.array([[0.0, -0.0, 5e-324], [1e300, -2.5e-310, 1 / 3], [-1.5, 2.0, 0.25]])
+        weights = np.array([[-0.0, 1e300, 0.1], [np.nextafter(0, 1), 0.5, -1e-300],
+                            [1.0, 0.0, 1e-5]])
+        profile = SmoothnessProfile(nsl=nsl, gsl=nsl.mean(axis=0), weights=weights)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["node_id", "step", "nsl", "weight"])
+            for v in range(3):
+                for k in range(3):
+                    writer.writerow([v, k, repr(float(nsl[v, k])), repr(float(weights[v, k]))])
+        write_node_profile_csv(profile, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == ref.read_bytes()
 
     def test_export_requires_weights(self, tmp_path):
         profile = SmoothnessProfile(nsl=np.zeros((2, 2)), gsl=np.zeros(2))

@@ -30,50 +30,72 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="dataset directory")
-    p.add_argument("--dp", type=int, help="propagation depth K")
-    p.add_argument("--dt", type=int, help="transformation depth (1 = logistic head)")
-    p.add_argument("--hidden", type=int, help="hidden width of the MLP")
-    p.add_argument("--temperature", type=float, help="softmax temperature for step weights")
-    p.add_argument("--r", type=float, help="normalization exponent in [0, 1]")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--bias", action="store_true", dest="use_bias",
-                   help="enable bias terms (off by default)")
-    p.add_argument("--feature-norm", choices=("none", "l1", "l2"),
+def _input_options(p: argparse.ArgumentParser) -> None:
+    g = p.add_argument_group("input")
+    g.add_argument("--dataset", help="dataset directory")
+    g.add_argument("--feature-norm", choices=("none", "l1", "l2"),
                    help="per-row feature normalization applied before propagation")
-    p.add_argument("--out", help="output path (file, or directory for profile)")
+
+
+def _propagation_options(p: argparse.ArgumentParser) -> None:
+    g = p.add_argument_group("propagation")
+    g.add_argument("--dp", type=int, help="propagation depth K")
+    g.add_argument("--temperature", type=float, help="softmax temperature for step weights")
+    g.add_argument("--r", type=float, help="normalization exponent in [0, 1]")
+
+
+def _training_options(p: argparse.ArgumentParser) -> None:
+    g = p.add_argument_group("training")
+    g.add_argument("--dt", type=int, help="transformation depth (1 = logistic head)")
+    g.add_argument("--hidden", type=int, help="hidden width of the MLP")
+    g.add_argument("--seed", type=int)
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--lr", type=float)
+    g.add_argument("--dropout", type=float)
+    g.add_argument("--weight-decay", type=float)
+    g.add_argument("--bias", action="store_true", dest="use_bias",
+                   help="enable bias terms (off by default)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one 'error:' line (exit 2), as main()
+    reports every other failure."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Subcommand parsers; an option left out stays off the namespace, so
-    its default comes from RunConfig."""
-    parser = argparse.ArgumentParser(
+    """Subcommand parsers, each with only the options its runner reads; an
+    option left out stays off the namespace, so its default comes from
+    RunConfig."""
+    parser = _Parser(
         prog="dgmlp",
         description="Node classification via precomputed propagation, "
                     "node-adaptive combination, and a residual MLP.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, *groups) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        _add_common(p)
+        p.add_argument("--out", help="output path (file, or directory for profile)")
+        for add_options in groups:
+            add_options(p)
         return p
 
-    p = command("train", "run the full pipeline once")
+    everything = (_input_options, _propagation_options, _training_options)
+
+    p = command("train", "run the full pipeline once", *everything)
     p.add_argument("--baseline", choices=("sgc",),
                    help="train the propagate-then-logistic-regression baseline instead")
     p.add_argument("--checkpoint", help="also save the trained model here (.npz)")
 
-    p = command("profile", "smoothness curves and per-node weights")
+    p = command("profile", "smoothness curves and per-node weights",
+                _input_options, _propagation_options)
     p.add_argument("--caps", type=_int_list,
                    help="comma-separated depth caps for combined-feature GSL")
 
-    p = command("sweep", "grid sweep with mean/std over seeds")
+    p = command("sweep", "grid sweep with mean/std over seeds", *everything)
     p.add_argument("--baseline", choices=("sgc",))
     p.add_argument("--dp-grid", type=_int_list)
     p.add_argument("--dt-grid", type=_int_list)
@@ -82,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-features-grid", type=_float_list)
     p.add_argument("--num-seeds", type=int)
 
-    p = command("scale", "synthetic-graph scalability benchmark")
+    p = command("scale", "synthetic-graph scalability benchmark",
+                _propagation_options, _training_options)
     p.add_argument("--sizes", type=_int_list, help="comma-separated node counts")
     p.add_argument("--p", type=float, dest="edge_prob",
                    help="edge probability of the generated graphs")

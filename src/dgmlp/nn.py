@@ -52,6 +52,8 @@ class ResidualMlp:
         """Glorot-uniform initialized model with num_layers weight matrices."""
         if num_layers < 1:
             raise ParameterError(f"num_layers must be >= 1, got {num_layers}")
+        if hidden_dim < 1:
+            raise ParameterError(f"hidden_dim must be >= 1, got {hidden_dim}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         rng = np.random.default_rng(seed)

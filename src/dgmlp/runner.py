@@ -17,7 +17,7 @@ import resource
 import time
 import tracemalloc
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,31 @@ from .errors import ConfigurationError
 from .graph import Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
 from .smoothness import propagation_pass, propagation_steps
+
+
+# (row name, RunConfig grid field) of each sweep axis
+_SWEEP_AXES = (
+    ("dp", "dp_grid"),
+    ("dt", "dt_grid"),
+    ("keep_edges", "keep_edges_grid"),
+    ("labels_per_class", "labels_per_class_grid"),
+    ("mask_features", "mask_features_grid"),
+)
+
+# knob -> least legal value; a sweep axis shares the rule of its row name
+_LEAST = {"dp": 0, "dt": 1, "hidden": 1, "num_seeds": 1, "labels_per_class": 1,
+          "dim": 1, "classes": 1, "train_nodes": 1, "val_nodes": 0, "test_nodes": 0}
+_FRACTIONS = ("keep_edges", "mask_features")  # must lie in [0, 1]
+
+
+def _check_knob(name: str, value, option: str | None = None) -> None:
+    """Raise ConfigurationError unless value is legal for knob name;
+    option names the grid the value came from."""
+    where = f"{option}: " if option else ""
+    if name in _FRACTIONS and not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"{where}{name} must lie in [0, 1], got {value}")
+    if name in _LEAST and value < _LEAST[name]:
+        raise ConfigurationError(f"{where}{name} must be >= {_LEAST[name]}, got {value}")
 
 
 @dataclass
@@ -67,16 +92,20 @@ class RunConfig:
     test_nodes: int = 1000
 
     def __post_init__(self):
-        if self.dp < 0:
-            raise ConfigurationError(f"dp must be >= 0, got {self.dp}")
-        if self.dt < 1:
-            raise ConfigurationError(f"dt must be >= 1, got {self.dt}")
-        if self.hidden < 1:
-            raise ConfigurationError(f"hidden must be >= 1, got {self.hidden}")
+        for f in fields(self):
+            if f.name in _LEAST:
+                _check_knob(f.name, getattr(self, f.name))
+        for name, attr in _SWEEP_AXES:
+            for value in getattr(self, attr) or ():
+                _check_knob(name, value, attr)
+        if not 0.0 <= self.r <= 1.0:
+            raise ConfigurationError(
+                f"normalization exponent r must lie in [0, 1], got {self.r}")
+        for cap in self.caps or ():
+            if not 0 <= cap <= self.dp:
+                raise ConfigurationError(f"cap {cap} outside [0, {self.dp}]")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.num_seeds < 1:
-            raise ConfigurationError(f"num_seeds must be >= 1, got {self.num_seeds}")
         if self.temperature <= 0.0:
             raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
         if self.feature_norm not in ("none", "l1", "l2"):
@@ -210,15 +239,6 @@ def run_profile(dataset: Dataset, cfg: RunConfig) -> dict:
     }
 
 
-_SWEEP_AXES = (
-    ("dp", "dp_grid"),
-    ("dt", "dt_grid"),
-    ("keep_edges", "keep_edges_grid"),
-    ("labels_per_class", "labels_per_class_grid"),
-    ("mask_features", "mask_features_grid"),
-)
-
-
 def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
     """Grid sweep; one output row per cell with mean/std over num_seeds runs."""
     axes = [(name, list(getattr(cfg, attr)))
@@ -288,7 +308,11 @@ def synthetic_node_data(n: int, cfg: RunConfig, seed: int):
 
 
 def run_scale(cfg: RunConfig) -> list[dict]:
-    """Generate G(n, p) graphs over a size range and time the full pipeline."""
+    """Generate G(n, p) graphs over a size range and time the full pipeline.
+
+    The synthetic features are used as generated, so cfg.feature_norm (and
+    cfg.dataset) do not apply.
+    """
     if not cfg.sizes:
         raise ConfigurationError("scale benchmark needs at least one graph size")
     rows = []

@@ -165,6 +165,18 @@ class TestTrainCommand:
         (["train", "--dt", 2, "--hidden", 0], "hidden"),
         (["train", "--dropout", 1.0], "dropout"), (["train", "--dropout", -0.1], "dropout"),
         (["sweep", "--dp-grid", 1, "--num-seeds", 0], "num_seeds"),
+        (["train", "--dataset", "no-such-dataset", "--r", 1.5], "exponent r"),
+        (["profile", "--dataset", "no-such-dataset", "--r", -0.1], "exponent r"),
+        (["profile", "--dataset", "no-such-dataset", "--dp", 3, "--caps", "0,7"],
+         "cap 7 outside [0, 3]"),
+        (["sweep", "--dataset", "no-such-dataset", "--dp-grid=-1"], "dp_grid"),
+        (["sweep", "--dataset", "no-such-dataset", "--dt-grid", 0], "dt_grid"),
+        (["sweep", "--dataset", "no-such-dataset", "--keep-edges-grid", 1.5],
+         "keep_edges_grid"),
+        (["sweep", "--dataset", "no-such-dataset", "--mask-features-grid=-0.5"],
+         "mask_features_grid"),
+        (["sweep", "--dataset", "no-such-dataset", "--labels-per-class-grid", 0],
+         "labels_per_class_grid"),
     ])
     def test_run_config_knob_fails_before_data(self, tmp_path, capsys, argv, name):
         code = run_cli(*argv, "--out", tmp_path / "x.out")
@@ -306,6 +318,39 @@ class TestScaleCommand:
             assert r1["num_edges"] == r2["num_edges"]
             assert float(r1["peak_traced_mb"]) > 0.0
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--dim", 0, "dim"), ("--classes", 0, "classes"),
+        ("--train-nodes", 0, "train_nodes"), ("--val-nodes", -1, "val_nodes"),
+        ("--test-nodes", -1, "test_nodes"),
+    ])
+    def test_knob_fails_before_any_graph(self, tmp_path, capsys, monkeypatch,
+                                         flag, value, name):
+        def no_graph(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr("dgmlp.runner.erdos_renyi", no_graph)
+        out = tmp_path / "s.csv"
+        code = run_cli("scale", "--sizes", 100, flag, value, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{name} must be >= " in err
+        assert not out.exists()
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--epochs", "5"], ["scale", "--feature-norm", "l2"],
+        ["train", "--dp", "abc"],
+    ])
+    def test_one_line_and_exit_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x.out")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x.out").exists()
+
 
 class TestOutputPaths:
     """Unwritable outputs fail with one error line before any data is read."""
@@ -373,6 +418,26 @@ class TestParserMatchesRunConfig:
         for command, sub in subparsers.items():
             dests = {a.dest for a in sub._actions} - {"help", "checkpoint"}
             assert dests <= names, (command, dests - names)
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        inputs = {"dataset", "feature_norm"}
+        propagation = {"dp", "temperature", "r"}
+        training = {"dt", "hidden", "seed", "epochs", "lr", "dropout",
+                    "weight_decay", "use_bias"}
+        grids = {"dp_grid", "dt_grid", "keep_edges_grid", "labels_per_class_grid",
+                 "mask_features_grid", "num_seeds"}
+        expected = {
+            "train": inputs | propagation | training | {"out", "baseline", "checkpoint"},
+            "profile": inputs | propagation | {"out", "caps"},
+            "sweep": inputs | propagation | training | grids | {"out", "baseline"},
+            "scale": propagation | training | {"out", "sizes", "edge_prob", "dim",
+                                               "classes", "train_nodes", "val_nodes",
+                                               "test_nodes"},
+        }
+        dests = {command: {a.dest for a in sub._actions} - {"help"}
+                 for command, sub in self._subparsers().items()}
+        assert dests == expected
+        assert sum(map(len, dests.values())) == 63
 
     @pytest.mark.parametrize("command", ["train", "profile", "sweep", "scale"])
     def test_bare_command_gives_defaults(self, command):

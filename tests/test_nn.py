@@ -336,6 +336,11 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             ResidualMlp.create(3, 2, dropout_rate=1.0)
 
+    @pytest.mark.parametrize("hidden_dim", [-3, 0])
+    def test_create_rejects_hidden_dim_below_one(self, hidden_dim):
+        with pytest.raises(ParameterError, match="hidden_dim must be >= 1"):
+            ResidualMlp.create(4, 2, num_layers=3, hidden_dim=hidden_dim, seed=0)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("kwargs", [

@@ -40,8 +40,9 @@ _SWEEP_AXES = (
 
 # knob -> least legal value; a sweep axis shares the rule of its row name
 _LEAST = {"dp": 0, "dt": 1, "hidden": 1, "num_seeds": 1, "labels_per_class": 1,
-          "dim": 1, "classes": 1, "train_nodes": 1, "val_nodes": 0, "test_nodes": 0}
-_FRACTIONS = ("keep_edges", "mask_features")  # must lie in [0, 1]
+          "dim": 1, "classes": 1, "train_nodes": 1, "val_nodes": 1, "test_nodes": 1,
+          "n": 1}  # n: a scale graph size, erdos_renyi's rule
+_FRACTIONS = ("keep_edges", "mask_features", "edge_prob")  # must lie in [0, 1]
 
 
 def _check_knob(name: str, value, option: str | None = None) -> None:
@@ -93,9 +94,9 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name in _LEAST:
+            if f.name in _LEAST or f.name in _FRACTIONS:
                 _check_knob(f.name, getattr(self, f.name))
-        for name, attr in _SWEEP_AXES:
+        for name, attr in _SWEEP_AXES + (("n", "sizes"),):
             for value in getattr(self, attr) or ():
                 _check_knob(name, value, attr)
         if not 0.0 <= self.r <= 1.0:
@@ -141,8 +142,9 @@ def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
     else:
         raise ConfigurationError(f"unknown feature_norm: {mode!r}")
     out = features.astype(np.float64, copy=True)
-    nz = norms > 0.0
-    out[nz] /= norms[nz, None]
+    # a zero row divided by 1.0 stays as it is, -0.0 included, and no row
+    # is gathered into a copy
+    out /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
 
 

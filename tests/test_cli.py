@@ -322,6 +322,8 @@ class TestScaleCommand:
         ("--dim", 0, "dim"), ("--classes", 0, "classes"),
         ("--train-nodes", 0, "train_nodes"), ("--val-nodes", -1, "val_nodes"),
         ("--test-nodes", -1, "test_nodes"),
+        # an accuracy over an empty split is undefined
+        ("--val-nodes", 0, "val_nodes"), ("--test-nodes", 0, "test_nodes"),
     ])
     def test_knob_fails_before_any_graph(self, tmp_path, capsys, monkeypatch,
                                          flag, value, name):
@@ -335,6 +337,26 @@ class TestScaleCommand:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{name} must be >= " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--sizes", "50,0", "--p", 0.05], "sizes: n must be >= 1, got 0"),
+        (["--sizes", "50", "--p", 1.5], "edge_prob must lie in [0, 1], got 1.5"),
+        (["--sizes", "50", "--p", -0.1], "edge_prob must lie in [0, 1], got -0.1"),
+    ])
+    def test_graph_knob_fails_before_any_graph(self, tmp_path, capsys, monkeypatch,
+                                               argv, message):
+        # every size is checked up front, not when its turn comes
+        calls = []
+        monkeypatch.setattr("dgmlp.runner.erdos_renyi",
+                            lambda *args: calls.append(args))
+        out = tmp_path / "s.csv"
+        code = run_cli("scale", *argv, "--epochs", 2, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert calls == []
         assert not out.exists()
 
 

@@ -55,6 +55,21 @@ class TestRowNormalize:
         x = np.random.default_rng(1).standard_normal((5, 3))
         assert row_normalize(x, "none") is x
 
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    def test_bits_equal_boolean_index_formula(self, mode):
+        x = np.random.default_rng(2).standard_normal((9, 4))
+        x[2] = 0.0
+        x[5] = [-0.0, 0.0, -0.0, -0.0]
+        x[7, :2] = 0.0
+        x[8] = [1e-300, -5e-324, 0.0, 3e150]
+        norms = np.abs(x).sum(axis=1) if mode == "l1" else np.linalg.norm(x, axis=1)
+        want = x.copy()
+        nz = norms > 0.0
+        want[nz] /= norms[nz, None]
+        got = row_normalize(x, mode)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.signbit(got[5]).tolist() == [True, False, True, True]
+
 
 class TestPrepareCombined:
     def test_matches_stack_oracle(self):

@@ -1,4 +1,9 @@
 import csv
+import sys
+import threading
+import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dgmlp import DimensionError, ParameterError, SmoothnessProfile, build_graph, \
-    combine, combine_streaming, compute_nsl, cosine_similarity, matrix_nsl, \
+    combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, matrix_nsl, \
     normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
     smoothness_profile, stationary_direction, stationary_features
 from dgmlp import smoothness
@@ -294,6 +299,205 @@ class TestPropagationPass:
             propagation_pass(g, x, k=-3, r=0.5, temperature=1.0)
         with pytest.raises(DimensionError):
             propagation_pass(g, np.ones((4, 2)), k=2, r=0.5, temperature=1.0)
+
+
+def sequential_pass(graph, x, k, r, temperature, caps=()):
+    """Reference walk: each step's spmm (a plain adj.matrix @ x), scoring and
+    fold one after another, on whole matrices. Returns (nsl, gsl, combined,
+    cap_gsl)."""
+    adj = normalize(graph, r)
+    nsl_of = smoothness._rank_one_nsl(x, stationary_direction(graph, x, r))
+    nsl = np.empty((x.shape[0], k + 1))
+    gsl = np.empty(k + 1)
+    cap_gsl = {}
+    for step in range(k + 1):
+        if step:
+            x = adj.matrix @ x
+        nsl[:, step] = level = nsl_of(x)
+        gsl[step] = level.mean()
+        logit = level / temperature
+        if step == 0:
+            m, acc, z = logit, x.copy(), np.ones(x.shape[0])
+        else:
+            rise = logit > m
+            rescale = np.exp(m[rise] - logit[rise])
+            acc[rise] *= rescale[:, None]
+            z[rise] *= rescale
+            m = np.maximum(m, logit)
+            e = np.exp(logit - m)
+            acc += e[:, None] * x
+            z += e
+        if step in caps:
+            cap_gsl[step] = float(nsl_of(acc).mean())
+    acc /= z[:, None]
+    return nsl, gsl, acc, cap_gsl
+
+
+def assert_pass_equals_sequential(graph, x, k, r, temperature, caps=()):
+    walk = propagation_pass(graph, x, k=k, r=r, temperature=temperature, caps=caps)
+    nsl, gsl, combined, cap_gsl = sequential_pass(graph, x, k, r, temperature, caps)
+    for got, want in [(walk.profile.nsl, nsl), (walk.profile.gsl, gsl),
+                      (walk.combined, combined)]:
+        assert got.tobytes() == want.tobytes()
+    assert walk.profile.weights.tobytes() == \
+        propagation_weights(SmoothnessProfile(nsl=nsl, gsl=gsl), temperature).tobytes()
+    assert walk.cap_gsl == cap_gsl
+
+
+def signed_case(n=40, pairs=50, d=5, seed=0, isolated=8):
+    """A random graph whose last `isolated` nodes have no edge, with signed
+    features and some zero rows, so running maxima rise at small T."""
+    g = random_graph(n - isolated, pairs, seed)
+    g = build_graph(g.undirected_edges(), n)
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    x[::7] = 0.0
+    return g, x
+
+
+class TestPipelinedPass:
+    """propagation_pass runs step k+1's spmm on a worker thread while this
+    thread scores and folds step k."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    @pytest.mark.parametrize("temperature", [1e-3, 0.2, 1.0])
+    @pytest.mark.parametrize("caps", [(), "all"])
+    def test_bitwise_equals_sequential_walk(self, k, temperature, caps):
+        graph, x = signed_case(seed=k)
+        caps = range(k + 1) if caps == "all" else caps
+        assert_pass_equals_sequential(graph, x, k, 0.5, temperature, caps)
+
+    @settings(max_examples=150)
+    @given(case=graphs_with_features(), k=st.integers(0, 6),
+           r=st.sampled_from([0.0, 0.5, 1.0]),
+           temperature=st.sampled_from([1e-3, 0.2, 1.0]))
+    def test_bitwise_equals_sequential_walk_on_small_graphs(self, case, k, r, temperature):
+        graph, x = case
+        assert_pass_equals_sequential(graph, x, k, r, temperature, range(k + 1))
+
+    @pytest.mark.parametrize("fail_at", [1, 3, 6])
+    def test_spmm_failure_reraised_and_worker_joined(self, monkeypatch, fail_at):
+        graph, x = signed_case()
+        boom = RuntimeError("spmm failed")
+        callers = []
+        real_spmm = smoothness.spmm
+
+        def failing_spmm(adj, cur):
+            callers.append(threading.current_thread())
+            if len(callers) == fail_at:
+                time.sleep(0.05)  # the fold of the same step is still running
+                raise boom
+            return real_spmm(adj, cur)
+
+        monkeypatch.setattr(smoothness, "spmm", failing_spmm)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            propagation_pass(graph, x, k=6, r=0.5, temperature=0.2, caps=[2, 6])
+        assert info.value is boom
+        assert threading.active_count() == before
+        assert callers == [threading.current_thread()] * fail_at
+
+    @pytest.mark.parametrize("fail_at", [1, 3, 7])
+    def test_fold_failure_reraised_after_spmm_and_worker_joined(self, monkeypatch,
+                                                                fail_at):
+        graph, x = signed_case()
+        boom = RuntimeError("scoring failed")
+        spmm_calls = {"started": 0, "finished": 0}
+        scorers = []
+        real_spmm, real_rank_one = smoothness.spmm, smoothness._rank_one_nsl
+
+        def slow_spmm(adj, cur):
+            spmm_calls["started"] += 1
+            time.sleep(0.02)  # still running when the scoring fails
+            out = real_spmm(adj, cur)
+            spmm_calls["finished"] += 1
+            return out
+
+        def failing_rank_one(x0, s):
+            nsl_of = real_rank_one(x0, s)
+
+            def nsl(cur):
+                scorers.append(threading.current_thread())
+                if len(scorers) == fail_at:
+                    raise boom
+                return nsl_of(cur)
+            return nsl
+
+        monkeypatch.setattr(smoothness, "spmm", slow_spmm)
+        monkeypatch.setattr(smoothness, "_rank_one_nsl", failing_rank_one)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            propagation_pass(graph, x, k=6, r=0.5, temperature=1.0)
+        assert info.value is boom
+        # the spmm of the failing step (none after the last) ran to its end
+        expected = min(fail_at, 6)
+        assert spmm_calls == {"started": expected, "finished": expected}
+        assert threading.active_count() == before
+        assert threading.current_thread() not in scorers
+
+    def test_earlier_steps_freed_before_next_spmm(self, monkeypatch):
+        # when spmm starts on x_j, no earlier step but x_j is alive (x0 is
+        # the caller's)
+        graph, x = signed_case()
+        real_spmm = smoothness.spmm
+        outputs, alive = [], []
+
+        def checking_spmm(adj, cur):
+            alive.append(sum(ref() is not None and ref() is not cur for ref in outputs))
+            out = real_spmm(adj, cur)
+            outputs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(smoothness, "spmm", checking_spmm)
+        propagation_pass(graph, x, k=8, r=0.5, temperature=1.0, caps=(4,))
+        assert alive == [0] * 8
+
+    def test_concurrent_calls_stay_independent(self):
+        # more threads than cores and a short switch interval: each call
+        # still matches its own sequential walk bit for bit
+        cases = [signed_case(n=300, pairs=600, d=6, seed=s) for s in range(4)]
+        failures = []
+
+        def run(case):
+            try:
+                assert_pass_equals_sequential(*case, 9, 0.5, 1e-3, (0, 4, 9))
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(c,)) for c in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_traced_peak_within_sequential_walk(self):
+        # at most x0, acc, x_k and x_{k+1} are alive at once; keeping one
+        # more N x d step (as a generator's consumer would) breaks the bound.
+        # The slack covers the fold's row block (at most 2**18 values) and
+        # a few N-vectors.
+        graph = erdos_renyi(20_000, 2e-4, 3)
+        x = np.random.default_rng(3).random((20_000, 64))
+        slack = 8 * (1 << 18) + 8 * 8 * x.shape[0]
+        assert x.nbytes > 2 * slack
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        want = peak(lambda: sequential_pass(graph, x, 6, 0.5, 1.0, (3,)))
+        got = peak(lambda: propagation_pass(graph, x, k=6, r=0.5, temperature=1.0,
+                                            caps=(3,)))
+        assert got <= want + slack
 
 
 class TestMatrixNsl:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionError, ParameterError, ValidationError
 from .graph import Graph, NormalizedAdjacency
@@ -46,18 +49,79 @@ class PropagatedStack:
         return self.steps[0].shape[1]
 
 
-def spmm(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+def _num_shards() -> int:
+    """Row shards per sharded call: one per core this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_sharded(fn, num_rows: int, shards: int, block: int = 1) -> None:
+    """Run fn(shard, lo, hi) over contiguous row ranges covering num_rows.
+
+    There are at most `shards` ranges, each a whole number of `block`
+    rows (the last may be shorter). Shard 0 runs on this thread and the
+    others on threads of their own, which are all joined before the
+    first error, in shard order, is re-raised.
+    """
+    blocks = -(-num_rows // block)
+    count = max(1, min(shards, blocks))
+    bounds = [min(num_rows, blocks * i // count * block) for i in range(count + 1)]
+    errors = [None] * count
+
+    def run(shard: int) -> None:
+        try:
+            fn(shard, bounds[shard], bounds[shard + 1])
+        except BaseException as exc:  # re-raised below, on this thread
+            errors[shard] = exc
+
+    threads = [threading.Thread(target=run, args=(shard,)) for shard in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One propagation step: row i of the result is sum_j A_hat[i,j] * x[j].
 
     The CSR kernel accumulates each row over its stored entries in index
-    order, so results are deterministic.
+    order, so results are deterministic and equal to adj.matrix @ x bit
+    for bit. The rows are split over the cores; each shard zeroes its
+    rows of the result and runs scipy's kernel on them (it releases the
+    GIL). `out`, a C-contiguous float64 array of the result's shape that
+    shares no memory with x, receives the result in place of a new array.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if out is not None and np.may_share_memory(out, x):
+        raise ValidationError("spmm output must not overlap its input")
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != adj.num_nodes:
         raise DimensionError(
             f"adjacency is {adj.num_nodes}x{adj.num_nodes} but features have shape {x.shape}"
         )
-    return adj.matrix @ x
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape:
+        raise DimensionError(f"spmm output has shape {out.shape}, expected {x.shape}")
+    elif out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValidationError("spmm output must be a C-contiguous float64 array")
+    mat, width = adj.matrix, x.shape[1]
+
+    def rows(shard: int, lo: int, hi: int) -> None:
+        part = out[lo:hi]
+        part.fill(0.0)
+        # the kernel behind mat @ x, on rows lo..hi-1: it adds into them
+        _sparsetools.csr_matvecs(hi - lo, adj.num_nodes, width, mat.indptr[lo:hi + 1],
+                                 mat.indices, mat.data, x.ravel(), part.ravel())
+
+    _run_sharded(rows, adj.num_nodes, _num_shards())
+    return out
 
 
 def propagate(adj: NormalizedAdjacency, x0, k: int) -> PropagatedStack:

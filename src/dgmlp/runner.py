@@ -41,7 +41,7 @@ _SWEEP_AXES = (
 # knob -> least legal value; a sweep axis shares the rule of its row name
 _LEAST = {"dp": 0, "dt": 1, "hidden": 1, "num_seeds": 1, "labels_per_class": 1,
           "dim": 1, "classes": 1, "train_nodes": 1, "val_nodes": 1, "test_nodes": 1,
-          "n": 1}  # n: a scale graph size, erdos_renyi's rule
+          "n": 3}  # n: a scale graph size; 3 nodes give three non-empty splits
 _FRACTIONS = ("keep_edges", "mask_features", "edge_prob")  # must lie in [0, 1]
 
 

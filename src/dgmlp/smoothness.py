@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import csv
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .graph import Graph, NormalizedAdjacency, normalize
-from .propagation import PropagatedStack, as_feature_matrix, spmm, \
-    stationary_direction
+from .propagation import PropagatedStack, _num_shards, _run_sharded, \
+    as_feature_matrix, spmm, stationary_direction
 
 
 def cosine_similarity(a, b) -> float:
@@ -145,17 +144,19 @@ def _rank_one_nsl(x0: np.ndarray, s: np.ndarray):
 
     cos(x_v, x_inf_v) = x_v . s / (|x_v| |s|), so the N x d stationary
     matrix is never built; the norms of x0 and s are taken once. A zero
-    norm gives a zero cosine, as in _row_cosines.
+    norm gives a zero cosine, as in _row_cosines. nsl(x, rows) scores the
+    rows `rows` of a step given x = step[rows].
     """
     x0_norm = np.sqrt(np.einsum("ij,ij->i", x0, x0))
     s_norm = float(np.linalg.norm(s))
 
-    def nsl(x: np.ndarray) -> np.ndarray:
+    def nsl(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        x0_rows, x0_norm_rows = x0[rows], x0_norm[rows]
         x_norm = np.sqrt(np.einsum("ij,ij->i", x, x))
         alpha = np.zeros(x.shape[0])
-        mask = (x_norm > 0.0) & (x0_norm > 0.0)
-        alpha[mask] = (np.einsum("ij,ij->i", x, x0)[mask]
-                       / (x_norm[mask] * x0_norm[mask]))
+        mask = (x_norm > 0.0) & (x0_norm_rows > 0.0)
+        alpha[mask] = (np.einsum("ij,ij->i", x, x0_rows)[mask]
+                       / (x_norm[mask] * x0_norm_rows[mask]))
         beta = np.zeros(x.shape[0])
         if s_norm > 0.0:
             mask = x_norm > 0.0
@@ -174,6 +175,15 @@ class PropagationPass:
     cap_gsl: dict[int, float]   # cap c -> GSL of the combination truncated at c
 
 
+# The fold's scratch over all shards, in values (2 MB): each shard's
+# products e_v * x_v go into a block of it that stays in cache.
+_FOLD_VALUES = 1 << 18
+# Rows per fold block are a multiple of this. OpenBLAS computes x @ s in
+# groups of four rows and the leftover rows by another kernel, so a
+# block that starts off a group boundary would change the bits of a row.
+_BLOCK_ALIGN = 64
+
+
 def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                      caps=()) -> PropagationPass:
     """Smoothing levels, combined features and per-cap combined GSL in one walk.
@@ -186,12 +196,14 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     every cap comes from the same walk. Agrees with compute_nsl and
     combine on the stored stack up to rounding.
 
-    The walk is a two-stage pipeline: a worker thread scores step k and
-    folds it in while this thread runs the spmm that makes step k+1
-    (scipy's CSR kernel releases the GIL). spmm is deterministic and the
-    fold does the same arithmetic in the same order, so the results are
-    those of the sequential walk, bit for bit. At most x0, acc, x_k and
-    x_{k+1} are alive at once, O(N*d) at any depth.
+    Each step's spmm and its scoring and fold are split over the cores by
+    row shard: every part of the fold is row-local. Shards hold whole fold
+    blocks, so with BLAS on one thread the results are those of the
+    sequential walk on whole matrices, bit for bit, for any shard count.
+    x_{k+1} is written into the step buffer that held x_{k-1}: x0, acc,
+    the two buffers and one fold block of scratch per shard (2**18 values
+    over all shards) are alive, O(N*d) at any depth, and no N x d array
+    is made per step.
     """
     if k < 0:
         raise ParameterError(f"propagation depth must be >= 0, got {k}")
@@ -202,59 +214,62 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         if not 0 <= cap <= k:
             raise ParameterError(f"cap {cap} outside [0, {k}]")
     x0 = as_feature_matrix(x0)
+    n, d = x0.shape
     nsl_of = _rank_one_nsl(x0, stationary_direction(graph, x0, r))
-    nsl = np.empty((x0.shape[0], k + 1))
+    adj = normalize(graph, r)
+    shards = _num_shards()
+    block = _FOLD_VALUES // (shards * max(1, d)) // _BLOCK_ALIGN * _BLOCK_ALIGN
+    block = min(max(block, _BLOCK_ALIGN), n)
+    # every array the walk writes is made here, on this thread: arrays
+    # made on a worker land in that thread's malloc arena
+    nsl = np.empty((n, k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
-    # row blocks of ~2 MB keep each product e_v * x_v in cache, so adding
-    # a step reads x and acc once and allocates no N x d temporary
-    block = max(1, (1 << 18) // max(1, x0.shape[1]))
-    steps = propagation_steps(normalize(graph, r), x0, k)
-    x = next(steps)
-    acc = x.copy()
-    m = z = None
+    acc = np.empty_like(x0)
+    buffers = [np.empty_like(x0) for _ in range(min(k, 2))]
+    scratch = np.empty((shards, block, d))
+    level, cap_level, m, z = np.empty(n), np.empty(n), np.empty(n), np.ones(n)
+    x = x0
 
-    def score_and_fold(step: int) -> None:
-        """nsl of step `step` (the current x), folded into m, acc and z."""
-        nonlocal m, z
-        nsl[:, step] = level = nsl_of(x)
+    def fold(shard: int, lo: int, hi: int) -> None:
+        """Score rows lo..hi-1 of step `step` (the current x) and fold them
+        into m, acc and z, one block at a time; after the last step, acc
+        becomes acc / z."""
+        for start in range(lo, hi, block):
+            rows = slice(start, min(start + block, hi))
+            level[rows] = nsl_of(x[rows], rows)
+            logit = level[rows] / temperature
+            if step == 0:
+                m[rows] = logit
+                acc[rows] = x[rows]
+            else:
+                m_rows, acc_rows = m[rows], acc[rows]
+                if (logit > m_rows).any():
+                    # rows whose running max rises are rescaled by
+                    # exp(m - logit) < 1, the others by exactly 1
+                    rescale = np.exp(np.minimum(m_rows - logit, 0.0))
+                    z[rows] *= rescale
+                    np.maximum(m_rows, logit, out=m_rows)
+                    acc_rows *= rescale[:, None]
+                e = np.exp(logit - m_rows)
+                acc_rows += np.multiply(e[:, None], x[rows], out=scratch[shard, :len(e)])
+                z[rows] += e
+            if step in caps:
+                # nsl is a product of cosines, blind to the positive row
+                # scale z: the GSL of acc is the GSL of acc / z
+                cap_level[rows] = nsl_of(acc[rows], rows)
+            if step == k:
+                acc[rows] /= z[rows, None]
+
+    for step in range(k + 1):
+        if step:
+            x = spmm(adj, x, out=buffers[step % len(buffers)])
+        _run_sharded(fold, n, shards, block)
+        nsl[:, step] = level
         gsl[step] = level.mean()
-        logit = level / temperature
-        if step == 0:
-            m, z = logit, np.ones(x.shape[0])
-        else:
-            # rows whose running max rises are rescaled by exp(m - logit)
-            # < 1, the others by exactly 1, block by block: gathering the
-            # rising rows would make an N x d copy beside the next step
-            rescale = None
-            if (logit > m).any():
-                rescale = np.exp(np.minimum(m - logit, 0.0))
-                z *= rescale
-                m = np.maximum(m, logit)
-            e = np.exp(logit - m)
-            for lo in range(0, len(e), block):
-                rows = slice(lo, lo + block)
-                if rescale is not None:
-                    acc[rows] *= rescale[rows, None]
-                acc[rows] += e[rows, None] * x[rows]
-            z += e
         if step in caps:
-            # nsl is a product of cosines, blind to the positive row
-            # scale z: the GSL of acc is the GSL of acc / z
-            cap_gsl[step] = float(nsl_of(acc).mean())
-
-    # The spmm stays on this thread, so every N x d step is allocated
-    # here: steps made on a worker land in that thread's malloc arena,
-    # which held one more step's worth of memory (+16 MB peak RSS on a
-    # 30000 x 64 input). The fold reads x from this scope, which rebinds
-    # it only once the fold is done; x_{k-1} is then already freed.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for step in range(k + 1):
-            folded = worker.submit(score_and_fold, step)
-            following = next(steps, None)  # the spmm, on this thread
-            folded.result()
-            x = following
-    acc /= z[:, None]
+            cap_gsl[step] = float(cap_level.mean())
+    del x, buffers, scratch  # freed before the weights are made
     profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
     profile.weights = propagation_weights(profile, temperature)
     profile.temperature = float(temperature)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent dense oracles used across the suite."""
 
 import os
+import threading
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +19,20 @@ settings.load_profile("dgmlp")
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA_ROOT = Path(os.environ.get("DGMLP_DATA",
                                 Path(__file__).resolve().parents[1] / "data"))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread of its own running; each new
+    thread gets a few seconds to finish first."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    for thread in left:
+        thread.join(timeout=5.0)
+    running = [t.name for t in left if t.is_alive()]
+    if running:
+        pytest.fail(f"test left threads running: {running}")
 
 
 @pytest.fixture

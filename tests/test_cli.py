@@ -340,9 +340,11 @@ class TestScaleCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["--sizes", "50,0", "--p", 0.05], "sizes: n must be >= 1, got 0"),
+        (["--sizes", "50,0", "--p", 0.05], "sizes: n must be >= 3, got 0"),
         (["--sizes", "50", "--p", 1.5], "edge_prob must lie in [0, 1], got 1.5"),
         (["--sizes", "50", "--p", -0.1], "edge_prob must lie in [0, 1], got -0.1"),
+        (["--sizes", "2", "--p", 0.5], "sizes: n must be >= 3, got 2"),
+        (["--sizes", "1"], "sizes: n must be >= 3, got 1"),
     ])
     def test_graph_knob_fails_before_any_graph(self, tmp_path, capsys, monkeypatch,
                                                argv, message):

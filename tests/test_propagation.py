@@ -1,8 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from dgmlp import DimensionError, ParameterError, ValidationError, build_graph, \
-    erdos_renyi, normalize, propagate, spmm, stationary_features
+from dgmlp import DimensionError, NormalizedAdjacency, ParameterError, \
+    ValidationError, build_graph, erdos_renyi, normalize, propagate, propagation, \
+    spmm, stationary_features
 
 from conftest import dense_normalized, random_graph
 
@@ -32,6 +36,94 @@ class TestSpmm:
         adj = normalize(build_graph([(0, 1)], 2), 0.5)
         with pytest.raises(DimensionError):
             spmm(adj, np.zeros((3, 2)))
+
+
+def adjacency_with_empty_rows(n=30, seed=0) -> NormalizedAdjacency:
+    """A CSR operator whose every third row stores no entry; A_hat itself
+    always stores its diagonal."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    dense[::3] = 0.0
+    return NormalizedAdjacency(n, sparse.csr_matrix(dense), 0.5, np.ones(n, np.int64))
+
+
+class TestShardedSpmm:
+    """spmm splits the rows over the cores; the bits are those of the
+    whole-matrix product for any shard count."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["er", "empty_rows", "d1", "non_contiguous"])
+    def test_bitwise_equals_matrix_product(self, monkeypatch, shards, case):
+        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        rng = np.random.default_rng(shards)
+        if case == "empty_rows":
+            adj = adjacency_with_empty_rows()
+        else:
+            adj = normalize(erdos_renyi(40, 0.1, seed=3), 0.5)
+        x = rng.standard_normal((adj.num_nodes, 1 if case == "d1" else 5))
+        if case == "non_contiguous":
+            x = np.asfortranarray(rng.standard_normal((adj.num_nodes, 9)))[:, ::2]
+            assert not x.flags.c_contiguous
+        want = (adj.matrix @ x).tobytes()
+        assert spmm(adj, x).tobytes() == want
+        out = np.full((adj.num_nodes, x.shape[1]), np.nan)
+        assert spmm(adj, x, out=out) is out
+        assert out.tobytes() == want
+
+    def test_more_shards_than_rows(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 5)
+        adj = normalize(build_graph([(0, 1)], 2), 0.5)
+        x = np.arange(6.0).reshape(2, 3)
+        assert spmm(adj, x).tobytes() == (adj.matrix @ x).tobytes()
+
+    def test_rejects_overlapping_or_misshapen_out(self):
+        adj = normalize(erdos_renyi(20, 0.2, seed=1), 0.5)
+        x = np.random.default_rng(0).standard_normal((20, 4))
+        for out in (x, x[:, :]):
+            with pytest.raises(ValidationError, match="overlap"):
+                spmm(adj, x, out=out)
+        for shape in [(20, 3), (19, 4), (20, 4, 1)]:
+            with pytest.raises(DimensionError, match="output has shape"):
+                spmm(adj, x, out=np.zeros(shape))
+        for out in (np.zeros((20, 4), np.float32), np.zeros((4, 20)).T):
+            with pytest.raises(ValidationError, match="C-contiguous float64"):
+                spmm(adj, x, out=out)
+
+
+class TestRunSharded:
+    @pytest.mark.parametrize("num_rows,shards,block", [
+        (10, 1, 1), (10, 3, 1), (10, 3, 4), (3, 5, 1), (130, 2, 64), (0, 2, 1),
+    ])
+    def test_shards_cover_rows_on_whole_blocks(self, num_rows, shards, block):
+        seen = []
+        propagation._run_sharded(lambda *args: seen.append(args), num_rows, shards, block)
+        seen.sort()
+        assert [shard for shard, _, _ in seen] == list(range(len(seen)))
+        assert 1 <= len(seen) <= shards
+        assert seen[0][1] == 0 and seen[-1][2] == num_rows
+        assert all(a[2] == b[1] for a, b in zip(seen, seen[1:]))
+        assert all(lo % block == 0 and lo < hi for _, lo, hi in seen[1:])
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (2,), (1, 2), (0, 2)])
+    def test_first_error_reraised_after_every_thread_joined(self, failing):
+        errors = {shard: RuntimeError(f"shard {shard}") for shard in failing}
+        finished, callers = [], {}
+
+        def fn(shard, lo, hi):
+            callers[shard] = threading.current_thread()
+            if shard in errors:
+                raise errors[shard]
+            threading.Event().wait(0.05)  # still running when another shard fails
+            finished.append(shard)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            propagation._run_sharded(fn, 30, 3)
+        assert info.value is errors[min(failing)]
+        assert sorted(finished) == [s for s in range(3) if s not in failing]
+        assert threading.active_count() == before
+        assert callers[0] is threading.current_thread()
+        assert threading.current_thread() not in (callers[1], callers[2])
 
 
 class TestPropagate:

@@ -8,7 +8,7 @@ from dgmlp import ConfigurationError, ResidualMlp, combine, compute_nsl, \
     load_dataset, normalize, propagate, propagation_weights, runner, \
     smoothness, stationary_features, train
 from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
-    row_normalize, run_profile, run_sweep, run_train
+    row_normalize, run_profile, run_scale, run_sweep, run_train
 
 from conftest import FIXTURES, random_graph
 
@@ -97,9 +97,9 @@ class TestRunProfile:
         calls = []
         spmm = smoothness.spmm
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return spmm(*args)
+            return spmm(*args, **kwargs)
 
         cfg = RunConfig(dp=dp, caps=caps, temperature=0.2)
         with mock.patch.object(smoothness, "spmm", counted):
@@ -173,3 +173,16 @@ class TestRunSweepCache:
         assert len(rows) == 8
         # per dp: one unperturbed key plus one per seed with keep 0.5
         assert len(calls) == 2 * (1 + 2)
+
+
+class TestRunScale:
+    def test_traced_peak_repeats(self):
+        # the evaluation, on a worker thread, overlaps the next gradient;
+        # its hidden activations are made once, so the peak does not move
+        # with the thread timing (it spread over 73-79 MB when they were
+        # made at each epoch)
+        cfg = RunConfig(dp=2, dt=6, hidden=512, epochs=3, lr=1e-3, dropout=0.5,
+                        seed=0, sizes=[3000], edge_prob=1e-3, dim=16, classes=3,
+                        train_nodes=500, val_nodes=500, test_nodes=1000)
+        first, second = (run_scale(cfg)[0]["peak_traced_mb"] for _ in range(2))
+        assert abs(first - second) <= 0.5

@@ -1,9 +1,7 @@
 import csv
 import sys
 import threading
-import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from dgmlp import DimensionError, ParameterError, SmoothnessProfile, build_graph
     combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, matrix_nsl, \
     normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
     smoothness_profile, stationary_direction, stationary_features
-from dgmlp import smoothness
+from dgmlp import propagation, smoothness
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import write_gsl_csv, write_node_profile_csv
 
@@ -354,9 +352,20 @@ def signed_case(n=40, pairs=50, d=5, seed=0, isolated=8):
     return g, x
 
 
+def small_blocks(monkeypatch, shards):
+    """`shards` shards and scratch for 99 rows of 12-wide features per
+    shard, cut down to fold blocks of 64 rows: small graphs then span
+    several blocks and shards, and BLAS runs their x @ s on one thread
+    (N * d < 9216). Blocks of 99 rows would start off OpenBLAS's groups
+    of four, which changes the bits of x @ s at this width."""
+    monkeypatch.setattr(smoothness, "_num_shards", lambda: shards)
+    monkeypatch.setattr(smoothness, "_FOLD_VALUES", shards * 99 * 12)
+    monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+
+
 class TestPipelinedPass:
-    """propagation_pass runs step k+1's spmm on a worker thread while this
-    thread scores and folds step k."""
+    """propagation_pass splits each step's spmm and its scoring and fold
+    over row shards, with the bits of the sequential walk."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7])
     @pytest.mark.parametrize("temperature", [1e-3, 0.2, 1.0])
@@ -374,19 +383,28 @@ class TestPipelinedPass:
         graph, x = case
         assert_pass_equals_sequential(graph, x, k, r, temperature, range(k + 1))
 
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [50, 301, 517])
+    def test_bitwise_independent_of_shard_count(self, monkeypatch, shards, n):
+        # 64-row blocks: 1, 5 and 9 of them, so 7 shards are sometimes
+        # more than there are blocks
+        small_blocks(monkeypatch, shards)
+        graph, x = signed_case(n=n, pairs=2 * n, d=12, seed=n, isolated=n // 10)
+        assert_pass_equals_sequential(graph, x, 6, 0.5, 1e-3, (0, 3, 6))
+
     @pytest.mark.parametrize("fail_at", [1, 3, 6])
     def test_spmm_failure_reraised_and_worker_joined(self, monkeypatch, fail_at):
-        graph, x = signed_case()
+        small_blocks(monkeypatch, 3)
+        graph, x = signed_case(n=300, pairs=600, d=12)
         boom = RuntimeError("spmm failed")
         callers = []
         real_spmm = smoothness.spmm
 
-        def failing_spmm(adj, cur):
+        def failing_spmm(adj, cur, out=None):
             callers.append(threading.current_thread())
             if len(callers) == fail_at:
-                time.sleep(0.05)  # the fold of the same step is still running
                 raise boom
-            return real_spmm(adj, cur)
+            return real_spmm(adj, cur, out=out)
 
         monkeypatch.setattr(smoothness, "spmm", failing_spmm)
         before = threading.active_count()
@@ -399,62 +417,69 @@ class TestPipelinedPass:
     @pytest.mark.parametrize("fail_at", [1, 3, 7])
     def test_fold_failure_reraised_after_spmm_and_worker_joined(self, monkeypatch,
                                                                 fail_at):
-        graph, x = signed_case()
+        # 64-row blocks on 300 rows: shard 2 holds rows 192..299, and its
+        # second block (rows 256..299) of step fail_at - 1 fails
+        small_blocks(monkeypatch, 3)
+        graph, x = signed_case(n=300, pairs=600, d=12)
         boom = RuntimeError("scoring failed")
         spmm_calls = {"started": 0, "finished": 0}
-        scorers = []
+        scorers, failed_on = [], []
         real_spmm, real_rank_one = smoothness.spmm, smoothness._rank_one_nsl
 
-        def slow_spmm(adj, cur):
+        def counted_spmm(adj, cur, out=None):
             spmm_calls["started"] += 1
-            time.sleep(0.02)  # still running when the scoring fails
-            out = real_spmm(adj, cur)
+            out = real_spmm(adj, cur, out=out)
             spmm_calls["finished"] += 1
             return out
 
         def failing_rank_one(x0, s):
             nsl_of = real_rank_one(x0, s)
 
-            def nsl(cur):
+            def nsl(cur, rows=slice(None)):
                 scorers.append(threading.current_thread())
-                if len(scorers) == fail_at:
+                if rows.start >= 256 and len(scorers) > 5 * (fail_at - 1):
+                    failed_on.append(threading.current_thread())
                     raise boom
-                return nsl_of(cur)
+                return nsl_of(cur, rows)
             return nsl
 
-        monkeypatch.setattr(smoothness, "spmm", slow_spmm)
+        monkeypatch.setattr(smoothness, "spmm", counted_spmm)
         monkeypatch.setattr(smoothness, "_rank_one_nsl", failing_rank_one)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             propagation_pass(graph, x, k=6, r=0.5, temperature=1.0)
         assert info.value is boom
-        # the spmm of the failing step (none after the last) ran to its end
-        expected = min(fail_at, 6)
+        # every spmm up to the failing step ran to its end, none after it
+        expected = fail_at - 1
         assert spmm_calls == {"started": expected, "finished": expected}
         assert threading.active_count() == before
-        assert threading.current_thread() not in scorers
+        assert threading.current_thread() in scorers
+        assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()
 
-    def test_earlier_steps_freed_before_next_spmm(self, monkeypatch):
-        # when spmm starts on x_j, no earlier step but x_j is alive (x0 is
-        # the caller's)
+    def test_steps_alternate_between_two_buffers(self, monkeypatch):
+        # spmm writes x_{j+1} into the buffer that held x_{j-1}: two N x d
+        # buffers serve every step, and none is x0 or the step being read
         graph, x = signed_case()
         real_spmm = smoothness.spmm
-        outputs, alive = [], []
+        outs = []
 
-        def checking_spmm(adj, cur):
-            alive.append(sum(ref() is not None and ref() is not cur for ref in outputs))
-            out = real_spmm(adj, cur)
-            outputs.append(weakref.ref(out))
-            return out
+        def checking_spmm(adj, cur, out=None):
+            assert out is not None and out is not cur and out is not x
+            outs.append(out)
+            return real_spmm(adj, cur, out=out)
 
         monkeypatch.setattr(smoothness, "spmm", checking_spmm)
         propagation_pass(graph, x, k=8, r=0.5, temperature=1.0, caps=(4,))
-        assert alive == [0] * 8
+        assert len(outs) == 8 and outs[0] is not outs[1]
+        assert all(a is b for a, b in zip(outs, outs[2:]))
+        assert all(out.shape == x.shape for out in outs)
 
-    def test_concurrent_calls_stay_independent(self):
-        # more threads than cores and a short switch interval: each call
-        # still matches its own sequential walk bit for bit
-        cases = [signed_case(n=300, pairs=600, d=6, seed=s) for s in range(4)]
+    def test_concurrent_calls_stay_independent(self, monkeypatch):
+        # more threads than cores, each call on three shards, and a short
+        # switch interval: each call still matches its own sequential walk
+        # bit for bit
+        small_blocks(monkeypatch, 3)
+        cases = [signed_case(n=300, pairs=600, d=12, seed=s) for s in range(4)]
         failures = []
 
         def run(case):

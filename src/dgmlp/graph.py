@@ -107,23 +107,6 @@ class NormalizedAdjacency:
 
     num_nodes: int
     matrix: sparse.csr_matrix  # canonical CSR, sorted indices
-    r: float
-    tilde_degrees: np.ndarray  # (N,) int64, deg + 1
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def normalize(graph: Graph, r: float = 0.5) -> NormalizedAdjacency:
@@ -141,4 +124,4 @@ def normalize(graph: Graph, r: float = 0.5) -> NormalizedAdjacency:
     values = dtil[src] ** (r - 1.0) * dtil[dst] ** (-r)
     mat = sparse.csr_matrix((values, (src, dst)), shape=(n, n))
     mat.sort_indices()
-    return NormalizedAdjacency(n, mat, float(r), (graph.degrees + 1).astype(np.int64))
+    return NormalizedAdjacency(n, mat)

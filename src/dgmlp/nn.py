@@ -384,17 +384,18 @@ def save_checkpoint(model: ResidualMlp, path) -> None:
 def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta entry and the arrays of a checkpoint archive."""
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        # np.load(path) would leave its own handle open on a truncated zip
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, NpzFile):
+                raise ValidationError(f"cannot read checkpoint {path}: not an .npz archive")
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays.pop("meta")))
+    except ValidationError:
+        raise
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from None
-    if not isinstance(archive, NpzFile):
-        raise ValidationError(f"cannot read checkpoint {path}: not an .npz archive")
-    with archive:
-        try:
-            arrays = {name: archive[name] for name in archive.files}
-            meta = json.loads(str(arrays.pop("meta")))
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            raise ValidationError(f"cannot read checkpoint {path}: {exc}") from None
     if not isinstance(meta, dict) or meta.get("format") != "dgmlp-checkpoint-v1":
         raise ValidationError(f"unrecognized checkpoint format in {path}")
     return meta, arrays

@@ -44,10 +44,6 @@ class PropagatedStack:
     def num_nodes(self) -> int:
         return self.steps[0].shape[0]
 
-    @property
-    def num_features(self) -> int:
-        return self.steps[0].shape[1]
-
 
 def _num_shards() -> int:
     """Row shards per sharded call: one per core this process may run on."""
@@ -124,20 +120,37 @@ def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-def propagate(adj: NormalizedAdjacency, x0, k: int) -> PropagatedStack:
-    """Iteratively compute [X, A_hat X, ..., A_hat^k X]."""
+def propagation_steps(adj: NormalizedAdjacency, x0, k: int):
+    """An iterator over X, A_hat X, ..., A_hat^k X: the one propagation walk.
+
+    k and x0 (2-D, one row per node, finite) are checked here, before the
+    walk starts. X itself is the first step. Steps 1..k are written into
+    two buffers made on the thread that iterates the walk: step j goes
+    into the buffer that held step j-2, so a step is valid only until the
+    walk yields the step after next. A caller that keeps steps copies them.
+    """
     if k < 0:
         raise ParameterError(f"propagation depth must be >= 0, got {k}")
-    cur = as_feature_matrix(x0)
-    if cur.shape[0] != adj.num_nodes:
+    x0 = as_feature_matrix(x0)
+    if x0.shape[0] != adj.num_nodes:
         raise DimensionError(
-            f"adjacency is {adj.num_nodes}x{adj.num_nodes} but features have shape {cur.shape}"
+            f"adjacency is {adj.num_nodes}x{adj.num_nodes} but features have shape {x0.shape}"
         )
-    steps = [cur]
-    for _ in range(k):
-        cur = spmm(adj, cur)
-        steps.append(cur)
-    return PropagatedStack(tuple(steps))
+
+    def walk():
+        cur = x0
+        buffers = [np.empty_like(x0) for _ in range(min(k, 2))]
+        yield cur
+        for step in range(1, k + 1):
+            cur = spmm(adj, cur, out=buffers[step % len(buffers)])
+            yield cur
+
+    return walk()
+
+
+def propagate(adj: NormalizedAdjacency, x0, k: int) -> PropagatedStack:
+    """Iteratively compute [X, A_hat X, ..., A_hat^k X], each step a copy."""
+    return PropagatedStack(tuple(step.copy() for step in propagation_steps(adj, x0, k)))
 
 
 def stationary_direction(graph: Graph, x0, r: float = 0.5) -> np.ndarray:

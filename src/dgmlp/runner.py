@@ -26,7 +26,8 @@ from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
 from .errors import ConfigurationError
 from .graph import Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
-from .smoothness import propagation_pass, propagation_steps
+from .propagation import propagation_steps
+from .smoothness import propagation_pass
 
 
 # (row name, RunConfig grid field) of each sweep axis

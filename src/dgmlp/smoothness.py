@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .graph import Graph, NormalizedAdjacency, normalize
 from .propagation import PropagatedStack, _num_shards, _run_sharded, \
-    as_feature_matrix, spmm, stationary_direction
+    as_feature_matrix, propagation_steps, stationary_direction
 
 
 def cosine_similarity(a, b) -> float:
@@ -61,10 +61,6 @@ class SmoothnessProfile:
     gsl: np.ndarray                    # (K+1,), per-step mean of nsl
     weights: np.ndarray | None = None  # (N, K+1), rows sum to 1
     temperature: float | None = None
-
-    @property
-    def max_step(self) -> int:
-        return self.nsl.shape[1] - 1
 
 
 def matrix_nsl(x: np.ndarray, x0: np.ndarray, stationary: np.ndarray) -> np.ndarray:
@@ -128,17 +124,6 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 # The pipeline's propagation pass: one walk over the steps in O(N*d) memory.
 # ---------------------------------------------------------------------------
 
-def propagation_steps(adj: NormalizedAdjacency, x0, k: int):
-    """Yield X, A_hat X, ..., A_hat^k X, holding only the current step."""
-    if k < 0:
-        raise ParameterError(f"propagation depth must be >= 0, got {k}")
-    cur = as_feature_matrix(x0)
-    yield cur
-    for _ in range(k):
-        cur = spmm(adj, cur)
-        yield cur
-
-
 def _rank_one_nsl(x0: np.ndarray, s: np.ndarray):
     """matrix_nsl(., x0, x_inf) for an x_inf whose rows are positive multiples of s.
 
@@ -200,36 +185,33 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     row shard: every part of the fold is row-local. Shards hold whole fold
     blocks, so with BLAS on one thread the results are those of the
     sequential walk on whole matrices, bit for bit, for any shard count.
-    x_{k+1} is written into the step buffer that held x_{k-1}: x0, acc,
-    the two buffers and one fold block of scratch per shard (2**18 values
-    over all shards) are alive, O(N*d) at any depth, and no N x d array
-    is made per step.
+    The steps come from propagation_steps: x0, acc, its two step buffers
+    and one fold block of scratch per shard (2**18 values over all shards)
+    are alive, O(N*d) at any depth, and no N x d array is made per step.
     """
-    if k < 0:
-        raise ParameterError(f"propagation depth must be >= 0, got {k}")
     if temperature <= 0.0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     caps = set(caps)
     for cap in caps:
         if not 0 <= cap <= k:
             raise ParameterError(f"cap {cap} outside [0, {k}]")
-    x0 = as_feature_matrix(x0)
-    n, d = x0.shape
+    # stationary_direction checks x0 and the walk checks k: both before
+    # any array below is made
+    x0 = np.asarray(x0, dtype=np.float64)
     nsl_of = _rank_one_nsl(x0, stationary_direction(graph, x0, r))
-    adj = normalize(graph, r)
+    steps = propagation_steps(normalize(graph, r), x0, k)
+    n, d = x0.shape
     shards = _num_shards()
     block = _FOLD_VALUES // (shards * max(1, d)) // _BLOCK_ALIGN * _BLOCK_ALIGN
     block = min(max(block, _BLOCK_ALIGN), n)
-    # every array the walk writes is made here, on this thread: arrays
-    # made on a worker land in that thread's malloc arena
+    # every array the pass writes is made on this thread, the walk's step
+    # buffers too: arrays made on a worker land in that thread's malloc arena
     nsl = np.empty((n, k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
     acc = np.empty_like(x0)
-    buffers = [np.empty_like(x0) for _ in range(min(k, 2))]
     scratch = np.empty((shards, block, d))
     level, cap_level, m, z = np.empty(n), np.empty(n), np.empty(n), np.ones(n)
-    x = x0
 
     def fold(shard: int, lo: int, hi: int) -> None:
         """Score rows lo..hi-1 of step `step` (the current x) and fold them
@@ -261,15 +243,13 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
             if step == k:
                 acc[rows] /= z[rows, None]
 
-    for step in range(k + 1):
-        if step:
-            x = spmm(adj, x, out=buffers[step % len(buffers)])
+    for step, x in enumerate(steps):
         _run_sharded(fold, n, shards, block)
         nsl[:, step] = level
         gsl[step] = level.mean()
         if step in caps:
             cap_gsl[step] = float(cap_level.mean())
-    del x, buffers, scratch  # freed before the weights are made
+    del x, scratch  # with the walk's buffers, freed before the weights are made
     profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
     profile.weights = propagation_weights(profile, temperature)
     profile.temperature = float(temperature)

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from dgmlp import ResidualMlp, RunConfig, TrainConfig, combine, normalize, \
-    nsl_streaming, propagate, propagation_weights, smoothness_profile, spmm, \
+    propagate, propagation_weights, run_profile, smoothness_profile, spmm, \
     stationary_features, subsample_labels, train
 from dgmlp.nn import loss_and_grad
 from dgmlp.runner import _propagated_step, _train_on, prepare_combined, \
     row_normalize, run_scale
-from dgmlp.smoothness import SmoothnessProfile, combine_streaming, matrix_nsl
+from dgmlp.smoothness import SmoothnessProfile
 
 from conftest import citation_dataset, dense_normalized, random_graph
 from test_nn import finite_difference_grads
@@ -96,12 +96,9 @@ class TestCriterion3GslDecay:
     def test_pubmed_gsl_ratio(self):
         ds = citation_dataset("pubmed")
         t0 = time.perf_counter()
-        feats = row_normalize(ds.features, "l1")
-        adj = normalize(ds.graph, 0.5)
-        stationary = stationary_features(ds.graph, feats, 0.5)
-        profile = nsl_streaming(adj, feats, stationary, 10)
+        gsl = run_profile(ds, RunConfig(dp=10))["gsl_raw"]
         elapsed = time.perf_counter() - t0
-        ratio = profile.gsl[10] / profile.gsl[1]
+        ratio = gsl[10] / gsl[1]
         _report(
             "3 gsl-decay",
             ratio <= 0.4 and elapsed < 60.0,
@@ -113,14 +110,9 @@ class TestCriterion4AntiOverSmoothing:
     def test_pubmed_combined_gsl_stays_high(self):
         ds = citation_dataset("pubmed")
         t0 = time.perf_counter()
-        feats = row_normalize(ds.features, "l1")
-        adj = normalize(ds.graph, 0.5)
-        stationary = stationary_features(ds.graph, feats, 0.5)
-        profile = nsl_streaming(adj, feats, stationary, 100)
-        weights = propagation_weights(profile, temperature=0.2)
-        combined = combine_streaming(adj, feats, weights)
-        combined_gsl = float(matrix_nsl(combined, feats, stationary).mean())
-        raw_gsl_5 = float(profile.gsl[5])
+        result = run_profile(ds, RunConfig(dp=100, caps=[100], temperature=0.2))
+        combined_gsl = result["gsl_combined"][0]
+        raw_gsl_5 = result["gsl_raw"][5]
         elapsed = time.perf_counter() - t0
         _report(
             "4 anti-over-smoothing",
@@ -133,14 +125,9 @@ class TestCriterion4AntiOverSmoothing:
 class TestCriterion5DegreeStratifiedSmoothing:
     def test_pubmed_degree_terciles(self):
         ds = citation_dataset("pubmed")
-        feats = row_normalize(ds.features, "l1")
-        adj = normalize(ds.graph, 0.5)
-        stationary = stationary_features(ds.graph, feats, 0.5)
-        profile = nsl_streaming(adj, feats, stationary, 5)
-        order = np.argsort(ds.graph.degrees, kind="stable")
-        low, _, high = np.array_split(order, 3)
-        low_mean = profile.nsl[low, 5].mean()
-        high_mean = profile.nsl[high, 5].mean()
+        result = run_profile(ds, RunConfig(dp=5))
+        low_mean = result["tercile_low"][5]
+        high_mean = result["tercile_high"][5]
         _report(
             "5 degree-smoothing",
             high_mean < low_mean,

@@ -74,5 +74,6 @@ def test_round_trip_preserves_feature_values(tmp_path):
     write_fake_planetoid(src, "toy", test_index=[4, 5])
     prep.convert(src, "toy", out)
     ds = load_dataset(out)
-    raw_allx = pickle.load(open(src / "ind.toy.allx", "rb"), encoding="latin1")
+    with open(src / "ind.toy.allx", "rb") as fh:
+        raw_allx = pickle.load(fh, encoding="latin1")
     assert np.array_equal(ds.features[:4], np.asarray(raw_allx.todense()))

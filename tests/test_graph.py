@@ -76,7 +76,7 @@ class TestBuildGraph:
 class TestNormalize:
     def test_single_edge_symmetric_half(self):
         g = build_graph([(0, 1)], 2)
-        dense = normalize(g, 0.5).to_dense()
+        dense = normalize(g, 0.5).matrix.toarray()
         assert np.allclose(dense, 0.5)
         assert dense.shape == (2, 2)
 
@@ -84,7 +84,7 @@ class TestNormalize:
     def test_isolated_node_diagonal_one(self, r):
         g = build_graph([(0, 1)], 3)  # node 2 isolated
         adj = normalize(g, r)
-        dense = adj.to_dense()
+        dense = adj.matrix.toarray()
         assert dense[2, 2] == 1.0
         assert dense[2, :2].sum() == 0.0
 
@@ -92,34 +92,34 @@ class TestNormalize:
         # In the family Dtil^(r-1) (A+I) Dtil^(-r) the row-stochastic
         # (reverse transition) member is r = 0: entry (i, j) = 1/dtil_i.
         g = build_graph([(0, 1), (1, 2)], 3)
-        dense = normalize(g, 0.0).to_dense()
+        dense = normalize(g, 0.0).matrix.toarray()
         assert np.allclose(dense[1], [1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_row_sums_one_at_r0(self, seed):
         g = random_graph(25, 80, seed)
-        dense = normalize(g, 0.0).to_dense()
+        dense = normalize(g, 0.0).matrix.toarray()
         assert np.abs(dense.sum(axis=1) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_symmetric_values_at_half(self, seed):
         g = random_graph(15, 40, seed)
         adj = normalize(g, 0.5)
-        dense = adj.to_dense()
+        dense = adj.matrix.toarray()
         assert np.array_equal(dense, dense.T)
 
     def test_every_diagonal_present_and_values_positive(self):
         g = random_graph(18, 50, 7)
         adj = normalize(g, 0.3)
-        assert (adj.values > 0.0).all()
-        dense = adj.to_dense()
+        assert (adj.matrix.data > 0.0).all()
+        dense = adj.matrix.toarray()
         assert (np.diag(dense) > 0.0).all()
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
     def test_matches_dense_oracle(self, r):
         g = random_graph(24, 70, 11)
-        assert np.abs(normalize(g, r).to_dense() - dense_normalized(g, r)).max() < 1e-14
+        assert np.abs(normalize(g, r).matrix.toarray() - dense_normalized(g, r)).max() < 1e-14
 
     @pytest.mark.parametrize("r", [-0.1, 1.5, 2.0])
     def test_r_out_of_range(self, r):

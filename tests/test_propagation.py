@@ -6,7 +6,7 @@ from scipy import sparse
 
 from dgmlp import DimensionError, NormalizedAdjacency, ParameterError, \
     ValidationError, build_graph, erdos_renyi, normalize, propagate, propagation, \
-    spmm, stationary_features
+    propagation_steps, spmm, stationary_features
 
 from conftest import dense_normalized, random_graph
 
@@ -44,7 +44,7 @@ def adjacency_with_empty_rows(n=30, seed=0) -> NormalizedAdjacency:
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
     dense[::3] = 0.0
-    return NormalizedAdjacency(n, sparse.csr_matrix(dense), 0.5, np.ones(n, np.int64))
+    return NormalizedAdjacency(n, sparse.csr_matrix(dense))
 
 
 class TestShardedSpmm:
@@ -124,6 +124,58 @@ class TestRunSharded:
         assert threading.active_count() == before
         assert callers[0] is threading.current_thread()
         assert threading.current_thread() not in (callers[1], callers[2])
+
+
+class TestPropagationSteps:
+    """The one walk: its steps are the chained products bit for bit, and
+    steps 1..k take turns in two buffers."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_steps_bitwise_equal_chained_products(self, monkeypatch, k, shards):
+        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        adj = normalize(random_graph(30, 80, k), 0.5)
+        x = np.random.default_rng(k).standard_normal((30, 4))
+        want, seen = x, 0
+        for j, step in enumerate(propagation_steps(adj, x, k)):
+            if j:
+                want = adj.matrix @ want
+            assert step.tobytes() == want.tobytes()
+            seen += 1
+        assert seen == k + 1
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_step_j_overwrites_step_j_minus_2(self, k):
+        adj = normalize(random_graph(20, 50, 1), 0.5)
+        x = np.random.default_rng(2).standard_normal((20, 3))
+        steps = list(propagation_steps(adj, x, k))
+        assert steps[0] is x
+        for j in range(1, k + 1):
+            assert not np.shares_memory(steps[j], x)
+            assert not np.shares_memory(steps[j], steps[j - 1])
+            if j >= 3:
+                assert steps[j] is steps[j - 2]
+        assert len({id(step) for step in steps[1:]}) == min(k, 2)
+
+    def test_bad_arguments_raise_before_any_step(self):
+        adj = normalize(build_graph([(0, 1)], 2), 0.5)
+        with pytest.raises(ParameterError, match="depth"):
+            propagation_steps(adj, np.zeros((2, 1)), -1)
+        with pytest.raises(DimensionError, match="features have shape"):
+            propagation_steps(adj, np.zeros((3, 1)), 2)
+        with pytest.raises(ValidationError, match="NaN"):
+            propagation_steps(adj, [[np.nan], [0.0]], 1)
+        with pytest.raises(ValidationError, match="2-D"):
+            propagation_steps(adj, np.zeros(2), 1)
+
+    def test_propagate_steps_share_no_memory(self):
+        adj = normalize(random_graph(20, 50, 3), 0.5)
+        x = np.random.default_rng(4).standard_normal((20, 3))
+        steps = propagate(adj, x, 6).steps
+        assert steps[0].tobytes() == x.tobytes()
+        for i, step in enumerate(steps):
+            assert not np.shares_memory(step, x)
+            assert not any(np.shares_memory(step, later) for later in steps[i + 1:])
 
 
 class TestPropagate:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgmlp import ConfigurationError, ResidualMlp, combine, compute_nsl, \
-    load_dataset, normalize, propagate, propagation_weights, runner, \
-    smoothness, stationary_features, train
+    load_dataset, normalize, propagate, propagation, propagation_weights, \
+    runner, stationary_features, train
 from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
     row_normalize, run_profile, run_scale, run_sweep, run_train
 
@@ -95,14 +95,14 @@ class TestRunProfile:
     def test_one_spmm_per_step_for_any_caps(self, tiny_dataset, dp, data):
         caps = data.draw(st.lists(st.integers(0, dp), max_size=dp + 2))
         calls = []
-        spmm = smoothness.spmm
+        spmm = propagation.spmm
 
         def counted(*args, **kwargs):
             calls.append(1)
             return spmm(*args, **kwargs)
 
         cfg = RunConfig(dp=dp, caps=caps, temperature=0.2)
-        with mock.patch.object(smoothness, "spmm", counted):
+        with mock.patch.object(propagation, "spmm", counted):
             result = run_profile(tiny_dataset, cfg)
         assert len(calls) == dp
         assert len(result["gsl_combined"]) == len(result["caps"])

@@ -398,7 +398,7 @@ class TestPipelinedPass:
         graph, x = signed_case(n=300, pairs=600, d=12)
         boom = RuntimeError("spmm failed")
         callers = []
-        real_spmm = smoothness.spmm
+        real_spmm = propagation.spmm
 
         def failing_spmm(adj, cur, out=None):
             callers.append(threading.current_thread())
@@ -406,7 +406,7 @@ class TestPipelinedPass:
                 raise boom
             return real_spmm(adj, cur, out=out)
 
-        monkeypatch.setattr(smoothness, "spmm", failing_spmm)
+        monkeypatch.setattr(propagation, "spmm", failing_spmm)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             propagation_pass(graph, x, k=6, r=0.5, temperature=0.2, caps=[2, 6])
@@ -424,7 +424,7 @@ class TestPipelinedPass:
         boom = RuntimeError("scoring failed")
         spmm_calls = {"started": 0, "finished": 0}
         scorers, failed_on = [], []
-        real_spmm, real_rank_one = smoothness.spmm, smoothness._rank_one_nsl
+        real_spmm, real_rank_one = propagation.spmm, smoothness._rank_one_nsl
 
         def counted_spmm(adj, cur, out=None):
             spmm_calls["started"] += 1
@@ -443,7 +443,7 @@ class TestPipelinedPass:
                 return nsl_of(cur, rows)
             return nsl
 
-        monkeypatch.setattr(smoothness, "spmm", counted_spmm)
+        monkeypatch.setattr(propagation, "spmm", counted_spmm)
         monkeypatch.setattr(smoothness, "_rank_one_nsl", failing_rank_one)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
@@ -460,7 +460,7 @@ class TestPipelinedPass:
         # spmm writes x_{j+1} into the buffer that held x_{j-1}: two N x d
         # buffers serve every step, and none is x0 or the step being read
         graph, x = signed_case()
-        real_spmm = smoothness.spmm
+        real_spmm = propagation.spmm
         outs = []
 
         def checking_spmm(adj, cur, out=None):
@@ -468,7 +468,7 @@ class TestPipelinedPass:
             outs.append(out)
             return real_spmm(adj, cur, out=out)
 
-        monkeypatch.setattr(smoothness, "spmm", checking_spmm)
+        monkeypatch.setattr(propagation, "spmm", checking_spmm)
         propagation_pass(graph, x, k=8, r=0.5, temperature=1.0, caps=(4,))
         assert len(outs) == 8 and outs[0] is not outs[1]
         assert all(a is b for a, b in zip(outs, outs[2:]))

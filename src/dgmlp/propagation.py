@@ -14,10 +14,15 @@ from .graph import Graph, NormalizedAdjacency
 
 
 def as_feature_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
+    """Coerce to a 2-D C-contiguous float64 array and reject non-finite entries.
+
+    C order makes every row a contiguous run, so a row reduction sums in
+    the same order whatever the caller's layout.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr)
     if not np.isfinite(arr).all():
         raise ValidationError("feature matrix contains NaN or Inf")
     return arr
@@ -120,6 +125,24 @@ def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
+def _add_scaled_rows(acc: np.ndarray, e: np.ndarray, x: np.ndarray) -> None:
+    """acc += e[:, None] * x in one pass over x and acc, with no temporary.
+
+    The kernel spmm runs, on the diagonal matrix diag(e): row i becomes
+    acc[i] + e[i] * x[i], the product rounded before the sum, so the bits
+    are those of the numpy expression. acc is a C-contiguous float64 array
+    of x's shape.
+    """
+    if not acc.flags.c_contiguous:
+        raise ValidationError("accumulator must be a C-contiguous array")
+    n, width = x.shape
+    diag = np.arange(n + 1)
+    _sparsetools.csr_matvecs(n, n, width, diag, diag[:n],
+                             np.ascontiguousarray(e, dtype=np.float64),
+                             np.ascontiguousarray(x, dtype=np.float64).ravel(),
+                             acc.reshape(-1))
+
+
 def propagation_steps(adj: NormalizedAdjacency, x0, k: int):
     """An iterator over X, A_hat X, ..., A_hat^k X: the one propagation walk.
 
@@ -167,8 +190,14 @@ def stationary_direction(graph: Graph, x0, r: float = 0.5) -> np.ndarray:
         raise DimensionError(
             f"graph has {graph.num_nodes} nodes but features have shape {x0.shape}"
         )
+    return _weighted_row_sum(graph, x0, r)
+
+
+def _weighted_row_sum(graph: Graph, x0: np.ndarray, r: float) -> np.ndarray:
+    """stationary_direction of a checked x0, summed by einsum: no BLAS
+    call, so the bits do not depend on the BLAS thread count."""
     dtil = (graph.degrees + 1).astype(np.float64)
-    return dtil ** (1.0 - r) @ x0
+    return np.einsum("i,ij->j", dtil ** (1.0 - r), x0)
 
 
 def stationary_features(graph: Graph, x0, r: float = 0.5) -> np.ndarray:

@@ -137,16 +137,18 @@ def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
     if mode == "none":
         return features
     if mode == "l1":
-        norms = np.abs(features).sum(axis=1)
+        # |x| is summed in the array that then receives the result: one
+        # N x d array in all
+        out = np.abs(features, dtype=np.float64)
+        norms = out.sum(axis=1)
     elif mode == "l2":
         norms = np.linalg.norm(features, axis=1)
+        out = np.empty(features.shape)
     else:
         raise ConfigurationError(f"unknown feature_norm: {mode!r}")
-    out = features.astype(np.float64, copy=True)
     # a zero row divided by 1.0 stays as it is, -0.0 included, and no row
     # is gathered into a copy
-    out /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return out
+    return np.divide(features, np.where(norms > 0.0, norms, 1.0)[:, None], out=out)
 
 
 def prepare_combined(graph: Graph, features: np.ndarray, *, dp: int, r: float,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .graph import Graph, NormalizedAdjacency, normalize
-from .propagation import PropagatedStack, _num_shards, _run_sharded, \
-    as_feature_matrix, propagation_steps, stationary_direction
+from .propagation import PropagatedStack, _add_scaled_rows, _num_shards, _run_sharded, \
+    _weighted_row_sum, as_feature_matrix, propagation_steps
 
 
 def cosine_similarity(a, b) -> float:
@@ -124,28 +124,40 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 # The pipeline's propagation pass: one walk over the steps in O(N*d) memory.
 # ---------------------------------------------------------------------------
 
-def _rank_one_nsl(x0: np.ndarray, s: np.ndarray):
+# A walked x.s (see propagation_pass) is used for a row while the row's
+# norm is at least 1/64 of its norm bound; below that, cancellation may
+# have left the walked value fewer correct digits than the row's own.
+_MAX_CANCELLATION = 64.0
+
+
+def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
     """matrix_nsl(., x0, x_inf) for an x_inf whose rows are positive multiples of s.
 
     cos(x_v, x_inf_v) = x_v . s / (|x_v| |s|), so the N x d stationary
-    matrix is never built; the norms of x0 and s are taken once. A zero
-    norm gives a zero cosine, as in _row_cosines. nsl(x, rows) scores the
-    rows `rows` of a step given x = step[rows].
+    matrix is never built. nsl(xx, xx0, xs, reach, x, rows) scores the
+    rows `rows` of a step x from row reductions over them: xx = x.x and
+    xx0 = x.x0, and xs = x.s carried by a walk beside reach >= |x_v|, a
+    bound on the row norms carried by the same walk. The walked xs is off
+    by a few ulps of reach |s|, so in a row whose norm has cancelled to
+    below reach / _MAX_CANCELLATION, x.s is taken from the row x_v itself.
+    x0_sq holds x0.x0 per row; it is read when nsl is called, so it may be
+    filled after this returns. A zero norm gives a zero cosine, as in
+    _row_cosines.
     """
-    x0_norm = np.sqrt(np.einsum("ij,ij->i", x0, x0))
-    s_norm = float(np.linalg.norm(s))
+    s_norm = float(np.sqrt(np.einsum("i,i->", s, s)))
 
-    def nsl(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        x0_rows, x0_norm_rows = x0[rows], x0_norm[rows]
-        x_norm = np.sqrt(np.einsum("ij,ij->i", x, x))
-        alpha = np.zeros(x.shape[0])
-        mask = (x_norm > 0.0) & (x0_norm_rows > 0.0)
-        alpha[mask] = (np.einsum("ij,ij->i", x, x0_rows)[mask]
-                       / (x_norm[mask] * x0_norm_rows[mask]))
-        beta = np.zeros(x.shape[0])
+    def nsl(xx: np.ndarray, xx0: np.ndarray, xs: np.ndarray, reach: np.ndarray,
+            x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        x_norm, x0_norm = np.sqrt(xx), np.sqrt(x0_sq[rows])
+        alpha = np.divide(xx0, x_norm * x0_norm, out=np.zeros(len(xx)),
+                          where=(x_norm > 0.0) & (x0_norm > 0.0))
+        beta = np.zeros(len(xx))
         if s_norm > 0.0:
-            mask = x_norm > 0.0
-            beta[mask] = (x @ s)[mask] / (x_norm[mask] * s_norm)
+            cancelled = reach > _MAX_CANCELLATION * x_norm
+            if cancelled.any():
+                xs = xs.copy()
+                xs[cancelled] = np.einsum("ij,j->i", x[cancelled], s)
+            np.divide(xs, x_norm * s_norm, out=beta, where=x_norm > 0.0)
         return alpha * (1.0 - beta)
 
     return nsl
@@ -160,13 +172,12 @@ class PropagationPass:
     cap_gsl: dict[int, float]   # cap c -> GSL of the combination truncated at c
 
 
-# The fold's scratch over all shards, in values (2 MB): each shard's
-# products e_v * x_v go into a block of it that stays in cache.
-_FOLD_VALUES = 1 << 18
-# Rows per fold block are a multiple of this. OpenBLAS computes x @ s in
-# groups of four rows and the leftover rows by another kernel, so a
-# block that starts off a group boundary would change the bits of a row.
-_BLOCK_ALIGN = 64
+# Values per fold block (2 MB of x). Each block costs about 0.1 ms of
+# interpreter time under the GIL, against about 0.5 ms of GIL-free row
+# reductions and accumulate at this size. On a PubMed-sized input (d =
+# 500, 2 cores) blocks of 2**17 to 2**20 values timed alike; 2**16 was
+# slower, 2**13 twice as slow, and one block per shard slower again.
+_BLOCK_VALUES = 1 << 18
 
 
 def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
@@ -181,13 +192,22 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     every cap comes from the same walk. Agrees with compute_nsl and
     combine on the stored stack up to rounding.
 
+    x_k . s, the dot with the stationary direction, is not read off x_k:
+    it is u_k = A_hat u_{k-1}, an N-vector walk from u_0 = x0 . s, and
+    acc . s is folded beside acc as acc_u. A second N-vector walk carries
+    reach_k = A_hat reach_{k-1} from the row norms of x0, which bounds the
+    row norms of x_k since A_hat is nonnegative; the few rows whose norm
+    has cancelled far below it take x . s from x (see _rank_one_nsl). So
+    each block of a step is read twice: by the x.x and x.x0 row
+    reductions, and by the accumulate acc += e * x, one pass of scipy's
+    CSR kernel on diag(e). Nothing calls BLAS, and each row's arithmetic
+    is the same whatever the block, shard or BLAS thread count, so the
+    bits are too.
+
     Each step's spmm and its scoring and fold are split over the cores by
-    row shard: every part of the fold is row-local. Shards hold whole fold
-    blocks, so with BLAS on one thread the results are those of the
-    sequential walk on whole matrices, bit for bit, for any shard count.
-    The steps come from propagation_steps: x0, acc, its two step buffers
-    and one fold block of scratch per shard (2**18 values over all shards)
-    are alive, O(N*d) at any depth, and no N x d array is made per step.
+    row shard: every part of the fold is row-local. The steps come from
+    propagation_steps: x0, acc and its two step buffers are alive, O(N*d)
+    at any depth, and no N x d array is made per step.
     """
     if temperature <= 0.0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
@@ -195,37 +215,51 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     for cap in caps:
         if not 0 <= cap <= k:
             raise ParameterError(f"cap {cap} outside [0, {k}]")
-    # stationary_direction checks x0 and the walk checks k: both before
-    # any array below is made
-    x0 = np.asarray(x0, dtype=np.float64)
-    nsl_of = _rank_one_nsl(x0, stationary_direction(graph, x0, r))
-    steps = propagation_steps(normalize(graph, r), x0, k)
+    # normalize checks r and the walk checks k and x0: all before any
+    # array below is made. x0 is then the array the walk checked.
+    adj = normalize(graph, r)
+    steps = propagation_steps(adj, x0, k)
+    x0 = next(steps)
+    s = _weighted_row_sum(graph, x0, r)
     n, d = x0.shape
     shards = _num_shards()
-    block = _FOLD_VALUES // (shards * max(1, d)) // _BLOCK_ALIGN * _BLOCK_ALIGN
-    block = min(max(block, _BLOCK_ALIGN), n)
+    block = min(max(1, _BLOCK_VALUES // max(1, d)), n)
     # every array the pass writes is made on this thread, the walk's step
     # buffers too: arrays made on a worker land in that thread's malloc arena
     nsl = np.empty((n, k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
     acc = np.empty_like(x0)
-    scratch = np.empty((shards, block, d))
+    x0_sq, u, reach, acc_u, acc_reach = (np.empty(n) for _ in range(5))
     level, cap_level, m, z = np.empty(n), np.empty(n), np.empty(n), np.ones(n)
+    nsl_of = _rank_one_nsl(x0_sq, s)
 
     def fold(shard: int, lo: int, hi: int) -> None:
-        """Score rows lo..hi-1 of step `step` (the current x) and fold them
-        into m, acc and z, one block at a time; after the last step, acc
+        """Score rows lo..hi-1 of step `step` (the current x, with x.s in u
+        and its norm bound in reach) and fold them into m, acc, acc_u,
+        acc_reach and z, one block at a time; after the last step, acc
         becomes acc / z."""
         for start in range(lo, hi, block):
             rows = slice(start, min(start + block, hi))
-            level[rows] = nsl_of(x[rows], rows)
+            x_rows, acc_rows = x[rows], acc[rows]
+            acc_u_rows, acc_reach_rows = acc_u[rows], acc_reach[rows]
+            xx = np.einsum("ij,ij->i", x_rows, x_rows)
+            if step == 0:
+                # x is x0: its norms and u_0 = x0.s come from this read
+                x0_sq[rows] = xx0 = xx
+                u[rows] = np.einsum("ij,j->i", x_rows, s)
+                reach[rows] = np.sqrt(xx)
+            else:
+                xx0 = np.einsum("ij,ij->i", x_rows, x0[rows])
+            level[rows] = nsl_of(xx, xx0, u[rows], reach[rows], x_rows, rows)
             logit = level[rows] / temperature
             if step == 0:
                 m[rows] = logit
-                acc[rows] = x[rows]
+                acc_rows[:] = x_rows
+                acc_u_rows[:] = u[rows]
+                acc_reach_rows[:] = reach[rows]
             else:
-                m_rows, acc_rows = m[rows], acc[rows]
+                m_rows = m[rows]
                 if (logit > m_rows).any():
                     # rows whose running max rises are rescaled by
                     # exp(m - logit) < 1, the others by exactly 1
@@ -233,23 +267,31 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                     z[rows] *= rescale
                     np.maximum(m_rows, logit, out=m_rows)
                     acc_rows *= rescale[:, None]
+                    acc_u_rows *= rescale
+                    acc_reach_rows *= rescale
                 e = np.exp(logit - m_rows)
-                acc_rows += np.multiply(e[:, None], x[rows], out=scratch[shard, :len(e)])
+                _add_scaled_rows(acc_rows, e, x_rows)
+                acc_u_rows += e * u[rows]
+                acc_reach_rows += e * reach[rows]
                 z[rows] += e
             if step in caps:
                 # nsl is a product of cosines, blind to the positive row
                 # scale z: the GSL of acc is the GSL of acc / z
-                cap_level[rows] = nsl_of(acc[rows], rows)
+                cap_level[rows] = nsl_of(np.einsum("ij,ij->i", acc_rows, acc_rows),
+                                         np.einsum("ij,ij->i", acc_rows, x0[rows]),
+                                         acc_u_rows, acc_reach_rows, acc_rows, rows)
             if step == k:
-                acc[rows] /= z[rows, None]
+                acc_rows /= z[rows, None]
 
-    for step, x in enumerate(steps):
+    for step, x in enumerate(itertools.chain([x0], steps)):
+        if step:
+            u, reach = adj.matrix @ u, adj.matrix @ reach
         _run_sharded(fold, n, shards, block)
         nsl[:, step] = level
         gsl[step] = level.mean()
         if step in caps:
             cap_gsl[step] = float(cap_level.mean())
-    del x, scratch  # with the walk's buffers, freed before the weights are made
+    del x  # with the walk's buffers, freed before the weights are made
     profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
     profile.weights = propagation_weights(profile, temperature)
     profile.temperature = float(temperature)
@@ -285,7 +327,7 @@ def combine_streaming(adj: NormalizedAdjacency, x0, weights: np.ndarray) -> np.n
         )
     out = np.zeros_like(x0)
     for l, xl in enumerate(propagation_steps(adj, x0, weights.shape[1] - 1)):
-        out += weights[:, l:l + 1] * xl
+        _add_scaled_rows(out, weights[:, l], xl)
     return out
 
 

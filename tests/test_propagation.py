@@ -168,6 +168,14 @@ class TestPropagationSteps:
         with pytest.raises(ValidationError, match="2-D"):
             propagation_steps(adj, np.zeros(2), 1)
 
+    def test_fortran_order_features(self):
+        # x0 is taken in C order, so the step buffers are too, as spmm needs
+        adj = normalize(random_graph(20, 50, 5), 0.5)
+        x = np.random.default_rng(5).standard_normal((20, 3))
+        want = [step.copy() for step in propagation_steps(adj, x, 4)]
+        got = [step.copy() for step in propagation_steps(adj, np.asfortranarray(x), 4)]
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
     def test_propagate_steps_share_no_memory(self):
         adj = normalize(random_graph(20, 50, 3), 0.5)
         x = np.random.default_rng(4).standard_normal((20, 3))
@@ -176,6 +184,27 @@ class TestPropagationSteps:
         for i, step in enumerate(steps):
             assert not np.shares_memory(step, x)
             assert not any(np.shares_memory(step, later) for later in steps[i + 1:])
+
+
+class TestAddScaledRows:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equals_numpy_expression(self, order):
+        rng = np.random.default_rng(6)
+        x = np.asarray(rng.standard_normal((37, 5)), order=order)
+        x[3] = -0.0
+        weights = rng.random((37, 4))
+        weights[5, 2] = 0.0
+        acc = rng.standard_normal((37, 5))
+        acc[3, :2] = -0.0
+        want = acc.copy()
+        want += weights[:, 2:3] * x
+        propagation._add_scaled_rows(acc, weights[:, 2], x)
+        assert acc.tobytes() == want.tobytes()
+
+    def test_rejects_strided_accumulator(self):
+        acc = np.zeros((6, 4))
+        with pytest.raises(ValidationError):
+            propagation._add_scaled_rows(acc[:, :2], np.ones(6), np.ones((6, 2)))
 
 
 class TestPropagate:

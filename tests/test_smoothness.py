@@ -1,7 +1,10 @@
 import csv
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from dgmlp import DimensionError, ParameterError, SmoothnessProfile, build_graph
     combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, matrix_nsl, \
     normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
     smoothness_profile, stationary_direction, stationary_features
+import dgmlp
 from dgmlp import propagation, smoothness
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import write_gsl_csv, write_node_profile_csv
@@ -188,6 +192,21 @@ class TestStreamingEquivalence:
         assert np.array_equal(stacked.nsl, streamed.nsl)
         assert np.array_equal(stacked.gsl, streamed.gsl)
 
+    def test_combine_streaming_holds_three_arrays(self):
+        # out and the walk's two step buffers: the per-step product is
+        # accumulated in place, so no fourth N x d array is alive
+        graph = erdos_renyi(5000, 1e-3, 2)
+        x = np.random.default_rng(2).random((5000, 64))
+        weights = np.full((5000, 11), 1.0 / 11)
+        adj = normalize(graph, 0.5)
+        tracemalloc.start()
+        try:
+            combine_streaming(adj, x, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3 * x.nbytes <= peak < 3.5 * x.nbytes
+
     def test_combine_streaming_matches_stack(self):
         g = random_graph(25, 70, 7)
         x = np.random.default_rng(8).random((25, 4))
@@ -278,6 +297,18 @@ class TestPropagationPass:
         assert not stationary_direction(mirrored, x, r).any()
         self.check_against_stack(mirrored, x, 5, r, temperature)
 
+    def test_row_cancelled_to_a_rounding_residue(self):
+        # node 3's step-1 row is exactly 0 in exact arithmetic but a residue
+        # of about 1e-17 in floating point: the walked x.s, off by a few
+        # ulps of the terms it sums, says nothing about that residue's
+        # direction, so the pass takes x.s from the row there
+        edges = [(1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)]
+        graph = build_graph(edges, 8)
+        x = np.array([[-1.0], [0.0], [0.25], [-0.75], [0.25], [0.25], [0.0], [0.5]])
+        step1 = normalize(graph, 0.0).matrix @ x
+        assert 0.0 < abs(step1[3, 0]) < 1e-16
+        self.check_against_stack(graph, x, 8, 0.0, 1.0)
+
     def test_stationary_features_are_multiples_of_direction(self):
         g = random_graph(15, 30, 6)
         x = np.random.default_rng(7).standard_normal((15, 4))
@@ -301,32 +332,47 @@ class TestPropagationPass:
 
 def sequential_pass(graph, x, k, r, temperature, caps=()):
     """Reference walk: each step's spmm (a plain adj.matrix @ x), scoring and
-    fold one after another, on whole matrices. Returns (nsl, gsl, combined,
-    cap_gsl)."""
+    fold one after another, on whole matrices. x.s is carried as the
+    N-vector walk u = adj.matrix @ u and acc.s as acc_u, beside the norm
+    bounds reach and acc_reach. Returns (nsl, gsl, combined, cap_gsl)."""
     adj = normalize(graph, r)
-    nsl_of = smoothness._rank_one_nsl(x, stationary_direction(graph, x, r))
+    s = stationary_direction(graph, x, r)
+    x0, x0_sq, u = x, np.einsum("ij,ij->i", x, x), np.einsum("ij,j->i", x, s)
+    reach = np.sqrt(x0_sq)
+    nsl_of = smoothness._rank_one_nsl(x0_sq, s)
     nsl = np.empty((x.shape[0], k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
     for step in range(k + 1):
         if step:
-            x = adj.matrix @ x
-        nsl[:, step] = level = nsl_of(x)
+            x, u, reach = adj.matrix @ x, adj.matrix @ u, adj.matrix @ reach
+            level = nsl_of(np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x, x0),
+                           u, reach, x)
+        else:
+            level = nsl_of(x0_sq, x0_sq, u, reach, x)
+        nsl[:, step] = level
         gsl[step] = level.mean()
         logit = level / temperature
         if step == 0:
             m, acc, z = logit, x.copy(), np.ones(x.shape[0])
+            acc_u, acc_reach = u.copy(), reach.copy()
         else:
             rise = logit > m
             rescale = np.exp(m[rise] - logit[rise])
             acc[rise] *= rescale[:, None]
+            acc_u[rise] *= rescale
+            acc_reach[rise] *= rescale
             z[rise] *= rescale
             m = np.maximum(m, logit)
             e = np.exp(logit - m)
             acc += e[:, None] * x
+            acc_u += e * u
+            acc_reach += e * reach
             z += e
         if step in caps:
-            cap_gsl[step] = float(nsl_of(acc).mean())
+            cap_gsl[step] = float(nsl_of(np.einsum("ij,ij->i", acc, acc),
+                                         np.einsum("ij,ij->i", acc, x0),
+                                         acc_u, acc_reach, acc).mean())
     acc /= z[:, None]
     return nsl, gsl, acc, cap_gsl
 
@@ -353,13 +399,10 @@ def signed_case(n=40, pairs=50, d=5, seed=0, isolated=8):
 
 
 def small_blocks(monkeypatch, shards):
-    """`shards` shards and scratch for 99 rows of 12-wide features per
-    shard, cut down to fold blocks of 64 rows: small graphs then span
-    several blocks and shards, and BLAS runs their x @ s on one thread
-    (N * d < 9216). Blocks of 99 rows would start off OpenBLAS's groups
-    of four, which changes the bits of x @ s at this width."""
+    """`shards` shards and fold blocks of 99 rows of 12-wide features: small
+    graphs then span several blocks and shards."""
     monkeypatch.setattr(smoothness, "_num_shards", lambda: shards)
-    monkeypatch.setattr(smoothness, "_FOLD_VALUES", shards * 99 * 12)
+    monkeypatch.setattr(smoothness, "_BLOCK_VALUES", 99 * 12)
     monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
 
 
@@ -386,8 +429,8 @@ class TestPipelinedPass:
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
     @pytest.mark.parametrize("n", [50, 301, 517])
     def test_bitwise_independent_of_shard_count(self, monkeypatch, shards, n):
-        # 64-row blocks: 1, 5 and 9 of them, so 7 shards are sometimes
-        # more than there are blocks
+        # 99-row blocks: 1, 4 and 6 of them, so 7 shards are more than
+        # there are blocks
         small_blocks(monkeypatch, shards)
         graph, x = signed_case(n=n, pairs=2 * n, d=12, seed=n, isolated=n // 10)
         assert_pass_equals_sequential(graph, x, 6, 0.5, 1e-3, (0, 3, 6))
@@ -417,8 +460,8 @@ class TestPipelinedPass:
     @pytest.mark.parametrize("fail_at", [1, 3, 7])
     def test_fold_failure_reraised_after_spmm_and_worker_joined(self, monkeypatch,
                                                                 fail_at):
-        # 64-row blocks on 300 rows: shard 2 holds rows 192..299, and its
-        # second block (rows 256..299) of step fail_at - 1 fails
+        # 99-row blocks on 300 rows: shard 2 holds rows 198..299, and its
+        # second block (rows 297..299) of step fail_at - 1 fails
         small_blocks(monkeypatch, 3)
         graph, x = signed_case(n=300, pairs=600, d=12)
         boom = RuntimeError("scoring failed")
@@ -432,15 +475,15 @@ class TestPipelinedPass:
             spmm_calls["finished"] += 1
             return out
 
-        def failing_rank_one(x0, s):
-            nsl_of = real_rank_one(x0, s)
+        def failing_rank_one(x0_sq, s):
+            nsl_of = real_rank_one(x0_sq, s)
 
-            def nsl(cur, rows=slice(None)):
+            def nsl(xx, xx0, xs, reach, cur, rows=slice(None)):
                 scorers.append(threading.current_thread())
-                if rows.start >= 256 and len(scorers) > 5 * (fail_at - 1):
+                if rows.start >= 297 and len(scorers) > 4 * (fail_at - 1):
                     failed_on.append(threading.current_thread())
                     raise boom
-                return nsl_of(cur, rows)
+                return nsl_of(xx, xx0, xs, reach, cur, rows)
             return nsl
 
         monkeypatch.setattr(propagation, "spmm", counted_spmm)
@@ -455,6 +498,15 @@ class TestPipelinedPass:
         assert threading.active_count() == before
         assert threading.current_thread() in scorers
         assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()
+
+    def test_fortran_order_features(self):
+        graph, x = signed_case(seed=3)
+        want = propagation_pass(graph, x, k=5, r=0.5, temperature=0.2, caps=(0, 5))
+        got = propagation_pass(graph, np.asfortranarray(x), k=5, r=0.5,
+                               temperature=0.2, caps=(0, 5))
+        for a, b in [(got.profile.nsl, want.profile.nsl), (got.combined, want.combined)]:
+            assert a.tobytes() == b.tobytes()
+        assert got.cap_gsl == want.cap_gsl
 
     def test_steps_alternate_between_two_buffers(self, monkeypatch):
         # spmm writes x_{j+1} into the buffer that held x_{j-1}: two N x d
@@ -504,11 +556,11 @@ class TestPipelinedPass:
     def test_traced_peak_within_sequential_walk(self):
         # at most x0, acc, x_k and x_{k+1} are alive at once; keeping one
         # more N x d step (as a generator's consumer would) breaks the bound.
-        # The slack covers the fold's row block (at most 2**18 values) and
-        # a few N-vectors.
+        # The fold has no N x d scratch; the slack covers a few N-vectors
+        # and each fold block's row vectors.
         graph = erdos_renyi(20_000, 2e-4, 3)
         x = np.random.default_rng(3).random((20_000, 64))
-        slack = 8 * (1 << 18) + 8 * 8 * x.shape[0]
+        slack = 8 * 8 * x.shape[0]
         assert x.nbytes > 2 * slack
 
         def peak(fn):
@@ -523,6 +575,44 @@ class TestPipelinedPass:
         got = peak(lambda: propagation_pass(graph, x, k=6, r=0.5, temperature=1.0,
                                             caps=(3,)))
         assert got <= want + slack
+
+
+# Runs the pass on a 1502 x 500 input with K = 6 and caps 0, 3, 6, and
+# prints the sha256 of nsl, gsl, weights, combined and cap_gsl.
+PASS_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from dgmlp import erdos_renyi, propagation_pass
+x = np.random.default_rng(5).standard_normal((1502, 500))
+x[::7] = 0.0
+walk = propagation_pass(erdos_renyi(1502, 4e-3, 5), x, k=6, r=0.5,
+                        temperature=0.2, caps=(0, 3, 6))
+digest = hashlib.sha256()
+for values in (walk.profile.nsl, walk.profile.gsl, walk.profile.weights,
+               walk.combined, np.array([walk.cap_gsl[c] for c in (0, 3, 6)])):
+    digest.update(values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def pass_digest_at_blas_threads(threads: int, src=Path(dgmlp.__file__).parents[1]) -> str:
+    """PASS_DIGEST_SCRIPT's digest in a child Python whose BLAS runs on
+    `threads` threads (set before numpy loads), importing dgmlp from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    proc = subprocess.run([sys.executable, "-c", PASS_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestBlasThreads:
+    def test_pass_bits_independent_of_blas_thread_count(self):
+        # the pass makes no BLAS call, so a threaded BLAS cannot split a
+        # product at another row and change its bits
+        assert pass_digest_at_blas_threads(1) == pass_digest_at_blas_threads(2)
 
 
 class TestMatrixNsl:

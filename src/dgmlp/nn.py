@@ -193,7 +193,11 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         w = model.weights[i]
         hd, relu, keep = caches[i]
         dz = dh if relu is None else dh * relu
-        grad_w.append(hd.T @ dz + 2.0 * weight_decay * w)
+        # the penalty's gradient is added into the fresh product in place:
+        # the same add, with one weight-sized array fewer
+        gw = hd.T @ dz
+        gw += 2.0 * weight_decay * w
+        grad_w.append(gw)
         if model.biases is not None:
             grad_b.append(dz.sum(axis=0))
         if i == 0:

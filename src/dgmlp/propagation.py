@@ -125,20 +125,27 @@ def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-def _add_scaled_rows(acc: np.ndarray, e: np.ndarray, x: np.ndarray) -> None:
-    """acc += e[:, None] * x in one pass over x and acc, with no temporary.
+def _add_scaled_rows(acc: np.ndarray, e: np.ndarray, x: np.ndarray,
+                     picked=slice(None)) -> None:
+    """acc += (e[:, None] * x)[picked] in one pass over the picked rows of x
+    and over acc, with no temporary.
 
-    The kernel spmm runs, on the diagonal matrix diag(e): row i becomes
-    acc[i] + e[i] * x[i], the product rounded before the sum, so the bits
-    are those of the numpy expression. acc is a C-contiguous float64 array
-    of x's shape.
+    The kernel spmm runs, on a selection matrix with one stored entry
+    e[v] per picked row v, at column v (the diagonal matrix diag(e) when
+    every row is picked): row j of acc becomes acc[j] + e[v] * x[v], the
+    product rounded before the sum, so the bits are those of the numpy
+    expression. picked is a slice or an array of row indices; acc is a
+    C-contiguous float64 array with one row per picked row of x.
     """
     if not acc.flags.c_contiguous:
         raise ValidationError("accumulator must be a C-contiguous array")
     n, width = x.shape
     diag = np.arange(n + 1)
-    _sparsetools.csr_matvecs(n, n, width, diag, diag[:n],
-                             np.ascontiguousarray(e, dtype=np.float64),
+    cols = diag[:n][picked]
+    if acc.shape != (len(cols), width):
+        raise DimensionError(f"accumulator has shape {acc.shape}, expected {(len(cols), width)}")
+    _sparsetools.csr_matvecs(len(cols), n, width, diag[:len(cols) + 1], cols,
+                             np.ascontiguousarray(e[picked], dtype=np.float64),
                              np.ascontiguousarray(x, dtype=np.float64).ravel(),
                              acc.reshape(-1))
 

@@ -152,9 +152,14 @@ def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
 
 
 def prepare_combined(graph: Graph, features: np.ndarray, *, dp: int, r: float,
-                     temperature: float):
-    """Propagate, profile smoothness, and combine; returns (combined, profile)."""
-    walk = propagation_pass(graph, features, k=dp, r=r, temperature=temperature)
+                     temperature: float, rows=None):
+    """Propagate, profile smoothness, and combine; returns (combined, profile).
+
+    With rows (sorted node ids), combined holds those nodes' rows alone;
+    the profile always covers every node.
+    """
+    walk = propagation_pass(graph, features, k=dp, r=r, temperature=temperature,
+                            rows=rows)
     return walk.combined, walk.profile
 
 
@@ -164,24 +169,43 @@ def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float) ->
 
 
 def _classifier_input(graph: Graph, features: np.ndarray, cfg: RunConfig,
-                      dp: int) -> np.ndarray:
-    """A_hat^dp X for the SGC baseline, else the node-adaptive combination."""
+                      dp: int, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of A_hat^dp X for the SGC baseline, else of the
+    node-adaptive combination."""
     if cfg.baseline == "sgc":
-        return _propagated_step(graph, features, k=dp, r=cfg.r)
+        return _propagated_step(graph, features, k=dp, r=cfg.r)[rows]
     combined, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
-                                   temperature=cfg.temperature)
+                                   temperature=cfg.temperature, rows=rows)
     return combined
 
 
+def _labeled_rows(splits: Splits) -> np.ndarray:
+    """The sorted ids of the nodes in any split: the only rows the
+    classifier reads."""
+    return np.unique(np.concatenate([splits.train, splits.val, splits.test]))
+
+
+def _at_rows(rows: np.ndarray, labels: np.ndarray, splits: Splits):
+    """(labels, splits) for a matrix whose row i belongs to node rows[i]:
+    the labels of those nodes, and each split's node ids as row positions.
+    rows is sorted and holds every node of every split."""
+    def at(ids):
+        return np.searchsorted(rows, ids)
+    return labels[rows], Splits(train=at(splits.train), val=at(splits.val),
+                                test=at(splits.test))
+
+
 def _train_on(features: np.ndarray, labels: np.ndarray, splits: Splits,
-              cfg: RunConfig, *, dt: int | None = None, seed: int | None = None):
-    """Train the classifier on precomputed features; returns (model, metrics).
+              num_classes: int, cfg: RunConfig, *, dt: int | None = None,
+              seed: int | None = None):
+    """Train a num_classes-way classifier on precomputed features; returns
+    (model, metrics).
 
     dt and seed default to cfg's.
     """
     seed = cfg.seed if seed is None else seed
     model = ResidualMlp.create(
-        features.shape[1], int(labels.max()) + 1,
+        features.shape[1], num_classes,
         num_layers=cfg.dt if dt is None else dt,
         hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
         dropout_rate=cfg.dropout, seed=seed,
@@ -192,10 +216,12 @@ def _train_on(features: np.ndarray, labels: np.ndarray, splits: Splits,
 def run_train(dataset: Dataset, cfg: RunConfig):
     """Full pipeline on a loaded dataset; returns (result dict, model, metrics)."""
     t0 = time.perf_counter()
+    labeled = _labeled_rows(dataset.splits)
     feats = row_normalize(dataset.features, cfg.feature_norm)
-    feats = _classifier_input(dataset.graph, feats, cfg, cfg.dp)
+    feats = _classifier_input(dataset.graph, feats, cfg, cfg.dp, labeled)
     t1 = time.perf_counter()
-    model, metrics = _train_on(feats, dataset.labels, dataset.splits, cfg)
+    model, metrics = _train_on(feats, *_at_rows(labeled, dataset.labels, dataset.splits),
+                               dataset.num_classes, cfg)
     t2 = time.perf_counter()
     result = {
         "command": "train",
@@ -252,6 +278,9 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
         raise ConfigurationError("empty sweep grid: provide at least one *_grid")
 
     base_feats = row_normalize(dataset.features, cfg.feature_norm)
+    # subsample_labels draws from the train split, so these rows serve
+    # every cell
+    labeled = _labeled_rows(dataset.splits)
 
     @functools.lru_cache(maxsize=4)
     def prepared(dp, keep, mask, seed):
@@ -261,7 +290,7 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
         if mask > 0.0:
             masked = mask_features(replace(dataset, features=base_feats), mask, seed)
             feats = masked.features
-        return _classifier_input(graph, feats, cfg, dp)
+        return _classifier_input(graph, feats, cfg, dp, labeled)
 
     rows = []
     for cell in itertools.product(*(vals for _, vals in axes)):
@@ -279,8 +308,8 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
             ds = dataset
             if per_class is not None:
                 ds = subsample_labels(dataset, per_class, seed)
-            _, metrics = _train_on(feats, ds.labels, ds.splits, cfg,
-                                   dt=dt, seed=seed)
+            _, metrics = _train_on(feats, *_at_rows(labeled, ds.labels, ds.splits),
+                                   dataset.num_classes, cfg, dt=dt, seed=seed)
             accs.append(metrics.test_accuracy)
         accs = np.asarray(accs)
         row = {
@@ -326,9 +355,11 @@ def run_scale(cfg: RunConfig) -> list[dict]:
         t0 = time.perf_counter()
         graph = erdos_renyi(n, cfg.edge_prob, cfg.seed)
         features, labels, splits = synthetic_node_data(n, cfg, cfg.seed + 1)
-        features = _classifier_input(graph, features, cfg, cfg.dp)
+        labeled = _labeled_rows(splits)
+        features = _classifier_input(graph, features, cfg, cfg.dp, labeled)
         t1 = time.perf_counter()
-        _, metrics = _train_on(features, labels, splits, cfg)
+        _, metrics = _train_on(features, *_at_rows(labeled, labels, splits), cfg.classes,
+                               cfg)
         t2 = time.perf_counter()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

@@ -167,8 +167,9 @@ def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
 class PropagationPass:
     """What one walk over the propagation steps yields."""
 
-    profile: SmoothnessProfile  # nsl, gsl, step weights, temperature
-    combined: np.ndarray        # (N, d), sum_k w_v(k) x_v^k
+    profile: SmoothnessProfile  # nsl, gsl, step weights, temperature: every node
+    combined: np.ndarray        # sum_k w_v(k) x_v^k, row i for node rows[i]; (N, d)
+                                # with rows=None
     cap_gsl: dict[int, float]   # cap c -> GSL of the combination truncated at c
 
 
@@ -180,8 +181,23 @@ class PropagationPass:
 _BLOCK_VALUES = 1 << 18
 
 
+def _check_rows(rows, num_nodes: int) -> np.ndarray:
+    """rows as int64 node ids, or ParameterError unless they are 1-D,
+    integer, strictly increasing and in [0, num_nodes)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
+        raise ParameterError(f"rows must be a 1-D array of node ids, got {rows.dtype} "
+                             f"of shape {rows.shape}")
+    rows = rows.astype(np.int64)
+    if (np.diff(rows) <= 0).any():
+        raise ParameterError("rows must be sorted and hold no node twice")
+    if rows.size and not (0 <= rows[0] and rows[-1] < num_nodes):
+        raise ParameterError(f"rows must lie in [0, {num_nodes})")
+    return rows
+
+
 def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
-                     caps=()) -> PropagationPass:
+                     caps=(), rows=None) -> PropagationPass:
     """Smoothing levels, combined features and per-cap combined GSL in one walk.
 
     Walks x_k = A_hat x_{k-1} once. Each step is scored against the rank-1
@@ -192,22 +208,29 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     every cap comes from the same walk. Agrees with compute_nsl and
     combine on the stored stack up to rounding.
 
+    rows (sorted, unique node ids; None for every node) picks the nodes
+    whose combination is kept: acc then has one row per picked node, and
+    only those rows are accumulated. Every node is still scored, so the
+    profile is complete. caps need every row of the combination, since a
+    cap's GSL is a mean over all nodes, so caps and rows are exclusive.
+
     x_k . s, the dot with the stationary direction, is not read off x_k:
     it is u_k = A_hat u_{k-1}, an N-vector walk from u_0 = x0 . s, and
-    acc . s is folded beside acc as acc_u. A second N-vector walk carries
-    reach_k = A_hat reach_{k-1} from the row norms of x0, which bounds the
-    row norms of x_k since A_hat is nonnegative; the few rows whose norm
-    has cancelled far below it take x . s from x (see _rank_one_nsl). So
-    each block of a step is read twice: by the x.x and x.x0 row
-    reductions, and by the accumulate acc += e * x, one pass of scipy's
-    CSR kernel on diag(e). Nothing calls BLAS, and each row's arithmetic
-    is the same whatever the block, shard or BLAS thread count, so the
-    bits are too.
+    for the caps acc . s is folded beside acc as acc_u. A second N-vector
+    walk carries reach_k = A_hat reach_{k-1} from the row norms of x0,
+    which bounds the row norms of x_k since A_hat is nonnegative; the few
+    rows whose norm has cancelled far below it take x . s from x (see
+    _rank_one_nsl). So each block of a step is read twice: by the x.x and
+    x.x0 row reductions, and by the accumulate acc += e * x, one pass of
+    scipy's CSR kernel on diag(e) or, with rows, on the picked rows of
+    diag(e). Nothing calls BLAS, and each row's arithmetic is the same
+    whatever the block, shard or BLAS thread count, so the bits are too.
 
     Each step's spmm and its scoring and fold are split over the cores by
     row shard: every part of the fold is row-local. The steps come from
-    propagation_steps: x0, acc and its two step buffers are alive, O(N*d)
-    at any depth, and no N x d array is made per step.
+    propagation_steps: x0, its two step buffers and acc (N x d, or
+    len(rows) x d) are alive, O(N*d) at any depth, and no N x d array is
+    made per step.
     """
     if temperature <= 0.0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
@@ -215,6 +238,12 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     for cap in caps:
         if not 0 <= cap <= k:
             raise ParameterError(f"cap {cap} outside [0, {k}]")
+    picked = None
+    if rows is not None:
+        if caps:
+            raise ParameterError("caps and rows are exclusive: a cap's GSL averages "
+                                 "the combination over every node")
+        picked = _check_rows(rows, graph.num_nodes)
     # normalize checks r and the walk checks k and x0: all before any
     # array below is made. x0 is then the array the walk checked.
     adj = normalize(graph, r)
@@ -229,20 +258,27 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     nsl = np.empty((n, k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
-    acc = np.empty_like(x0)
-    x0_sq, u, reach, acc_u, acc_reach = (np.empty(n) for _ in range(5))
-    level, cap_level, m, z = np.empty(n), np.empty(n), np.empty(n), np.ones(n)
+    acc = np.empty_like(x0) if picked is None else np.empty((len(picked), d))
+    x0_sq, u, reach = (np.empty(n) for _ in range(3))
+    if caps:
+        acc_u, acc_reach, cap_level = (np.empty(n) for _ in range(3))
+    level, m, z = np.empty(n), np.empty(n), np.ones(n)
     nsl_of = _rank_one_nsl(x0_sq, s)
 
     def fold(shard: int, lo: int, hi: int) -> None:
         """Score rows lo..hi-1 of step `step` (the current x, with x.s in u
-        and its norm bound in reach) and fold them into m, acc, acc_u,
-        acc_reach and z, one block at a time; after the last step, acc
-        becomes acc / z."""
+        and its norm bound in reach) and fold them into m, z, acc and, for
+        the caps, acc_u and acc_reach, one block at a time; after the last
+        step, acc becomes acc / z."""
         for start in range(lo, hi, block):
             rows = slice(start, min(start + block, hi))
-            x_rows, acc_rows = x[rows], acc[rows]
-            acc_u_rows, acc_reach_rows = acc_u[rows], acc_reach[rows]
+            x_rows = x[rows]
+            if picked is None:
+                sel, acc_rows = slice(None), acc[rows]
+            else:
+                # the block's picked rows, as offsets into the block
+                a, b = np.searchsorted(picked, (rows.start, rows.stop))
+                sel, acc_rows = picked[a:b] - start, acc[a:b]
             xx = np.einsum("ij,ij->i", x_rows, x_rows)
             if step == 0:
                 # x is x0: its norms and u_0 = x0.s come from this read
@@ -255,9 +291,15 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
             logit = level[rows] / temperature
             if step == 0:
                 m[rows] = logit
-                acc_rows[:] = x_rows
-                acc_u_rows[:] = u[rows]
-                acc_reach_rows[:] = reach[rows]
+                if picked is None:
+                    acc_rows[:] = x_rows
+                else:
+                    # "clip" writes straight into acc_rows; "raise" would
+                    # buffer the output (sel is in range either way)
+                    np.take(x_rows, sel, axis=0, out=acc_rows, mode="clip")
+                if caps:
+                    acc_u[rows] = u[rows]
+                    acc_reach[rows] = reach[rows]
             else:
                 m_rows = m[rows]
                 if (logit > m_rows).any():
@@ -266,22 +308,25 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                     rescale = np.exp(np.minimum(m_rows - logit, 0.0))
                     z[rows] *= rescale
                     np.maximum(m_rows, logit, out=m_rows)
-                    acc_rows *= rescale[:, None]
-                    acc_u_rows *= rescale
-                    acc_reach_rows *= rescale
+                    acc_rows *= rescale[sel, None]
+                    if caps:
+                        acc_u[rows] *= rescale
+                        acc_reach[rows] *= rescale
                 e = np.exp(logit - m_rows)
-                _add_scaled_rows(acc_rows, e, x_rows)
-                acc_u_rows += e * u[rows]
-                acc_reach_rows += e * reach[rows]
+                _add_scaled_rows(acc_rows, e, x_rows, sel)
+                if caps:
+                    acc_u[rows] += e * u[rows]
+                    acc_reach[rows] += e * reach[rows]
                 z[rows] += e
-            if step in caps:
+            if step and step in caps:
                 # nsl is a product of cosines, blind to the positive row
-                # scale z: the GSL of acc is the GSL of acc / z
+                # scale z: the GSL of acc is the GSL of acc / z. At step
+                # 0, acc is x0 and its level is step 0's.
                 cap_level[rows] = nsl_of(np.einsum("ij,ij->i", acc_rows, acc_rows),
                                          np.einsum("ij,ij->i", acc_rows, x0[rows]),
-                                         acc_u_rows, acc_reach_rows, acc_rows, rows)
+                                         acc_u[rows], acc_reach[rows], acc_rows, rows)
             if step == k:
-                acc_rows /= z[rows, None]
+                acc_rows /= z[rows][sel, None]
 
     for step, x in enumerate(itertools.chain([x0], steps)):
         if step:
@@ -290,7 +335,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         nsl[:, step] = level
         gsl[step] = level.mean()
         if step in caps:
-            cap_gsl[step] = float(cap_level.mean())
+            cap_gsl[step] = float((cap_level if step else level).mean())
     del x  # with the walk's buffers, freed before the weights are made
     profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
     profile.weights = propagation_weights(profile, temperature)

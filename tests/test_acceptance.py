@@ -59,7 +59,7 @@ def _sgc_accuracies(ds, k: int, seeds):
     feats = _propagated_step(ds.graph, row_normalize(ds.features, "l1"), k=k, r=0.5)
     cfg = RunConfig(baseline="sgc")  # its defaults are _train_config's knobs
     return np.asarray([
-        _train_on(feats, ds.labels, ds.splits, cfg, seed=seed)[1].test_accuracy
+        _train_on(feats, ds.labels, ds.splits, ds.num_classes, cfg, seed=seed)[1].test_accuracy
         for seed in seeds
     ])
 

@@ -67,8 +67,8 @@ class TestPropagationHelps:
         combined, _ = prepare_combined(g, x, dp=8, r=0.5, temperature=1.0)
         dgmlp, raw = [], []
         for seed in range(3):
-            dgmlp.append(_train_on(combined, y, sp, BASE_CFG, seed=seed)[1].test_accuracy)
-            raw.append(_train_on(x, y, sp, BASE_CFG, seed=seed)[1].test_accuracy)
+            dgmlp.append(_train_on(combined, y, sp, 3, BASE_CFG, seed=seed)[1].test_accuracy)
+            raw.append(_train_on(x, y, sp, 3, BASE_CFG, seed=seed)[1].test_accuracy)
         assert np.mean(dgmlp) >= 0.7
         assert np.mean(dgmlp) >= np.mean(raw) + 0.2
 
@@ -80,7 +80,7 @@ class TestPropagationHelps:
         combined, _ = prepare_combined(g, x, dp=4, r=0.5, temperature=1.0)
         cfg = RunConfig(dp=4, dt=4, hidden=32, lr=0.01, epochs=200,
                         weight_decay=5e-6, dropout=0.1, seed=0)
-        _, metrics = _train_on(combined, y, sp, cfg)
+        _, metrics = _train_on(combined, y, sp, 3, cfg)
         assert metrics.test_accuracy >= 0.7
 
 
@@ -98,7 +98,7 @@ class TestLabelSparsityNeedsDepth:
             sp = Splits(train=train, val=rest[:100], test=rest[100:300])
             for k in (2, 16):
                 xk = _propagated_step(g, x, k=k, r=0.5)
-                acc[k].append(_train_on(xk, y, sp, BASE_CFG, seed=seed)[1].test_accuracy)
+                acc[k].append(_train_on(xk, y, sp, 3, BASE_CFG, seed=seed)[1].test_accuracy)
         assert np.mean(acc[16]) > np.mean(acc[2]) + 0.1
 
 

@@ -201,10 +201,31 @@ class TestAddScaledRows:
         propagation._add_scaled_rows(acc, weights[:, 2], x)
         assert acc.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("picked", [np.array([], dtype=np.int64), np.array([3]),
+                                        np.array([0, 3, 5, 6, 36])])
+    def test_picked_rows_bitwise_equal_numpy_expression(self, picked):
+        # one accumulator row per picked row of x
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((37, 5))
+        x[3] = -0.0
+        e = rng.random(37)
+        e[5] = 0.0
+        acc = rng.standard_normal((picked.size, 5))
+        acc[:2, :2] = -0.0
+        want = acc + e[picked, None] * x[picked]
+        propagation._add_scaled_rows(acc, e, x, picked)
+        assert acc.tobytes() == want.tobytes()
+
     def test_rejects_strided_accumulator(self):
         acc = np.zeros((6, 4))
         with pytest.raises(ValidationError):
             propagation._add_scaled_rows(acc[:, :2], np.ones(6), np.ones((6, 2)))
+
+    def test_rejects_accumulator_of_another_shape(self):
+        # one row per picked row: the kernel writes that many rows of acc
+        with pytest.raises(DimensionError):
+            propagation._add_scaled_rows(np.zeros((2, 2)), np.ones(6), np.ones((6, 2)),
+                                         np.array([0, 1, 4]))
 
 
 class TestPropagate:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dgmlp import ConfigurationError, ResidualMlp, combine, compute_nsl, \
-    load_dataset, normalize, propagate, propagation, propagation_weights, \
-    runner, stationary_features, train
+from dgmlp import ConfigurationError, Dataset, ResidualMlp, Splits, combine, \
+    compute_nsl, drop_edges, erdos_renyi, load_checkpoint, load_dataset, normalize, \
+    propagate, propagation, propagation_weights, runner, save_checkpoint, \
+    stationary_features, subsample_labels, train
 from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
-    row_normalize, run_profile, run_scale, run_sweep, run_train
+    row_normalize, run_profile, run_scale, run_sweep, run_train, synthetic_node_data
 
 from conftest import FIXTURES, random_graph
 
@@ -150,7 +151,8 @@ class TestSgcBaseline:
         result, model, _ = run_train(tiny_dataset, cfg)
         x = row_normalize(tiny_dataset.features, cfg.feature_norm)
         xk = _propagated_step(tiny_dataset.graph, x, k=cfg.dp, r=cfg.r)
-        _, expected = _train_on(xk, tiny_dataset.labels, tiny_dataset.splits, cfg)
+        _, expected = _train_on(xk, tiny_dataset.labels, tiny_dataset.splits,
+                                tiny_dataset.num_classes, cfg)
         assert result["metrics"] == expected.to_dict()
         assert model.num_layers == 1 and model.use_bias == use_bias
 
@@ -162,9 +164,9 @@ class TestRunSweepCache:
         real = runner._classifier_input
         calls = []
 
-        def counting(graph, features, cfg, dp):
+        def counting(graph, features, cfg, dp, rows):
             calls.append(dp)
-            return real(graph, features, cfg, dp)
+            return real(graph, features, cfg, dp, rows)
 
         monkeypatch.setattr(runner, "_classifier_input", counting)
         cfg = RunConfig(dp_grid=[1, 2], dt_grid=[1, 2], keep_edges_grid=[1.0, 0.5],
@@ -186,3 +188,113 @@ class TestRunScale:
                         train_nodes=500, val_nodes=500, test_nodes=1000)
         first, second = (run_scale(cfg)[0]["peak_traced_mb"] for _ in range(2))
         assert abs(first - second) <= 0.5
+
+
+def whole_matrix_run(graph, features, labels, splits, num_classes, cfg, *, dp, dt, seed):
+    """The classifier trained on a classifier input with a row for every
+    node, indexed by node id; returns (model, metrics)."""
+    if cfg.baseline == "sgc":
+        x = _propagated_step(graph, features, k=dp, r=cfg.r)
+    else:
+        x, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
+                                temperature=cfg.temperature)
+    model = ResidualMlp.create(x.shape[1], num_classes, num_layers=dt,
+                               hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
+                               dropout_rate=cfg.dropout, seed=seed)
+    return train(model, x, labels, splits, cfg.train_config(seed))
+
+
+def partly_labeled(top_class_unlabeled=False) -> Dataset:
+    """90 nodes in 3 classes, 42 of them in a split. With
+    top_class_unlabeled, node 89 alone holds a fourth class."""
+    graph = random_graph(90, 200, 11)
+    labels = np.arange(90) % 3
+    features = np.random.default_rng(12).random((90, 5))
+    features[np.arange(90), labels] += 1.0
+    num_classes = 3
+    if top_class_unlabeled:
+        labels[89], num_classes = 3, 4
+    perm = np.random.default_rng(13).permutation(89)
+    splits = Splits(train=np.sort(perm[:12]), val=np.sort(perm[12:22]),
+                    test=np.sort(perm[22:42]))
+    return Dataset(graph, features, labels, splits, num_classes)
+
+
+class TestLabeledRows:
+    """The runners combine only the labeled rows; their outputs are those
+    of the classifier trained on every node's row."""
+
+    @pytest.mark.parametrize("which", ["tiny", "partly labeled"])
+    @pytest.mark.parametrize("baseline", [None, "sgc"])
+    def test_run_train_equals_whole_matrix_run(self, tiny_dataset, tmp_path, which,
+                                               baseline):
+        ds = tiny_dataset if which == "tiny" else partly_labeled()
+        cfg = RunConfig(baseline=baseline, dp=3, dt=1 if baseline else 3, hidden=8,
+                        epochs=25, lr=0.05, dropout=0.2, seed=5, use_bias=True)
+        result, model, metrics = run_train(ds, cfg)
+        feats = row_normalize(ds.features, cfg.feature_norm)
+        want_model, want = whole_matrix_run(ds.graph, feats, ds.labels, ds.splits,
+                                            ds.num_classes, cfg, dp=cfg.dp, dt=cfg.dt,
+                                            seed=cfg.seed)
+        assert result["metrics"] == want.to_dict() == metrics.to_dict()
+        assert result["test_accuracy"] == want.test_accuracy
+        assert result["best_epoch"] == want.best_epoch
+        save_checkpoint(model, tmp_path / "got.npz")
+        save_checkpoint(want_model, tmp_path / "want.npz")
+        assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+
+    def test_run_sweep_equals_whole_matrix_run(self):
+        # labels_per_class shrinks the train split inside the labeled rows
+        ds = partly_labeled()
+        cfg = RunConfig(dp_grid=[1, 3], keep_edges_grid=[1.0, 0.6],
+                        labels_per_class_grid=[2], num_seeds=2, dt=2, hidden=8,
+                        epochs=5, lr=0.05, seed=4)
+        rows = run_sweep(ds, cfg)
+        feats = row_normalize(ds.features, cfg.feature_norm)
+        assert len(rows) == 4
+        for row in rows:
+            accs = []
+            for seed in (cfg.seed, cfg.seed + 1):
+                keep = row["keep_edges"]
+                graph = ds.graph if keep >= 1.0 else drop_edges(ds.graph, keep, seed)
+                sub = subsample_labels(ds, row["labels_per_class"], seed)
+                _, metrics = whole_matrix_run(graph, feats, sub.labels, sub.splits,
+                                              ds.num_classes, cfg, dp=row["dp"],
+                                              dt=row["dt"], seed=seed)
+                accs.append(metrics.test_accuracy)
+            assert row["test_acc_mean"] == float(np.mean(accs))
+            assert row["test_acc_std"] == float(np.std(accs))
+
+    def test_run_scale_equals_whole_matrix_run(self):
+        cfg = RunConfig(dp=3, dt=2, hidden=16, epochs=8, lr=0.01, seed=2,
+                        sizes=[80, 200], edge_prob=0.05, dim=6, classes=4,
+                        train_nodes=20, val_nodes=10, test_nodes=20)
+        for row, n in zip(run_scale(cfg), cfg.sizes):
+            features, labels, splits = synthetic_node_data(n, cfg, cfg.seed + 1)
+            _, want = whole_matrix_run(erdos_renyi(n, cfg.edge_prob, cfg.seed), features,
+                                       labels, splits, cfg.classes, cfg, dp=cfg.dp,
+                                       dt=cfg.dt, seed=cfg.seed)
+            assert row["final_train_accuracy"] == want.train_accuracy[-1]
+            assert row["test_accuracy"] == want.test_accuracy
+
+    def test_class_count_comes_from_the_dataset(self, tmp_path):
+        # the labeled rows hold classes 0-2 only; the output layer still
+        # has a column for class 3
+        ds = partly_labeled(top_class_unlabeled=True)
+        assert ds.labels[runner._labeled_rows(ds.splits)].max() == 2
+        _, model, _ = run_train(ds, RunConfig(dp=2, dt=2, hidden=8, epochs=3))
+        save_checkpoint(model, tmp_path / "model.npz")
+        assert load_checkpoint(tmp_path / "model.npz").weights[-1].shape == (8, 4)
+
+    def test_scale_class_count_comes_from_the_config(self, monkeypatch):
+        # 12 nodes: each split holds 3, too few to show every one of 10 classes
+        models = []
+        real_train = runner.train
+
+        def keeping(model, *args):
+            models.append(model)
+            return real_train(model, *args)
+
+        monkeypatch.setattr(runner, "train", keeping)
+        run_scale(RunConfig(sizes=[12], edge_prob=0.3, dim=4, classes=10, epochs=2))
+        assert [m.num_classes for m in models] == [10]

@@ -577,6 +577,112 @@ class TestPipelinedPass:
         assert got <= want + slack
 
 
+def assert_rows_match_full_pass(graph, x, k, r, temperature, rows):
+    """The pass with rows keeps exactly those rows of the whole combination,
+    bit for bit, and the same complete profile."""
+    full = propagation_pass(graph, x, k=k, r=r, temperature=temperature)
+    walk = propagation_pass(graph, x, k=k, r=r, temperature=temperature, rows=rows)
+    assert walk.combined.shape == (len(rows), x.shape[1])
+    assert walk.combined.tobytes() == full.combined[np.asarray(rows, dtype=np.int64)].tobytes()
+    for got, want in [(walk.profile.nsl, full.profile.nsl), (walk.profile.gsl, full.profile.gsl),
+                      (walk.profile.weights, full.profile.weights)]:
+        assert got.tobytes() == want.tobytes()
+    assert walk.profile.temperature == full.profile.temperature
+    assert walk.cap_gsl == {}
+
+
+def row_choices(n, seed):
+    """No row, one row, every row and a random subset of n nodes."""
+    subset = np.sort(np.random.default_rng(seed).choice(n, n // 3, replace=False))
+    return [np.array([], dtype=np.int64), [n - 1], np.arange(n), subset]
+
+
+class TestPassRows:
+    """propagation_pass(rows=...) accumulates only the picked rows."""
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    @pytest.mark.parametrize("temperature", [1e-3, 1.0])
+    def test_rows_of_the_whole_combination(self, k, temperature):
+        # signed features (the cancellation guard), zero rows and isolated nodes
+        graph, x = signed_case(seed=k)
+        for rows in row_choices(x.shape[0], k):
+            assert_rows_match_full_pass(graph, x, k, 0.5, temperature, rows)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_rows_across_blocks_and_shards(self, monkeypatch, shards):
+        # 99-row blocks on 517 rows: picked rows in every block, and blocks
+        # that pick none
+        small_blocks(monkeypatch, shards)
+        graph, x = signed_case(n=517, pairs=1000, d=12, seed=2, isolated=50)
+        sparse = np.array([0, 98, 99, 300, 516])
+        for rows in row_choices(517, 3) + [sparse]:
+            assert_rows_match_full_pass(graph, x, 6, 0.5, 1e-3, rows)
+
+    def test_row_cancelled_to_a_rounding_residue(self):
+        # the graph of TestPropagationPass's case: node 3's step-1 row is a
+        # rounding residue, and x.s is taken from the row there
+        edges = [(1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)]
+        graph = build_graph(edges, 8)
+        x = np.array([[-1.0], [0.0], [0.25], [-0.75], [0.25], [0.25], [0.0], [0.5]])
+        for rows in ([3], [0, 3, 7], range(8)):
+            assert_rows_match_full_pass(graph, x, 8, 0.0, 1.0, rows)
+
+    @settings(max_examples=100)
+    @given(case=graphs_with_features(), k=st.integers(0, 6),
+           r=st.sampled_from([0.0, 0.5, 1.0]),
+           temperature=st.sampled_from([1e-3, 0.2, 1.0]), data=st.data())
+    def test_rows_on_small_graphs(self, case, k, r, temperature, data):
+        graph, x = case
+        rows = data.draw(st.sets(st.integers(0, x.shape[0] - 1)).map(sorted))
+        assert_rows_match_full_pass(graph, x, k, r, temperature, rows)
+
+    @pytest.mark.parametrize("rows, caps, match", [
+        ([3, 1], (), "sorted"),
+        ([1, 1, 2], (), "sorted"),
+        ([-1, 2], (), r"lie in \[0, 2000\)"),
+        ([5, 2000], (), r"lie in \[0, 2000\)"),
+        ([0.0, 1.0], (), "node ids"),
+        ([True, False], (), "node ids"),
+        ([[0, 1]], (), "node ids"),
+        ([0, 1], [0], "exclusive"),
+    ])
+    def test_bad_rows_raise_before_any_feature_sized_array(self, rows, caps, match):
+        # float32 features: the walk's checks would make a float64 copy, so
+        # the traced peak shows whether rows were checked first
+        graph = erdos_renyi(2000, 2e-3, 1)
+        x = np.random.default_rng(1).random((2000, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=match):
+                propagation_pass(graph, x, k=3, r=0.5, temperature=1.0, caps=caps,
+                                 rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
+    def test_traced_peak_holds_no_whole_accumulator(self):
+        # x0 (made before tracing), the walk's two step buffers and a
+        # len(rows) x d accumulator; the whole-matrix pass holds a third
+        # N x d array. The slack covers the N-vectors, nsl and the adjacency.
+        graph = erdos_renyi(20_000, 2e-4, 3)
+        x = np.random.default_rng(3).random((20_000, 64))
+        rows = np.sort(np.random.default_rng(4).choice(20_000, 1500, replace=False))
+        slack = 32 * 8 * x.shape[0]
+        assert x.nbytes > slack
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                propagation_pass(graph, x, k=6, r=0.5, temperature=1.0, rows=rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(None) >= 3 * x.nbytes
+        assert peak(rows) <= 2 * x.nbytes + rows.size * x.shape[1] * 8 + slack
+
+
 # Runs the pass on a 1502 x 500 input with K = 6 and caps 0, 3, 6, and
 # prints the sha256 of nsl, gsl, weights, combined and cap_gsl.
 PASS_DIGEST_SCRIPT = """

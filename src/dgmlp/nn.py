@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,8 +82,11 @@ class ResidualMlp:
         return len(self.weights)
 
     def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays in a fixed order (weights, then biases)."""
-        return self.weights + (self.biases or [])
+        """Live parameter arrays in forward order: each layer's weight,
+        then its bias."""
+        if self.biases is None:
+            return list(self.weights)
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
 
 def _masked(a: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
@@ -99,7 +102,7 @@ def _masked(a: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarr
 
 
 def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng, caches=None,
-             hidden_out=None):
+             hidden_out=None, before_layer=None):
     """Logits for the rows of x, with inverted dropout at rate.
 
     ReLU and the residual add run in place. When caches is a list, it gets
@@ -107,6 +110,8 @@ def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng, caches=None,
     and both masks are bool (z > 0 is None for the output layer, keep is
     None without dropout). hidden_out, a pair of (rows, hidden) arrays,
     takes the hidden activations in turn in place of new arrays.
+    before_layer, if given, is called with i before layer i reads its
+    weight and bias (after its dropout mask is drawn).
     """
     scale = 1.0 / (1.0 - rate)
     last = model.num_layers - 1
@@ -114,6 +119,8 @@ def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng, caches=None,
     for i, w in enumerate(model.weights):
         keep = None if rate <= 0.0 else rng.random(h.shape) >= rate
         hd = h if keep is None else _masked(h, keep, scale)
+        if before_layer is not None:
+            before_layer(i)
         if hidden_out is not None and i < last:
             z = np.matmul(hd, w, out=hidden_out[i % 2])
         else:
@@ -151,11 +158,13 @@ def forward(model: ResidualMlp, features: np.ndarray, training: bool = False, rn
 
 def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
                   train_indices, weight_decay: float = 0.0,
-                  training: bool = True, rng=None):
+                  training: bool = True, rng=None, before_layer=None):
     """Mean cross-entropy over the labeled rows plus weight_decay * sum ||W||^2.
 
     Returns (loss, grads) with grads aligned to model.parameters(). The L2
-    penalty covers weight matrices only, never biases.
+    penalty covers weight matrices only, never biases. before_layer, if
+    given, is called with i before the forward pass reads layer i; every
+    other read of the parameters comes after the forward pass.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size == 0:
@@ -171,7 +180,7 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         raise ParameterError("an rng is required for dropout in training mode")
 
     caches: list = []
-    logits = _forward(model, x, rate, rng, caches)
+    logits = _forward(model, x, rate, rng, caches, before_layer=before_layer)
     probs = softmax(logits)
     batch = x.shape[0]
     picked = np.clip(probs[np.arange(batch), y], 1e-300, None)
@@ -184,10 +193,11 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     g /= batch
 
     # walk the layers backwards with dh = d loss / d (layer output);
-    # grads are collected output-first
+    # grads are collected output-first, each bias before its weight, so
+    # reversed they are in model.parameters() order
     scale = 1.0 / (1.0 - rate)
     last = model.num_layers - 1
-    grad_w, grad_b = [], []
+    grads = []
     dh = g
     for i in range(last, -1, -1):
         w = model.weights[i]
@@ -197,9 +207,9 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         # the same add, with one weight-sized array fewer
         gw = hd.T @ dz
         gw += 2.0 * weight_decay * w
-        grad_w.append(gw)
         if model.biases is not None:
-            grad_b.append(dz.sum(axis=0))
+            grads.append(dz.sum(axis=0))
+        grads.append(gw)
         if i == 0:
             break
         branch = dz @ w.T
@@ -210,7 +220,7 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         else:
             dh = branch
 
-    return loss, grad_w[::-1] + grad_b[::-1]
+    return loss, grads[::-1]
 
 
 class Adam:
@@ -219,7 +229,8 @@ class Adam:
     The update runs through two scratch buffers sized for the largest
     parameter, in the same operations and order as the textbook
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits
-    without allocating per step.
+    without allocating per step. Each parameter's update reads only its
+    own gradient and state, so the order of params changes no bits.
     """
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -231,11 +242,13 @@ class Adam:
         size = max((p.size for p in params), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, params, grads) -> None:
+    def step(self, params, grads, done=None) -> None:
+        """One update of every parameter in place; done, if given, is
+        called with j once params[j] has been written."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for j, (p, g, m, v) in enumerate(zip(params, grads, self.m, self.v)):
             a, b = (s[:p.size].reshape(p.shape) for s in self._scratch)
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, g, out=a)
@@ -248,6 +261,8 @@ class Adam:
             np.sqrt(b, out=b)
             b += self.eps
             p -= np.divide(a, b, out=a)
+            if done is not None:
+                done(j)
 
 
 @dataclass
@@ -291,11 +306,18 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     accuracy is reported at the epoch with the best validation accuracy
     (first epoch wins ties).
 
-    Epochs are pipelined: the evaluation of epoch t's updated weights runs
-    on a worker thread while this thread computes epoch t+1's gradient from
-    the same weights. Both only read them, and the evaluation is collected
-    before the next update writes them, so the results are those of running
-    the two one after the other.
+    Epochs are pipelined over one worker thread. Epoch t's Adam update and
+    then the evaluation of the updated weights run on the worker, while this
+    thread starts epoch t+1's gradient at once. The update writes the layers
+    in forward order and resolves one future per layer; the gradient pass
+    waits on layer i's future before it reads that layer, and reads no
+    weight before its forward pass is done. The evaluation only reads the
+    weights, and it is collected before the next update is submitted. The
+    dropout stream is drawn on this thread only, and each parameter's update
+    is independent of the others, so the results are bit for bit those of
+    running gradient, update and evaluation one after the other. A failed
+    update puts its exception on every layer it has not resolved, so a
+    waiting gradient pass raises it.
     """
     check_disjoint(splits)
     features = np.asarray(features, dtype=np.float64)
@@ -307,7 +329,9 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         raise ConfigurationError("the labeled training set is empty")
 
     drop_rng = np.random.default_rng(config.seed)
+    num_layers = model.num_layers
     params = model.parameters()
+    per_layer = len(params) // num_layers
     opt = Adam(params, config.learning_rate)
 
     union = np.concatenate([tr, va, te])
@@ -327,19 +351,36 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         acc_te = float(pred_ok[n_tr + n_va:].mean()) if te.size else 0.0
         return acc_tr, acc_va, acc_te
 
+    def update_then_evaluate(grads, ready: list[Future]) -> tuple[float, float, float]:
+        def layer_done(j: int) -> None:
+            if j % per_layer == per_layer - 1:
+                ready[j // per_layer].set_result(None)
+
+        try:
+            opt.step(params, grads, done=layer_done)
+        except BaseException as exc:
+            for fut in ready:
+                if not fut.done():
+                    fut.set_exception(exc)
+            raise
+        return evaluate()
+
     losses, accs = [], []
+    ready: list[Future] = []
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = None
         for _ in range(config.epochs):
+            wait = (lambda i, ready=ready: ready[i].result()) if ready else None
             loss, grads = loss_and_grad(
                 model, features, labels, tr,
                 weight_decay=config.weight_decay, training=True, rng=drop_rng,
+                before_layer=wait,
             )
             if pending is not None:
                 accs.append(pending.result())
-            opt.step(params, grads)
             losses.append(loss)
-            pending = worker.submit(evaluate)
+            ready = [Future() for _ in range(num_layers)]
+            pending = worker.submit(update_then_evaluate, grads, ready)
         accs.append(pending.result())
 
     tr_accs, va_accs, te_accs = (list(col) for col in zip(*accs))

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -301,6 +302,49 @@ class TestPipelinedTrain:
         assert threading.active_count() == before
         assert len(callers) == 3
         assert threading.current_thread() not in callers
+
+    @pytest.mark.parametrize("fail_at", [3, 10])  # a middle epoch's update, the last one's
+    def test_update_failure_reraised_and_worker_joined(self, monkeypatch, fail_at):
+        make_model, x, y, splits, config = pipeline_case(dt=6, use_bias=True, epochs=10)
+        boom = RuntimeError("update failed")
+        callers = []
+        real_step = Adam.step
+
+        def failing_step(self, params, grads, done=None):
+            callers.append(threading.current_thread())
+            if len(callers) == fail_at:
+                raise boom
+            return real_step(self, params, grads, done=done)
+
+        monkeypatch.setattr(Adam, "step", failing_step)
+        before = threading.active_count()
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError) as info:
+            train(make_model(), x, y, splits, config)
+        assert time.perf_counter() - start < 10.0
+        assert info.value is boom
+        assert threading.active_count() == before
+        assert len(callers) == fail_at
+        assert threading.current_thread() not in callers
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("dt", [3, 6])
+    def test_slow_update_never_read_early(self, monkeypatch, dt, use_bias):
+        # the update sleeps before each parameter it writes, so a gradient
+        # pass that read a layer before its update would see the old weights
+        real_step = Adam.step
+
+        def slow_step(self, params, grads, done=None):
+            def slow_done(j):
+                if done is not None:
+                    done(j)
+                time.sleep(0.002)
+
+            time.sleep(0.002)
+            real_step(self, params, grads, done=slow_done)
+
+        monkeypatch.setattr(Adam, "step", slow_step)
+        assert_matches_sequential(pipeline_case(dt, use_bias, dropout=0.5))
 
 
 class TestAdam:

@@ -162,15 +162,19 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     """Mean cross-entropy over the labeled rows plus weight_decay * sum ||W||^2.
 
     Returns (loss, grads) with grads aligned to model.parameters(). The L2
-    penalty covers weight matrices only, never biases. before_layer, if
-    given, is called with i before the forward pass reads layer i; every
-    other read of the parameters comes after the forward pass.
+    penalty covers weight matrices only, never biases. train_indices None
+    makes every row of features (and of labels) a training row, read in
+    place. before_layer, if given, is called with i before the forward
+    pass reads layer i; every other read of the parameters comes after the
+    forward pass.
     """
-    train_indices = np.asarray(train_indices, dtype=np.int64)
-    if train_indices.size == 0:
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if train_indices is not None:
+        train_indices = np.asarray(train_indices, dtype=np.int64)
+        x, y = x[train_indices], y[train_indices]
+    if len(x) == 0:
         raise ConfigurationError("the labeled training set is empty")
-    x = np.asarray(features, dtype=np.float64)[train_indices]
-    y = np.asarray(labels)[train_indices]
     if x.shape[1] != model.in_dim:
         raise DimensionError(
             f"model expects width {model.in_dim}, features have shape {x.shape}"
@@ -335,9 +339,14 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     opt = Adam(params, config.learning_rate)
 
     union = np.concatenate([tr, va, te])
-    union_feats = features[union]
-    union_labels = labels[union]
     n_tr, n_va = tr.size, va.size
+    if features.flags.c_contiguous and np.array_equal(union, np.arange(len(features))):
+        # the rows are already train, val, test in order: read them in place
+        union_feats, union_labels = features, labels
+    else:
+        union_feats, union_labels = features[union], labels[union]
+    # the training rows, gathered once: the leading rows of union_feats
+    train_feats, train_labels = union_feats[:n_tr], union_labels[:n_tr]
     # the evaluation's hidden activations, made once here: made on the
     # worker at each epoch, they moved the traced peak with the thread timing
     hidden_out = tuple(np.empty((union.size, model.weights[0].shape[1]))
@@ -372,7 +381,7 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         for _ in range(config.epochs):
             wait = (lambda i, ready=ready: ready[i].result()) if ready else None
             loss, grads = loss_and_grad(
-                model, features, labels, tr,
+                model, train_feats, train_labels, None,
                 weight_decay=config.weight_decay, training=True, rng=drop_rng,
                 before_layer=wait,
             )

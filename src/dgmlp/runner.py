@@ -1,12 +1,14 @@
 """End-to-end pipeline orchestration behind the CLI subcommands.
 
-The training pipeline is: row-normalize features -> normalized adjacency
--> multi-step propagation -> per-node smoothing levels -> softmax step
-weights -> combined features -> residual MLP (or the propagate-then-
-logistic-regression baseline). Propagation, smoothing levels and the
-combination share one walk over the steps (smoothness.propagation_pass),
-so working memory stays O(N*d) at any depth and the stack is never
-stored.
+The training pipeline is: row divisors of the features -> normalized
+adjacency -> multi-step propagation of the divided features -> per-node
+smoothing levels -> softmax step weights -> combined features -> residual
+MLP (or the propagate-then-logistic-regression baseline). The features are
+not normalized into a copy: the walk divides them by the row divisors
+(one N-vector) into its first step buffer. Propagation, smoothing levels
+and the combination share one walk over the steps
+(smoothness.propagation_pass), so working memory stays O(N*d) at any depth
+and the stack is never stored.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import resource
 import time
 import tracemalloc
 from collections import deque
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
     mask_features, subsample_labels
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .graph import Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
 from .propagation import propagation_steps
@@ -132,50 +134,78 @@ class RunConfig:
         )
 
 
-def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
-    """Scale each row to unit L1/L2 norm; zero rows stay zero."""
+# values of |x| made per block of rows while row divisors are computed
+_DIVISOR_BLOCK_VALUES = 1 << 16
+
+
+def row_divisor(features: np.ndarray, mode: str) -> np.ndarray | None:
+    """The N-vector row_normalize divides the rows by: each row's L1 or L2
+    norm, or 1 for a zero row; None for mode "none".
+
+    The norms are taken a block of rows at a time, each row by the same
+    reduction as over the whole matrix, so no N x d |x| is made.
+    """
     if mode == "none":
-        return features
-    if mode == "l1":
-        # |x| is summed in the array that then receives the result: one
-        # N x d array in all
-        out = np.abs(features, dtype=np.float64)
-        norms = out.sum(axis=1)
-    elif mode == "l2":
-        norms = np.linalg.norm(features, axis=1)
-        out = np.empty(features.shape)
-    else:
+        return None
+    if mode not in ("l1", "l2"):
         raise ConfigurationError(f"unknown feature_norm: {mode!r}")
-    # a zero row divided by 1.0 stays as it is, -0.0 included, and no row
-    # is gathered into a copy
-    return np.divide(features, np.where(norms > 0.0, norms, 1.0)[:, None], out=out)
+    features = np.asarray(features)
+    if features.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-D, got shape {features.shape}")
+    n = features.shape[0]
+    block = max(1, _DIVISOR_BLOCK_VALUES // max(1, features.shape[1]))
+    norms = np.empty(n)
+    for start in range(0, n, block):
+        part = features[start:start + block]
+        norms[start:start + block] = (np.abs(part, dtype=np.float64).sum(axis=1)
+                                      if mode == "l1" else np.linalg.norm(part, axis=1))
+    # a zero row divided by 1.0 stays as it is, -0.0 included
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
+    """Scale each row to unit L1/L2 norm; zero rows stay zero.
+
+    The rows are divided by row_divisor(features, mode); the pipeline hands
+    that divisor to the propagation walk instead of making this copy.
+    """
+    divisor = row_divisor(features, mode)
+    if divisor is None:
+        return features
+    return np.divide(features, divisor[:, None])
 
 
 def prepare_combined(graph: Graph, features: np.ndarray, *, dp: int, r: float,
-                     temperature: float, rows=None):
+                     temperature: float, rows=None, divisor=None):
     """Propagate, profile smoothness, and combine; returns (combined, profile).
 
     With rows (sorted node ids), combined holds those nodes' rows alone;
-    the profile always covers every node.
+    the profile always covers every node. With divisor (see row_divisor),
+    the walk starts from features / divisor[:, None].
     """
     walk = propagation_pass(graph, features, k=dp, r=r, temperature=temperature,
-                            rows=rows)
+                            rows=rows, divisor=divisor)
     return walk.combined, walk.profile
 
 
-def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float) -> np.ndarray:
-    """A_hat^k X, holding one step at a time."""
-    return deque(propagation_steps(normalize(graph, r), features, k), maxlen=1)[0]
+def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float,
+                     divisor=None) -> np.ndarray:
+    """A_hat^k X, holding one step at a time; X is features / divisor[:, None]
+    with a divisor."""
+    return deque(propagation_steps(normalize(graph, r), features, k, divisor),
+                 maxlen=1)[0]
 
 
 def _classifier_input(graph: Graph, features: np.ndarray, cfg: RunConfig,
-                      dp: int, rows: np.ndarray) -> np.ndarray:
+                      dp: int, rows: np.ndarray, divisor=None) -> np.ndarray:
     """Rows `rows` of A_hat^dp X for the SGC baseline, else of the
-    node-adaptive combination."""
+    node-adaptive combination; X is features / divisor[:, None] with a
+    divisor."""
     if cfg.baseline == "sgc":
-        return _propagated_step(graph, features, k=dp, r=cfg.r)[rows]
+        return _propagated_step(graph, features, k=dp, r=cfg.r, divisor=divisor)[rows]
     combined, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
-                                   temperature=cfg.temperature, rows=rows)
+                                   temperature=cfg.temperature, rows=rows,
+                                   divisor=divisor)
     return combined
 
 
@@ -217,8 +247,9 @@ def run_train(dataset: Dataset, cfg: RunConfig):
     """Full pipeline on a loaded dataset; returns (result dict, model, metrics)."""
     t0 = time.perf_counter()
     labeled = _labeled_rows(dataset.splits)
-    feats = row_normalize(dataset.features, cfg.feature_norm)
-    feats = _classifier_input(dataset.graph, feats, cfg, cfg.dp, labeled)
+    divisor = row_divisor(dataset.features, cfg.feature_norm)
+    feats = _classifier_input(dataset.graph, dataset.features, cfg, cfg.dp, labeled,
+                              divisor)
     t1 = time.perf_counter()
     model, metrics = _train_on(feats, *_at_rows(labeled, dataset.labels, dataset.splits),
                                dataset.num_classes, cfg)
@@ -246,9 +277,9 @@ def run_profile(dataset: Dataset, cfg: RunConfig) -> dict:
     """Smoothness curves: raw per-step GSL, combined GSL per depth cap,
     and per-step mean NSL of three degree terciles."""
     caps = cfg.caps if cfg.caps else _default_caps(cfg.dp)
-    feats = row_normalize(dataset.features, cfg.feature_norm)
-    walk = propagation_pass(dataset.graph, feats, k=cfg.dp, r=cfg.r,
-                            temperature=cfg.temperature, caps=caps)
+    walk = propagation_pass(dataset.graph, dataset.features, k=cfg.dp, r=cfg.r,
+                            temperature=cfg.temperature, caps=caps,
+                            divisor=row_divisor(dataset.features, cfg.feature_norm))
     profile = walk.profile
     combined_gsl = [walk.cap_gsl[cap] for cap in caps]
 
@@ -277,7 +308,9 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
     if not axes:
         raise ConfigurationError("empty sweep grid: provide at least one *_grid")
 
-    base_feats = row_normalize(dataset.features, cfg.feature_norm)
+    # masking zeroes whole rows, which the divisor of the unmasked rows
+    # leaves zero
+    divisor = row_divisor(dataset.features, cfg.feature_norm)
     # subsample_labels draws from the train split, so these rows serve
     # every cell
     labeled = _labeled_rows(dataset.splits)
@@ -286,11 +319,10 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
     def prepared(dp, keep, mask, seed):
         """Classifier input; seed is None unless edges or features are perturbed."""
         graph = dataset.graph if keep >= 1.0 else drop_edges(dataset.graph, keep, seed)
-        feats = base_feats
+        feats = dataset.features
         if mask > 0.0:
-            masked = mask_features(replace(dataset, features=base_feats), mask, seed)
-            feats = masked.features
-        return _classifier_input(graph, feats, cfg, dp, labeled)
+            feats = mask_features(dataset, mask, seed).features
+        return _classifier_input(graph, feats, cfg, dp, labeled, divisor)
 
     rows = []
     for cell in itertools.product(*(vals for _, vals in axes)):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .graph import Graph, NormalizedAdjacency, normalize
-from .propagation import PropagatedStack, _add_scaled_rows, _num_shards, _run_sharded, \
-    _weighted_row_sum, as_feature_matrix, propagation_steps
+from .propagation import PropagatedStack, _add_scaled_rows, _checked_walk, _num_shards, \
+    _run_sharded, _weighted_row_sum, as_feature_matrix, propagation_steps
 
 
 def cosine_similarity(a, b) -> float:
@@ -129,6 +129,16 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 # have left the walked value fewer correct digits than the row's own.
 _MAX_CANCELLATION = 64.0
 
+# With row divisors, y.x0 is (y.features) / divisor for a row whose divisor
+# lies in [1 / _DIVISOR_RANGE, _DIVISOR_RANGE]: each product y_j f_j is then
+# y_j x0_j scaled by at most 2**64. A_hat^k has spectral norm at most
+# sqrt(N), so when x0's rows have norm <= 1 (as row_divisor's do) a step
+# row has norm <= N and an accumulator row <= (K+1) N, and the sum cannot
+# overflow; a product underflows only where y_j x0_j is below 2**-958.
+# Rows outside the range (subnormal or near-overflowing norms) take y.x0
+# from their rows of x0, divided out as the walk divides them.
+_DIVISOR_RANGE = 2.0 ** 64
+
 
 def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
     """matrix_nsl(., x0, x_inf) for an x_inf whose rows are positive multiples of s.
@@ -197,7 +207,7 @@ def _check_rows(rows, num_nodes: int) -> np.ndarray:
 
 
 def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
-                     caps=(), rows=None) -> PropagationPass:
+                     caps=(), rows=None, divisor=None) -> PropagationPass:
     """Smoothing levels, combined features and per-cap combined GSL in one walk.
 
     Walks x_k = A_hat x_{k-1} once. Each step is scored against the rank-1
@@ -226,11 +236,18 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     diag(e). Nothing calls BLAS, and each row's arithmetic is the same
     whatever the block, shard or BLAS thread count, so the bits are too.
 
+    divisor (N positive row divisors; None for none) starts the walk from
+    x0 / divisor[:, None], as propagation_steps does: the rows of x0 are
+    divided where step 2 will later go, so the pass holds no divided copy
+    beside x0. The reductions against the divided x0 after step 0 read
+    the rows of x0 and divide each by its divisor, which agrees with the
+    pass on the divided features up to rounding (see _DIVISOR_RANGE).
+
     Each step's spmm and its scoring and fold are split over the cores by
     row shard: every part of the fold is row-local. The steps come from
     propagation_steps: x0, its two step buffers and acc (N x d, or
     len(rows) x d) are alive, O(N*d) at any depth, and no N x d array is
-    made per step.
+    made per step; with a divisor the divided x0 lives in a step buffer.
     """
     if temperature <= 0.0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
@@ -244,10 +261,11 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
             raise ParameterError("caps and rows are exclusive: a cap's GSL averages "
                                  "the combination over every node")
         picked = _check_rows(rows, graph.num_nodes)
-    # normalize checks r and the walk checks k and x0: all before any
-    # array below is made. x0 is then the array the walk checked.
+    # normalize checks r and the walk checks k, x0 and divisor: all before
+    # any array below is made. features is then the array the walk checked,
+    # and x0 its first step: features itself, or features / divisor.
     adj = normalize(graph, r)
-    steps = propagation_steps(adj, x0, k)
+    features, divisor, steps = _checked_walk(adj, x0, k, divisor)
     x0 = next(steps)
     s = _weighted_row_sum(graph, x0, r)
     n, d = x0.shape
@@ -264,6 +282,20 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         acc_u, acc_reach, cap_level = (np.empty(n) for _ in range(3))
     level, m, z = np.empty(n), np.empty(n), np.ones(n)
     nsl_of = _rank_one_nsl(x0_sq, s)
+    if divisor is not None:
+        beyond = (divisor < 1.0 / _DIVISOR_RANGE) | (divisor > _DIVISOR_RANGE)
+
+    def x0_dots(y: np.ndarray, rows: slice) -> np.ndarray:
+        """y . x0 for the rows `rows` of x0, y holding those rows of a
+        step or of acc; x0 itself may since have been overwritten."""
+        dots = np.einsum("ij,ij->i", y, features[rows])
+        if divisor is not None:
+            dots /= divisor[rows]
+            far = beyond[rows]
+            if far.any():
+                dots[far] = np.einsum("ij,ij->i", y[far],
+                                      features[rows][far] / divisor[rows][far, None])
+        return dots
 
     def fold(shard: int, lo: int, hi: int) -> None:
         """Score rows lo..hi-1 of step `step` (the current x, with x.s in u
@@ -286,7 +318,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                 u[rows] = np.einsum("ij,j->i", x_rows, s)
                 reach[rows] = np.sqrt(xx)
             else:
-                xx0 = np.einsum("ij,ij->i", x_rows, x0[rows])
+                xx0 = x0_dots(x_rows, rows)
             level[rows] = nsl_of(xx, xx0, u[rows], reach[rows], x_rows, rows)
             logit = level[rows] / temperature
             if step == 0:
@@ -323,7 +355,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                 # scale z: the GSL of acc is the GSL of acc / z. At step
                 # 0, acc is x0 and its level is step 0's.
                 cap_level[rows] = nsl_of(np.einsum("ij,ij->i", acc_rows, acc_rows),
-                                         np.einsum("ij,ij->i", acc_rows, x0[rows]),
+                                         x0_dots(acc_rows, rows),
                                          acc_u[rows], acc_reach[rows], acc_rows, rows)
             if step == k:
                 acc_rows /= z[rows][sel, None]
@@ -336,7 +368,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         gsl[step] = level.mean()
         if step in caps:
             cap_gsl[step] = float((cap_level if step else level).mean())
-    del x  # with the walk's buffers, freed before the weights are made
+    del x, x0  # with the walk's buffers, freed before the weights are made
     profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
     profile.weights = propagation_weights(profile, temperature)
     profile.temperature = float(temperature)

@@ -130,6 +130,22 @@ class TestLossAndGrad:
         model = ResidualMlp.create(3, 2, num_layers=1, seed=0)
         with pytest.raises(ConfigurationError):
             loss_and_grad(model, np.zeros((4, 3)), np.zeros(4, dtype=int), [])
+        with pytest.raises(ConfigurationError):
+            loss_and_grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int), None)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_no_indices_reads_every_row(self, dropout):
+        model = ResidualMlp.create(5, 3, num_layers=3, hidden_dim=6, use_bias=True,
+                                   dropout_rate=dropout, seed=2)
+        x = np.random.default_rng(4).standard_normal((20, 5))
+        y = np.random.default_rng(5).integers(0, 3, 20)
+        idx = np.array([3, 17, 0, 8, 9, 12])
+        want = loss_and_grad(model, x, y, idx, weight_decay=0.01,
+                             rng=np.random.default_rng(6))
+        got = loss_and_grad(model, x[idx], y[idx], None, weight_decay=0.01,
+                            rng=np.random.default_rng(6))
+        assert got[0] == want[0]
+        assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
 
 
 class TestTrain:
@@ -256,6 +272,39 @@ class TestPipelinedTrain:
                                         dict(epochs=1, empty_eval=True, dropout=0.5)])
     def test_edge_cases_equal_sequential_loop(self, kwargs):
         assert_matches_sequential(pipeline_case(**kwargs))
+
+    def recorded_gradient_inputs(self, monkeypatch, case):
+        """train's result and the (features, train_indices) of each of
+        its gradient passes; the result must equal the sequential loop's."""
+        seen = []
+        real = dgmlp.nn.loss_and_grad
+
+        def recording(model, features, labels, train_indices, **kwargs):
+            seen.append((features, train_indices))
+            return real(model, features, labels, train_indices, **kwargs)
+
+        monkeypatch.setattr(dgmlp.nn, "loss_and_grad", recording)
+        assert_matches_sequential(case)
+        return seen
+
+    def test_training_rows_gathered_once(self, monkeypatch):
+        case = pipeline_case(dropout=0.5)
+        seen = self.recorded_gradient_inputs(monkeypatch, case)
+        _, x, _, splits, config = case
+        assert len(seen) == config.epochs
+        assert all(features is seen[0][0] and idx is None for features, idx in seen)
+        assert seen[0][0].tobytes() == x[splits.train].tobytes()
+
+    def test_rows_in_split_order_read_in_place(self, monkeypatch):
+        make_model, x, y, splits, config = pipeline_case(dt=3, use_bias=True)
+        union = np.concatenate([splits.train, splits.val, splits.test])
+        x, y = x[union], y[union]
+        ends = np.cumsum([splits.train.size, splits.val.size])
+        splits = Splits(train=np.arange(ends[0]), val=np.arange(ends[0], ends[1]),
+                        test=np.arange(ends[1], len(x)))
+        seen = self.recorded_gradient_inputs(monkeypatch,
+                                             (make_model, x, y, splits, config))
+        assert seen[0][0].base is x and np.shares_memory(seen[0][0], x)
 
     def test_concurrent_train_calls_stay_independent(self):
         # more threads than cores and a short switch interval: each call

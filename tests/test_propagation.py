@@ -168,6 +168,44 @@ class TestPropagationSteps:
         with pytest.raises(ValidationError, match="2-D"):
             propagation_steps(adj, np.zeros(2), 1)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_divisor_walk_bitwise_equals_divided_features(self, k):
+        # the first step is x / divisor, divided as row_normalize divides,
+        # so every step has the bits of the walk on a divided copy
+        adj = normalize(random_graph(30, 80, k), 0.5)
+        x = np.random.default_rng(k).standard_normal((30, 4))
+        x[3] = -0.0
+        x[5] = 0.0
+        divisor = np.random.default_rng(k + 1).uniform(0.5, 4.0, 30)
+        divisor[5] = np.inf
+        want = [step.copy() for step in propagation_steps(adj, x / divisor[:, None], k)]
+        got = [step.copy() for step in propagation_steps(adj, x, k, divisor)]
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_divided_x0_lives_in_the_step_two_buffer(self, k):
+        adj = normalize(random_graph(20, 50, 1), 0.5)
+        x = np.random.default_rng(2).standard_normal((20, 3))
+        before = x.copy()
+        steps = list(propagation_steps(adj, x, k, np.full(20, 2.0)))
+        assert not any(np.shares_memory(step, x) for step in steps)
+        assert x.tobytes() == before.tobytes()
+        if k >= 2:
+            assert steps[2] is steps[0]
+        # an array of its own for x0 only when there is no step 2
+        assert len({id(step) for step in steps}) == min(k + 1, 2)
+
+    def test_bad_divisor_raises_before_any_step(self):
+        adj = normalize(build_graph([(0, 1)], 2), 0.5)
+        x = np.ones((2, 1))
+        with pytest.raises(DimensionError, match="row divisors have shape"):
+            propagation_steps(adj, x, 2, np.ones(3))
+        with pytest.raises(DimensionError, match="row divisors have shape"):
+            propagation_steps(adj, x, 2, np.ones((2, 1)))
+        for bad in (0.0, -1.0, np.nan, -np.inf):
+            with pytest.raises(ValidationError, match="positive"):
+                propagation_steps(adj, x, 2, [1.0, bad])
+
     def test_fortran_order_features(self):
         # x0 is taken in C order, so the step buffers are too, as spmm needs
         adj = normalize(random_graph(20, 50, 5), 0.5)

@@ -1,15 +1,17 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dgmlp import ConfigurationError, Dataset, ResidualMlp, Splits, combine, \
-    compute_nsl, drop_edges, erdos_renyi, load_checkpoint, load_dataset, normalize, \
-    propagate, propagation, propagation_weights, runner, save_checkpoint, \
-    stationary_features, subsample_labels, train
+from dgmlp import ConfigurationError, Dataset, ResidualMlp, Splits, ValidationError, \
+    combine, compute_nsl, drop_edges, erdos_renyi, load_checkpoint, load_dataset, \
+    normalize, propagate, propagation, propagation_pass, propagation_weights, runner, \
+    save_checkpoint, stationary_features, subsample_labels, train
 from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
-    row_normalize, run_profile, run_scale, run_sweep, run_train, synthetic_node_data
+    row_divisor, row_normalize, run_profile, run_scale, run_sweep, run_train, \
+    synthetic_node_data
 
 from conftest import FIXTURES, random_graph
 
@@ -72,6 +74,31 @@ class TestRowNormalize:
         assert np.signbit(got[5]).tolist() == [True, False, True, True]
 
 
+class TestRowDivisor:
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    @pytest.mark.parametrize("block_values", [1 << 16, 12, 1])  # 3-row, 1-row blocks
+    def test_bits_equal_whole_matrix_norms(self, monkeypatch, mode, block_values):
+        monkeypatch.setattr(runner, "_DIVISOR_BLOCK_VALUES", block_values)
+        x = np.random.default_rng(3).standard_normal((11, 4))
+        x[2] = 0.0
+        x[5] = -0.0
+        x[8] = [1e-300, -5e-324, 0.0, 3e150]
+        x[9] = np.finfo(np.float64).max / 5
+        with np.errstate(over="ignore"):
+            norms = np.abs(x).sum(axis=1) if mode == "l1" else np.linalg.norm(x, axis=1)
+            got = row_divisor(x, mode)
+        assert got.tobytes() == np.where(norms > 0.0, norms, 1.0).tobytes()
+        assert got[2] == got[5] == 1.0
+
+    def test_none_and_bad_modes(self):
+        x = np.ones((3, 2))
+        assert row_divisor(x, "none") is None
+        with pytest.raises(ConfigurationError, match="feature_norm"):
+            row_divisor(x, "l3")
+        with pytest.raises(ValidationError, match="2-D"):
+            row_divisor(np.ones(3), "l1")
+
+
 class TestPrepareCombined:
     def test_matches_stack_oracle(self):
         g = random_graph(40, 120, 0)
@@ -107,6 +134,65 @@ class TestRunProfile:
             result = run_profile(tiny_dataset, cfg)
         assert len(calls) == dp
         assert len(result["gsl_combined"]) == len(result["caps"])
+
+
+def labeled_er(n=20_000, d=64, labeled=400, seed=3) -> Dataset:
+    """G(n, 2e-4) with uniform features and `labeled` nodes in the splits."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    a, b = labeled // 4, labeled // 2
+    splits = Splits(train=np.sort(perm[:a]), val=np.sort(perm[a:b]),
+                    test=np.sort(perm[b:labeled]))
+    return Dataset(erdos_renyi(n, 2e-4, seed), rng.random((n, d)),
+                   rng.integers(0, 4, n), splits, 4)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunnerMemory:
+    """The features are divided into the walk's first step buffer: no
+    normalized N x d copy beside them. The features are made before
+    tracing; the slack covers the N-vectors (nsl, weights, the pass's
+    scalars per node, the divisor), the adjacency and its construction,
+    and the training of a small model on the labeled rows."""
+
+    def test_profile_holds_two_step_buffers_and_the_accumulator(self):
+        ds = labeled_er()
+        nd = ds.features.nbytes
+        slack = 48 * 8 * ds.num_nodes
+        assert slack < nd
+        peak = traced_peak(lambda: run_profile(ds, RunConfig(dp=6, temperature=0.2)))
+        assert peak <= 3 * nd + slack
+
+    def test_train_holds_two_step_buffers(self):
+        ds = labeled_er()
+        nd = ds.features.nbytes
+        slack = 48 * 8 * ds.num_nodes
+        peak = traced_peak(lambda: run_train(ds, RunConfig(dp=6, epochs=3, hidden=16)))
+        assert peak <= 2 * nd + slack
+
+    def test_sgc_baseline_holds_two_step_buffers(self):
+        ds = labeled_er()
+        peak = traced_peak(lambda: run_train(ds, RunConfig(baseline="sgc", dp=6, epochs=3)))
+        assert peak <= 2 * ds.features.nbytes + 48 * 8 * ds.num_nodes
+
+
+class TestFeatureNormNone:
+    def test_profile_walks_the_features_as_given(self, tiny_dataset):
+        cfg = RunConfig(dp=4, caps=[0, 2, 4], temperature=0.2, feature_norm="none")
+        result = run_profile(tiny_dataset, cfg)
+        walk = propagation_pass(tiny_dataset.graph, tiny_dataset.features, k=4, r=cfg.r,
+                                temperature=0.2, caps=[0, 2, 4])
+        assert result["profile"].nsl.tobytes() == walk.profile.nsl.tobytes()
+        assert result["profile"].weights.tobytes() == walk.profile.weights.tobytes()
+        assert result["gsl_combined"] == [walk.cap_gsl[c] for c in (0, 2, 4)]
 
 
 class TestRunTrain:
@@ -157,6 +243,23 @@ class TestSgcBaseline:
         assert model.num_layers == 1 and model.use_bias == use_bias
 
 
+class TestSgcDivisorWalk:
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_bitwise_equals_walk_on_normalized_features(self, mode, k):
+        # the walk divides x0 as row_normalize does, and the steps are its
+        # spmm products
+        g = random_graph(40, 120, k)
+        x = np.random.default_rng(k).standard_normal((40, 5))
+        x[1] = -0.0
+        x[2] = [5e-324, -1e-323, 1.5e-323, 0.0, -5e-324]
+        x[3] = np.finfo(np.float64).max / 6
+        with np.errstate(over="ignore"):
+            want = _propagated_step(g, row_normalize(x, mode), k=k, r=0.5)
+            got = _propagated_step(g, x, k=k, r=0.5, divisor=row_divisor(x, mode))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRunSweepCache:
     def test_one_classifier_input_per_structural_key(self, tiny_dataset, monkeypatch):
         # dt and the unperturbed graph's seeds repeat keys; keep < 1 makes
@@ -164,9 +267,9 @@ class TestRunSweepCache:
         real = runner._classifier_input
         calls = []
 
-        def counting(graph, features, cfg, dp, rows):
+        def counting(graph, features, cfg, dp, *rest):
             calls.append(dp)
-            return real(graph, features, cfg, dp, rows)
+            return real(graph, features, cfg, dp, *rest)
 
         monkeypatch.setattr(runner, "_classifier_input", counting)
         cfg = RunConfig(dp_grid=[1, 2], dt_grid=[1, 2], keep_edges_grid=[1.0, 0.5],
@@ -190,14 +293,16 @@ class TestRunScale:
         assert abs(first - second) <= 0.5
 
 
-def whole_matrix_run(graph, features, labels, splits, num_classes, cfg, *, dp, dt, seed):
+def whole_matrix_run(graph, features, labels, splits, num_classes, cfg, *, dp, dt, seed,
+                     divisor=None):
     """The classifier trained on a classifier input with a row for every
-    node, indexed by node id; returns (model, metrics)."""
+    node, indexed by node id, from the (features, divisor) input the
+    runners hand the walk; returns (model, metrics)."""
     if cfg.baseline == "sgc":
-        x = _propagated_step(graph, features, k=dp, r=cfg.r)
+        x = _propagated_step(graph, features, k=dp, r=cfg.r, divisor=divisor)
     else:
         x, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
-                                temperature=cfg.temperature)
+                                temperature=cfg.temperature, divisor=divisor)
     model = ResidualMlp.create(x.shape[1], num_classes, num_layers=dt,
                                hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
                                dropout_rate=cfg.dropout, seed=seed)
@@ -232,10 +337,11 @@ class TestLabeledRows:
         cfg = RunConfig(baseline=baseline, dp=3, dt=1 if baseline else 3, hidden=8,
                         epochs=25, lr=0.05, dropout=0.2, seed=5, use_bias=True)
         result, model, metrics = run_train(ds, cfg)
-        feats = row_normalize(ds.features, cfg.feature_norm)
-        want_model, want = whole_matrix_run(ds.graph, feats, ds.labels, ds.splits,
+        want_model, want = whole_matrix_run(ds.graph, ds.features, ds.labels, ds.splits,
                                             ds.num_classes, cfg, dp=cfg.dp, dt=cfg.dt,
-                                            seed=cfg.seed)
+                                            seed=cfg.seed,
+                                            divisor=row_divisor(ds.features,
+                                                                cfg.feature_norm))
         assert result["metrics"] == want.to_dict() == metrics.to_dict()
         assert result["test_accuracy"] == want.test_accuracy
         assert result["best_epoch"] == want.best_epoch
@@ -250,7 +356,7 @@ class TestLabeledRows:
                         labels_per_class_grid=[2], num_seeds=2, dt=2, hidden=8,
                         epochs=5, lr=0.05, seed=4)
         rows = run_sweep(ds, cfg)
-        feats = row_normalize(ds.features, cfg.feature_norm)
+        divisor = row_divisor(ds.features, cfg.feature_norm)
         assert len(rows) == 4
         for row in rows:
             accs = []
@@ -258,9 +364,9 @@ class TestLabeledRows:
                 keep = row["keep_edges"]
                 graph = ds.graph if keep >= 1.0 else drop_edges(ds.graph, keep, seed)
                 sub = subsample_labels(ds, row["labels_per_class"], seed)
-                _, metrics = whole_matrix_run(graph, feats, sub.labels, sub.splits,
+                _, metrics = whole_matrix_run(graph, ds.features, sub.labels, sub.splits,
                                               ds.num_classes, cfg, dp=row["dp"],
-                                              dt=row["dt"], seed=seed)
+                                              dt=row["dt"], seed=seed, divisor=divisor)
                 accs.append(metrics.test_accuracy)
             assert row["test_acc_mean"] == float(np.mean(accs))
             assert row["test_acc_std"] == float(np.std(accs))

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dgmlp import DimensionError, ParameterError, SmoothnessProfile, build_graph, \
-    combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, matrix_nsl, \
-    normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
-    smoothness_profile, stationary_direction, stationary_features
+from dgmlp import DimensionError, ParameterError, SmoothnessProfile, ValidationError, \
+    build_graph, combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, \
+    matrix_nsl, normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
+    row_divisor, row_normalize, smoothness_profile, stationary_direction, \
+    stationary_features
 import dgmlp
 from dgmlp import propagation, smoothness
 from dgmlp.propagation import PropagatedStack
@@ -681,6 +682,133 @@ class TestPassRows:
 
         assert peak(None) >= 3 * x.nbytes
         assert peak(rows) <= 2 * x.nbytes + rows.size * x.shape[1] * 8 + slack
+
+
+def extreme_rows(seed, n=40, d=5):
+    """signed_case's graph and features, with rows that are zero, all -0.0,
+    subnormal, tiny, large, and of an L1 norm within a factor d of
+    DBL_MAX (its L2 norm overflows, so row_normalize leaves it zero)."""
+    g, x = signed_case(n=n, d=d, seed=seed)
+    big = np.finfo(np.float64).max / d
+    x[1] = -0.0
+    x[2] = [5e-324, -1e-323, 1.5e-323, 0.0, -5e-324]
+    x[3] = [0.9 * big, -0.5 * big, 0.7 * big, 0.0, 0.99 * big]
+    x[4] = [1e-300, -3e-301, 0.0, 0.0, 7e-302]
+    x[5] = [3e150, -2e150, 1e149, 0.0, 5e150]
+    x[6] = [-2.0, 1.5, -0.25, 1e-3, 0.5]
+    return g, x
+
+
+def hub_of_large_rows(leaves=6, d=3):
+    """A star whose rows all have an L1 norm near DBL_MAX: at r = 1 the hub's
+    step rows grow to about leaves / 2 times x0's, so y . features / divisor
+    would overflow where y . x0 does not."""
+    g = build_graph([(0, leaf) for leaf in range(1, leaves + 1)], leaves + 1)
+    big = np.finfo(np.float64).max / d
+    x = np.tile([0.9 * big, 0.05 * big, -0.04 * big], (leaves + 1, 1))
+    return g, x
+
+
+# the L2 norm of a row near DBL_MAX overflows to inf, in row_normalize too
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+class TestDivisorWalk:
+    """The walk from (features, row divisors) against the walk on the
+    row-normalized copy: within TOL absolutely, step 0 bit for bit."""
+
+    TOL = 1e-12
+
+    def check(self, graph, x, mode, k, r, temperature, caps=(), rows=None):
+        want = propagation_pass(graph, row_normalize(x, mode), k=k, r=r,
+                                temperature=temperature, caps=caps, rows=rows)
+        got = propagation_pass(graph, x, k=k, r=r, temperature=temperature, caps=caps,
+                               rows=rows, divisor=row_divisor(x, mode))
+        for a, b in [(got.profile.nsl, want.profile.nsl), (got.profile.gsl, want.profile.gsl),
+                     (got.profile.weights, want.profile.weights),
+                     (got.combined, want.combined)]:
+            assert a.shape == b.shape and np.isfinite(a).all()
+            assert np.abs(a - b).max(initial=0.0) <= self.TOL
+        # step 0 is scored on the divided x0 itself
+        assert got.profile.nsl[:, 0].tobytes() == want.profile.nsl[:, 0].tobytes()
+        assert got.cap_gsl.keys() == want.cap_gsl.keys()
+        for cap, level in want.cap_gsl.items():
+            assert np.isfinite(got.cap_gsl[cap])
+            assert abs(got.cap_gsl[cap] - level) <= self.TOL
+        assert got.profile.temperature == want.profile.temperature
+
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("temperature", [1e-3, 1.0])
+    def test_extreme_rows_with_caps(self, mode, k, r, temperature):
+        graph, x = extreme_rows(seed=k)
+        self.check(graph, x, mode, k, r, temperature, caps=range(k + 1))
+
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_extreme_rows_with_rows(self, mode, k):
+        graph, x = extreme_rows(seed=k + 10)
+        for rows in row_choices(x.shape[0], k) + [np.arange(1, 7)]:
+            self.check(graph, x, mode, k, 0.5, 0.2, rows=rows)
+
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_no_overflow_where_the_divided_rows_have_none(self, mode, r):
+        graph, x = hub_of_large_rows()
+        self.check(graph, x, mode, 5, r, 0.2, caps=range(6))
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_across_blocks_and_shards(self, monkeypatch, shards):
+        small_blocks(monkeypatch, shards)
+        graph, x = signed_case(n=517, pairs=1000, d=12, seed=6, isolated=50)
+        x[100] = 1e-318
+        x[300, :6] = np.finfo(np.float64).max / 20
+        for mode in ("l1", "l2"):
+            self.check(graph, x, mode, 6, 0.5, 1e-3, caps=(0, 3, 6))
+            self.check(graph, x, mode, 6, 0.5, 1e-3, rows=[0, 98, 99, 100, 300, 516])
+
+    @settings(max_examples=100)
+    @given(case=graphs_with_features(), k=st.integers(0, 6),
+           r=st.sampled_from([0.0, 0.5, 1.0]), mode=st.sampled_from(["l1", "l2"]),
+           temperature=st.sampled_from([1e-3, 0.2, 1.0]))
+    def test_small_graphs(self, case, k, r, mode, temperature):
+        graph, x = case
+        self.check(graph, x, mode, k, r, temperature, caps=range(k + 1))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_unit_divisor_is_no_divisor(self, k):
+        # x / 1 and (y . x) / 1 are x and y . x: the same bits
+        graph, x = signed_case(seed=k)
+        x[1], x[2] = -0.0, 1e-310
+        for caps, rows in [(range(k + 1), None), ((), [0, 3, 5, 39])]:
+            want = propagation_pass(graph, x, k=k, r=0.5, temperature=0.2, caps=caps,
+                                    rows=rows)
+            got = propagation_pass(graph, x, k=k, r=0.5, temperature=0.2, caps=caps,
+                                   rows=rows, divisor=np.ones(x.shape[0]))
+            for a, b in [(got.profile.nsl, want.profile.nsl),
+                         (got.profile.weights, want.profile.weights),
+                         (got.combined, want.combined)]:
+                assert a.tobytes() == b.tobytes()
+            assert got.cap_gsl == want.cap_gsl
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_no_divisor_bitwise_equals_sequential_walk(self, k):
+        graph, x = signed_case(seed=k)
+        walk = propagation_pass(graph, x, k=k, r=0.5, temperature=0.2,
+                                caps=range(k + 1), divisor=None)
+        nsl, gsl, combined, cap_gsl = sequential_pass(graph, x, k, 0.5, 0.2, range(k + 1))
+        for got, want in [(walk.profile.nsl, nsl), (walk.profile.gsl, gsl),
+                          (walk.combined, combined)]:
+            assert got.tobytes() == want.tobytes()
+        assert walk.cap_gsl == cap_gsl
+
+    def test_bad_divisor(self):
+        graph, x = signed_case()
+        with pytest.raises(DimensionError, match="row divisors"):
+            propagation_pass(graph, x, k=2, r=0.5, temperature=1.0,
+                             divisor=np.ones(x.shape[0] + 1))
+        with pytest.raises(ValidationError, match="positive"):
+            propagation_pass(graph, x, k=2, r=0.5, temperature=1.0,
+                             divisor=np.zeros(x.shape[0]))
 
 
 # Runs the pass on a 1502 x 500 input with K = 6 and caps 0, 3, 6, and

@@ -340,11 +340,7 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
 
     union = np.concatenate([tr, va, te])
     n_tr, n_va = tr.size, va.size
-    if features.flags.c_contiguous and np.array_equal(union, np.arange(len(features))):
-        # the rows are already train, val, test in order: read them in place
-        union_feats, union_labels = features, labels
-    else:
-        union_feats, union_labels = features[union], labels[union]
+    union_feats, union_labels = features[union], labels[union]
     # the training rows, gathered once: the leading rows of union_feats
     train_feats, train_labels = union_feats[:n_tr], union_labels[:n_tr]
     # the evaluation's hidden activations, made once here: made on the

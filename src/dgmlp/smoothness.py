@@ -130,14 +130,17 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 _MAX_CANCELLATION = 64.0
 
 # With row divisors, y.x0 is (y.features) / divisor for a row whose divisor
-# lies in [1 / _DIVISOR_RANGE, _DIVISOR_RANGE]: each product y_j f_j is then
-# y_j x0_j scaled by at most 2**64. A_hat^k has spectral norm at most
-# sqrt(N), so when x0's rows have norm <= 1 (as row_divisor's do) a step
-# row has norm <= N and an accumulator row <= (K+1) N, and the sum cannot
-# overflow; a product underflows only where y_j x0_j is below 2**-958.
-# Rows outside the range (subnormal or near-overflowing norms) take y.x0
-# from their rows of x0, divided out as the walk divides them.
+# lies in [1 / _DIVISOR_RANGE, _DIVISOR_RANGE] and whose divided row x0_v
+# has norm at most sqrt(_X0_SQ_BOUND): each product y_j f_j is then y_j x0_j
+# scaled by at most 2**64. A_hat^k has spectral norm at most sqrt(N), so
+# with x0's rows of norm <= 2 a step row has norm <= 2N and an accumulator
+# row <= 2(K+1)N, and the sum cannot overflow; a product underflows only
+# where y_j x0_j is below 2**-958. row_divisor's rows have norm <= 1 (up to
+# rounding); any other row (a subnormal or near-overflowing divisor, or a
+# divisor smaller than the row's norm) takes y.x0 from its row of x0,
+# divided out as the walk divides it.
 _DIVISOR_RANGE = 2.0 ** 64
+_X0_SQ_BOUND = 4.0
 
 
 def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
@@ -282,8 +285,6 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         acc_u, acc_reach, cap_level = (np.empty(n) for _ in range(3))
     level, m, z = np.empty(n), np.empty(n), np.ones(n)
     nsl_of = _rank_one_nsl(x0_sq, s)
-    if divisor is not None:
-        beyond = (divisor < 1.0 / _DIVISOR_RANGE) | (divisor > _DIVISOR_RANGE)
 
     def x0_dots(y: np.ndarray, rows: slice) -> np.ndarray:
         """y . x0 for the rows `rows` of x0, y holding those rows of a
@@ -364,6 +365,11 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         if step:
             u, reach = adj.matrix @ u, adj.matrix @ reach
         _run_sharded(fold, n, shards, block)
+        if step == 0 and divisor is not None:
+            # the rows whose y.x0 is read from x0 itself (see _DIVISOR_RANGE);
+            # x0_dots runs after step 0 only
+            beyond = ((divisor < 1.0 / _DIVISOR_RANGE) | (divisor > _DIVISOR_RANGE)
+                      | (x0_sq > _X0_SQ_BOUND))
         nsl[:, step] = level
         gsl[step] = level.mean()
         if step in caps:

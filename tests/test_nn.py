@@ -295,17 +295,6 @@ class TestPipelinedTrain:
         assert all(features is seen[0][0] and idx is None for features, idx in seen)
         assert seen[0][0].tobytes() == x[splits.train].tobytes()
 
-    def test_rows_in_split_order_read_in_place(self, monkeypatch):
-        make_model, x, y, splits, config = pipeline_case(dt=3, use_bias=True)
-        union = np.concatenate([splits.train, splits.val, splits.test])
-        x, y = x[union], y[union]
-        ends = np.cumsum([splits.train.size, splits.val.size])
-        splits = Splits(train=np.arange(ends[0]), val=np.arange(ends[0], ends[1]),
-                        test=np.arange(ends[1], len(x)))
-        seen = self.recorded_gradient_inputs(monkeypatch,
-                                             (make_model, x, y, splits, config))
-        assert seen[0][0].base is x and np.shares_memory(seen[0][0], x)
-
     def test_concurrent_train_calls_stay_independent(self):
         # more threads than cores and a short switch interval: each call
         # still matches its own sequential run bit for bit

@@ -774,6 +774,31 @@ class TestDivisorWalk:
         graph, x = case
         self.check(graph, x, mode, k, r, temperature, caps=range(k + 1))
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_divisor_below_the_row_norm(self, k, r):
+        # divisors inside [2**-64, 2**64] that leave rows of norm far above
+        # 1: y . features would overflow where y . x0 does not
+        graph, x = hub_of_large_rows()
+        x /= 1e143
+        divisor = np.full(x.shape[0], 1e19)
+        divisor[2] = 1e15
+        divisor[3] = np.abs(x[3]).sum()
+        x[4] = [3.0, -1.0, 0.5]
+        x[5], divisor[5] = [1e100, -2e99, 0.0], 1.0
+        want = propagation_pass(graph, x / divisor[:, None], k=k, r=r, temperature=0.2,
+                                caps=range(k + 1))
+        got = propagation_pass(graph, x, k=k, r=r, temperature=0.2, caps=range(k + 1),
+                               divisor=divisor)
+        for a, b in [(got.profile.nsl, want.profile.nsl),
+                     (got.profile.weights, want.profile.weights)]:
+            assert np.isfinite(a).all()
+            assert np.abs(a - b).max() <= self.TOL
+        assert np.isfinite(got.combined).all()
+        assert np.allclose(got.combined, want.combined, rtol=1e-12, atol=0.0)
+        for cap, level in want.cap_gsl.items():
+            assert abs(got.cap_gsl[cap] - level) <= self.TOL
+
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_unit_divisor_is_no_divisor(self, k):
         # x / 1 and (y . x) / 1 are x and y . x: the same bits

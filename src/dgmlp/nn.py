@@ -205,36 +205,59 @@ def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     dh = g
     for i in range(last, -1, -1):
         w = model.weights[i]
+        # layer i's input and masks are read for the last time here: once
+        # these names let go of them too, they are freed while the next
+        # layers' gradients are made
         hd, relu, keep = caches[i]
+        caches[i] = None
         dz = dh if relu is None else dh * relu
-        # the penalty's gradient is added into the fresh product in place:
-        # the same add, with one weight-sized array fewer
+        del relu
         gw = hd.T @ dz
-        gw += 2.0 * weight_decay * w
+        del hd
+        if weight_decay:
+            # into the fresh product in place: the same add, with one
+            # weight-sized array fewer. At 0 it could only turn a -0.0
+            # entry into +0.0, so it is skipped
+            gw += 2.0 * weight_decay * w
         if model.biases is not None:
             grads.append(dz.sum(axis=0))
         grads.append(gw)
         if i == 0:
             break
         branch = dz @ w.T
+        del dz
         if keep is not None:
             _masked(branch, keep, scale, out=branch)
         if i < last:  # residual layer: the skip passes dh through
             dh += branch
         else:
             dh = branch
+        del branch
 
     return loss, grads[::-1]
+
+
+# Values per block of an Adam update (512 KB): each parameter is updated a
+# run of whole rows at a time through two scratch buffers of this size, so
+# the scratch does not grow with the largest parameter
+_ADAM_BLOCK_VALUES = 1 << 16
+
+
+def _block_rows(p: np.ndarray) -> int:
+    """Rows of p per Adam block: about _ADAM_BLOCK_VALUES values, at least one row."""
+    return max(1, _ADAM_BLOCK_VALUES // max(1, p[:1].size))
 
 
 class Adam:
     """Standard Adam with bias correction; updates parameters in place.
 
-    The update runs through two scratch buffers sized for the largest
-    parameter, in the same operations and order as the textbook
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps), so it gives the same bits
-    without allocating per step. Each parameter's update reads only its
-    own gradient and state, so the order of params changes no bits.
+    Each parameter (an array of at least one dimension) is updated in
+    blocks of whole rows through two scratch buffers of about
+    _ADAM_BLOCK_VALUES values, in the same operations and order as the
+    textbook p -= lr * (m / c1) / (sqrt(v / c2) + eps). Every value goes
+    through the same operations whatever its block, so it gives the same
+    bits without allocating per step. Each parameter's update reads only
+    its own gradient and state, so the order of params changes no bits.
     """
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -243,30 +266,41 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
-        size = max((p.size for p in params), default=0)
+        size = max((p[:_block_rows(p)].size for p in params), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, params, grads, done=None) -> None:
         """One update of every parameter in place; done, if given, is
-        called with j once params[j] has been written."""
+        called with j once params[j] has been written. grads is a list
+        aligned with params; once done(j) is called, this step holds no
+        reference to grads[j]."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for j, (p, g, m, v) in enumerate(zip(params, grads, self.m, self.v)):
-            a, b = (s[:p.size].reshape(p.shape) for s in self._scratch)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, c1, out=a)
-            a *= self.lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            p -= np.divide(a, b, out=a)
+        for j, (p, m, v) in enumerate(zip(params, self.m, self.v)):
+            self._update(p, grads[j], m, v, c1, c2)
             if done is not None:
                 done(j)
+
+    def _update(self, p, g, m, v, c1: float, c2: float) -> None:
+        """p, m and v updated in place from the gradient g, a block of rows
+        at a time."""
+        rows = _block_rows(p)
+        for start in range(0, len(p), rows):
+            part = slice(start, start + rows)
+            pb, gb, mb, vb = p[part], g[part], m[part], v[part]
+            a, b = (s[:pb.size].reshape(pb.shape) for s in self._scratch)
+            mb *= self.beta1
+            mb += np.multiply(1.0 - self.beta1, gb, out=a)
+            vb *= self.beta2
+            np.multiply(1.0 - self.beta2, gb, out=a)
+            vb += np.multiply(a, gb, out=a)
+            np.divide(mb, c1, out=a)
+            a *= self.lr
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            pb -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -321,7 +355,8 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     is independent of the others, so the results are bit for bit those of
     running gradient, update and evaluation one after the other. A failed
     update puts its exception on every layer it has not resolved, so a
-    waiting gradient pass raises it.
+    waiting gradient pass raises it. The update frees each gradient once it
+    has written its parameter, so one gradient set at most is alive.
     """
     check_disjoint(splits)
     features = np.asarray(features, dtype=np.float64)
@@ -356,8 +391,13 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         acc_te = float(pred_ok[n_tr + n_va:].mean()) if te.size else 0.0
         return acc_tr, acc_va, acc_te
 
-    def update_then_evaluate(grads, ready: list[Future]) -> tuple[float, float, float]:
+    def update_then_evaluate(grads: list, ready: list[Future]) -> tuple[float, float, float]:
         def layer_done(j: int) -> None:
+            # the list is the only holder of its gradients left, so each is
+            # freed once its parameter is written: all of them before the
+            # next gradient pass reads the last layer, and so before it
+            # builds the next set
+            grads[j] = None
             if j % per_layer == per_layer - 1:
                 ready[j // per_layer].set_result(None)
 
@@ -386,6 +426,7 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
             losses.append(loss)
             ready = [Future() for _ in range(num_layers)]
             pending = worker.submit(update_then_evaluate, grads, ready)
+            del grads  # the update frees them (see layer_done)
         accs.append(pending.result())
 
     tr_accs, va_accs, te_accs = (list(col) for col in zip(*accs))

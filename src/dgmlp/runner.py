@@ -137,13 +137,33 @@ class RunConfig:
 # values of |x| made per block of rows while row divisors are computed
 _DIVISOR_BLOCK_VALUES = 1 << 16
 
+# An L2 norm below this (2**-511) comes from a sum of squares below the
+# normal range, where the squares have lost bits or underflowed to zero
+_L2_SQUARES_FLOOR = 2.0 ** -511
+
+
+def _row_norms(part: np.ndarray, mode: str) -> np.ndarray:
+    """The L1 or L2 norm of each row of part, by one whole-block reduction."""
+    if mode == "l1":
+        return np.abs(part, dtype=np.float64).sum(axis=1)
+    return np.linalg.norm(part, axis=1)
+
 
 def row_divisor(features: np.ndarray, mode: str) -> np.ndarray | None:
     """The N-vector row_normalize divides the rows by: each row's L1 or L2
     norm, or 1 for a zero row; None for mode "none".
 
     The norms are taken a block of rows at a time, each row by the same
-    reduction as over the whole matrix, so no N x d |x| is made.
+    reduction as over the whole matrix, so no N x d |x| is made. A row
+    whose norm so taken overflowed to inf, or whose L2 norm fell below
+    2**-511 (where its squares lose bits, or all underflow to 0), takes
+    its norm again from the row scaled by a power of two, exactly, to a
+    largest magnitude in [0.5, 1), then scaled back; every other row keeps
+    the bits of the plain reduction. An L2 norm below the normal range
+    (2**-1022) is then the norm rounded to the subnormal grid, so its row
+    is divided to a norm near 1, not to 1. Raises ValidationError for a
+    row whose norm lies beyond DBL_MAX: no float64 divisor gives it unit
+    norm.
     """
     if mode == "none":
         return None
@@ -155,10 +175,22 @@ def row_divisor(features: np.ndarray, mode: str) -> np.ndarray | None:
     n = features.shape[0]
     block = max(1, _DIVISOR_BLOCK_VALUES // max(1, features.shape[1]))
     norms = np.empty(n)
-    for start in range(0, n, block):
-        part = features[start:start + block]
-        norms[start:start + block] = (np.abs(part, dtype=np.float64).sum(axis=1)
-                                      if mode == "l1" else np.linalg.norm(part, axis=1))
+    floor = _L2_SQUARES_FLOOR if mode == "l2" else 0.0
+    with np.errstate(over="ignore"):  # an overflowed norm is taken again
+        for start in range(0, n, block):
+            part = features[start:start + block]
+            got = norms[start:start + block]
+            got[:] = _row_norms(part, mode)
+            redo = np.flatnonzero((got == np.inf) | (got < floor))
+            if redo.size:
+                scaled = np.abs(part[redo], dtype=np.float64)
+                _, exp = np.frexp(scaled.max(axis=1, initial=0.0))
+                got[redo] = np.ldexp(_row_norms(np.ldexp(scaled, -exp[:, None]), mode), exp)
+    if n and norms.max() == np.inf:
+        raise ValidationError(
+            f"row {int(np.argmax(norms))} of the features has an {mode.upper()} norm above "
+            f"DBL_MAX (1.8e308), so no float64 divisor gives it unit norm; scale the "
+            f"features down")
     # a zero row divided by 1.0 stays as it is, -0.0 included
     return np.where(norms > 0.0, norms, 1.0)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, ValidationError
 from .graph import Graph, NormalizedAdjacency, normalize
 from .propagation import PropagatedStack, _add_scaled_rows, _checked_walk, _num_shards, \
     _run_sharded, _weighted_row_sum, as_feature_matrix, propagation_steps
@@ -143,6 +143,13 @@ _DIVISOR_RANGE = 2.0 ** 64
 _X0_SQ_BOUND = 4.0
 
 
+def _overflow_error() -> ValidationError:
+    return ValidationError(
+        "feature rows too large: their products overflow float64 while smoothing "
+        "levels are scored (entries above about 1e154); normalize the rows "
+        "(--feature-norm l1|l2) or scale the features down")
+
+
 def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
     """matrix_nsl(., x0, x_inf) for an x_inf whose rows are positive multiples of s.
 
@@ -155,12 +162,17 @@ def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
     below reach / _MAX_CANCELLATION, x.s is taken from the row x_v itself.
     x0_sq holds x0.x0 per row; it is read when nsl is called, so it may be
     filled after this returns. A zero norm gives a zero cosine, as in
-    _row_cosines.
+    _row_cosines. An overflowed reduction (inf in s.s, xx, xx0 or xs)
+    raises ValidationError: its cosine would be 0 or NaN, with no error.
     """
     s_norm = float(np.sqrt(np.einsum("i,i->", s, s)))
+    if not np.isfinite(s_norm):
+        raise _overflow_error()
 
     def nsl(xx: np.ndarray, xx0: np.ndarray, xs: np.ndarray, reach: np.ndarray,
             x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        if not (np.isfinite(xx).all() and np.isfinite(xx0).all() and np.isfinite(xs).all()):
+            raise _overflow_error()
         x_norm, x0_norm = np.sqrt(xx), np.sqrt(x0_sq[rows])
         alpha = np.divide(xx0, x_norm * x0_norm, out=np.zeros(len(xx)),
                           where=(x_norm > 0.0) & (x0_norm > 0.0))

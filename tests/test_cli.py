@@ -118,6 +118,22 @@ class TestTrainCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err and "UTF-8" in err
 
+    def test_overflowing_undivided_rows_are_one_line(self, tiny_dir, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(tiny_dir, data)
+        lines = (data / "features.csv").read_text().splitlines()
+        lines[0] = ",".join(["1e200"] * len(lines[0].split(",")))
+        (data / "features.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        code = run_cli("train", "--dataset", data, "--feature-norm", "none", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflow" in err and "--feature-norm l1|l2" in err
+        assert not out.exists()
+        assert run_cli("train", "--dataset", data, "--feature-norm", "l2", "--epochs", 2,
+                       "--out", out) == 0
+
     @pytest.mark.parametrize("entries", [["a"], [0.7]])
     def test_non_integer_split_entry_is_one_line(self, tiny_dir, tmp_path, capsys, entries):
         data = tmp_path / "ds"

@@ -3,6 +3,8 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +207,27 @@ class TestTrain:
             train(model, x, y, splits, TrainConfig(epochs=1))
 
 
+class TruthyZero(float):
+    """A weight decay of 0.0 that tests true, so loss_and_grad still adds
+    its 2 * 0.0 * w term, as it did before skipping it at 0."""
+
+    def __bool__(self):
+        return True
+
+
+class TestZeroWeightDecay:
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_skipped_add_gives_the_same_bits(self, dropout):
+        make_model, x, y, splits, config = pipeline_case(dt=4, dropout=dropout, epochs=8)
+        x[:, 2] = -0.0  # a -0.0 input column: zero products of both signs
+        runs = []
+        for decay in (0.0, TruthyZero(0.0)):
+            config.weight_decay = decay
+            model, metrics = train(make_model(), x, y, splits, config)
+            runs.append(([p.tobytes() for p in model.parameters()], metrics.to_dict()))
+        assert runs[0] == runs[1]
+
+
 def sequential_train(model, x, y, splits, config):
     """Reference loop: gradient, update, then evaluation, one after another."""
     rng = np.random.default_rng(config.seed)
@@ -366,6 +389,27 @@ class TestPipelinedTrain:
         assert threading.current_thread() not in callers
 
     @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("dt", [1, 3, 6])
+    def test_each_gradient_set_freed_before_the_next_is_made(self, monkeypatch, dt,
+                                                             use_bias):
+        # the update frees each gradient once it has written its parameter,
+        # and the next gradient pass reads the last layer only after that
+        real = dgmlp.nn.loss_and_grad
+        sets, stale = [], []
+
+        def watching(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            if sets:
+                stale.append(sum(ref() is not None for ref in sets[-1]))
+            sets.append([weakref.ref(g) for g in grads])
+            return loss, grads
+
+        monkeypatch.setattr(dgmlp.nn, "loss_and_grad", watching)
+        case = pipeline_case(dt, use_bias, dropout=0.5)
+        assert_matches_sequential(case)
+        assert stale == [0] * (case[-1].epochs - 1)
+
+    @pytest.mark.parametrize("use_bias", [False, True])
     @pytest.mark.parametrize("dt", [3, 6])
     def test_slow_update_never_read_early(self, monkeypatch, dt, use_bias):
         # the update sleeps before each parameter it writes, so a gradient
@@ -387,17 +431,21 @@ class TestPipelinedTrain:
 
 class TestAdam:
     def test_in_place_step_equals_textbook_update(self):
+        # small parameters, ones of more than one block and of rows wider
+        # than a block, and gradients holding -0.0
         rng = np.random.default_rng(4)
-        shapes = [(5, 3), (3,), (7, 7), (1, 2)]
+        shapes = [(5, 3), (3,), (7, 7), (1, 2), (300, 300), (100_000,), (2, 70_000)]
         params = [rng.normal(size=s) for s in shapes]
         ref = [p.copy() for p in params]
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         opt = Adam(params, lr, b1, b2, eps)
+        assert all(s.size == 70_000 for s in opt._scratch)  # one row of the widest
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         for t in range(1, 6):
             grads = [rng.normal(size=s) for s in shapes]
-            grads[1][0] = -0.0
+            for g in grads:
+                g.reshape(-1)[::7] = -0.0
             opt.step(params, grads)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
@@ -405,6 +453,41 @@ class TestAdam:
             ref = [p - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
                    for p, mi, vi in zip(ref, m, v)]
             assert [p.tobytes() for p in params] == [p.tobytes() for p in ref]
+
+
+class TestTrainMemory:
+    def test_traced_peak_holds_one_epoch_of_training_arrays(self):
+        # what train holds: the parameters, Adam's m, v and two scratch
+        # blocks, the evaluation's rows and two hidden buffers, one epoch's
+        # activations (each layer's dropped-out input and its masks) and one
+        # gradient set. The slack covers the backward pass's three working
+        # arrays (dh, dz and a fresh product); a second gradient set, as
+        # when the last epoch's stayed alive through the next backward
+        # pass, breaks the bound.
+        n_train, n_eval, d, hidden, classes = 200, 600, 32, 256, 5
+        rng = np.random.default_rng(7)
+        n = n_train + n_eval
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, classes, n)
+        splits = Splits(train=np.arange(n_train), val=np.arange(n_train, n_train + 300),
+                        test=np.arange(n_train + 300, n))
+        model = ResidualMlp.create(d, classes, num_layers=6, hidden_dim=hidden,
+                                   dropout_rate=0.5, seed=8)
+        params = sum(p.nbytes for p in model.parameters())
+        adam = 2 * params + 2 * 8 * (1 << 16)
+        evaluation = n * (d + 2 * hidden) * 8
+        widths = [d] + [hidden] * 5
+        activations = sum(n_train * w * (8 + 1) for w in widths) + 5 * n_train * hidden
+        slack = 3 * n_train * hidden * 8
+        assert slack < params  # the bound tells a second gradient set apart
+        config = TrainConfig(learning_rate=1e-3, epochs=4, weight_decay=1e-4, seed=9)
+        tracemalloc.start()
+        try:
+            train(model, x, y, splits, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= params + adam + evaluation + activations + params + slack
 
 
 class TestTrainConfig:

@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,9 @@ class TestRunConfig:
     def test_echo_contains_seed(self):
         cfg = RunConfig(seed=42)
         assert cfg.to_dict()["seed"] == 42
+
+
+DBL_MAX = np.finfo(np.float64).max
 
 
 class TestRowNormalize:
@@ -86,9 +90,70 @@ class TestRowDivisor:
         x[9] = np.finfo(np.float64).max / 5
         with np.errstate(over="ignore"):
             norms = np.abs(x).sum(axis=1) if mode == "l1" else np.linalg.norm(x, axis=1)
-            got = row_divisor(x, mode)
-        assert got.tobytes() == np.where(norms > 0.0, norms, 1.0).tobytes()
+        got = row_divisor(x, mode)
+        want = np.where(norms > 0.0, norms, 1.0)
+        # row 9's squares overflow, so its L2 norm is taken from the scaled row
+        plain = np.isfinite(want)
+        assert plain.sum() == (11 if mode == "l1" else 10)
+        assert got[plain].tobytes() == want[plain].tobytes()
+        assert got[9] == pytest.approx(np.sqrt(4.0) * x[9, 0] if mode == "l2" else want[9],
+                                       rel=1e-15)
         assert got[2] == got[5] == 1.0
+
+    # rows whose plain norm overflows, underflows or has lost bits to
+    # subnormal squares, beside rows with subnormal entries
+    EXTREME_ROWS = [
+        [1e200, 0.0, 0.0],
+        [1e-200, 0.0, 0.0],
+        [1e-160, -3e-160, 2e-161],
+        [1e308, 1e308, 0.0],
+        [0.9 * DBL_MAX, -0.4 * DBL_MAX, 1.0],
+        [5e-324, -1e-323, 1.5e-323],
+        [1e-310, 3e-309, -2.5e-320],
+        [5e-324, 1e-300, -0.0],
+        [-0.0, 0.0, -0.0],
+        [3.0, -4.0, 12.0],
+    ]
+
+    @staticmethod
+    def exact_norm(row, mode) -> float:
+        """The row's norm, correctly rounded to float64 (inf above DBL_MAX)."""
+        with localcontext() as ctx:
+            ctx.prec = 80
+            values = [Decimal(float(v)) for v in row]
+            norm = (sum(abs(v) for v in values) if mode == "l1"
+                    else sum(v * v for v in values).sqrt())
+            return float(norm) if norm <= Decimal(DBL_MAX) else np.inf
+
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    def test_extreme_rows_match_exact_norms(self, mode):
+        rows = [r for r in self.EXTREME_ROWS if self.exact_norm(r, mode) < np.inf]
+        got = row_divisor(np.array(rows), mode)
+        for row, divisor in zip(rows, got):
+            want = self.exact_norm(row, mode) or 1.0
+            # an ulp of the norm: of the subnormal grid where the norm is subnormal
+            assert abs(divisor - want) <= 2 * np.spacing(want), row
+
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    def test_extreme_rows_normalize_to_exact_quotients(self, mode):
+        # a subnormal L1 norm is exact; a subnormal L2 norm is rounded to
+        # the subnormal grid, so its quotients are not exact
+        lowest = 0.0 if mode == "l1" else 2.0 ** -1022
+        rows = [r for r in self.EXTREME_ROWS if lowest < self.exact_norm(r, mode) < np.inf]
+        got = row_normalize(np.array(rows), mode)
+        for row, out in zip(rows, got):
+            norm = Decimal(self.exact_norm(row, mode))
+            want = [float(Decimal(v) / norm) for v in row]
+            assert np.abs(out - want).max() <= 4e-16, row
+        assert got[0].tolist() == got[1].tolist() == [1.0, 0.0, 0.0]
+
+    def test_norm_beyond_dbl_max_is_an_error(self):
+        x = np.array([[1.0, 2.0], [1e308, 1e308]])
+        assert row_normalize(x, "l2")[1] == pytest.approx([0.5 ** 0.5] * 2, rel=2e-16)
+        with pytest.raises(ValidationError, match="row 1 .* L1 norm above DBL_MAX"):
+            row_normalize(x, "l1")
+        with pytest.raises(ValidationError, match="row 0 .* L2 norm above DBL_MAX"):
+            row_divisor(np.full((1, 5), DBL_MAX), "l2")
 
     def test_none_and_bad_modes(self):
         x = np.ones((3, 2))

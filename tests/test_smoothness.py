@@ -687,7 +687,8 @@ class TestPassRows:
 def extreme_rows(seed, n=40, d=5):
     """signed_case's graph and features, with rows that are zero, all -0.0,
     subnormal, tiny, large, and of an L1 norm within a factor d of
-    DBL_MAX (its L2 norm overflows, so row_normalize leaves it zero)."""
+    DBL_MAX (its squares overflow, so row_divisor takes its L2 norm from
+    the scaled row)."""
     g, x = signed_case(n=n, d=d, seed=seed)
     big = np.finfo(np.float64).max / d
     x[1] = -0.0
@@ -709,8 +710,6 @@ def hub_of_large_rows(leaves=6, d=3):
     return g, x
 
 
-# the L2 norm of a row near DBL_MAX overflows to inf, in row_normalize too
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 class TestDivisorWalk:
     """The walk from (features, row divisors) against the walk on the
     row-normalized copy: within TOL absolutely, step 0 bit for bit."""
@@ -825,6 +824,25 @@ class TestDivisorWalk:
                           (walk.combined, combined)]:
             assert got.tobytes() == want.tobytes()
         assert walk.cap_gsl == cap_gsl
+
+    @pytest.mark.parametrize("caps", [(), (0, 2, 3)])
+    @pytest.mark.parametrize("case", ["one huge row", "every row large"])
+    def test_undivided_overflow_raises(self, caps, case):
+        # x.x of a row with entries above about 1.3e154 overflows, and so
+        # does s.s when many rows sum past it; either once made the nsl NaN
+        # with no error
+        graph = erdos_renyi(30, 0.2, 1)
+        x = np.random.default_rng(2).random((30, 3))
+        if case == "one huge row":
+            x[4] = [1e200, 2e200, 0.0]
+        else:
+            x *= 1e153
+        with pytest.raises(ValidationError, match=r"overflow.*--feature-norm l1\|l2"):
+            propagation_pass(graph, x, k=3, r=0.5, temperature=1.0, caps=caps)
+        for mode in ("l1", "l2"):  # the divided rows do not overflow
+            walk = propagation_pass(graph, x, k=3, r=0.5, temperature=1.0, caps=caps,
+                                    divisor=row_divisor(x, mode))
+            assert np.isfinite(walk.profile.nsl).all() and np.isfinite(walk.combined).all()
 
     def test_bad_divisor(self):
         graph, x = signed_case()

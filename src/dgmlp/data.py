@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .graph import Graph, build_graph
+from .graph import MAX_NODES, Graph, build_graph
 
 
 def check_disjoint(splits) -> None:
@@ -338,6 +338,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if n > MAX_NODES:
+        raise ParameterError(f"n must be <= {MAX_NODES}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must lie in [0, 1], got {p}")
     total = n * (n - 1) // 2
@@ -350,10 +352,18 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     picks = []
     pos = -1
-    batch = max(1024, int(total * p * 1.2))
+    # Each gap is clamped to at most total + 1, which ends the walk as any
+    # longer gap would: at a tiny p the float gap can pass int64. So the
+    # batch's cumsum, pos + batch * (total + 1), stays inside int64; with
+    # n <= MAX_NODES, total < 2**62 and the batch is at least 1. Every gap
+    # takes one draw, so the batch size leaves the stream unchanged.
+    batch = min(max(1024, int(total * p * 1.2)),
+                (np.iinfo(np.int64).max - total) // (total + 1))
     log1mp = math.log1p(-p)
     while pos < total:
-        gaps = np.floor(np.log1p(-rng.random(batch)) / log1mp).astype(np.int64) + 1
+        with np.errstate(over="ignore"):  # an inf gap is clamped like any other
+            gaps = np.floor(np.log1p(-rng.random(batch)) / log1mp)
+        gaps = np.minimum(gaps, total, out=gaps).astype(np.int64) + 1
         cand = pos + np.cumsum(gaps)
         picks.append(cand[cand < total])
         if cand[-1] >= total:

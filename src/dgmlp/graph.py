@@ -51,50 +51,83 @@ class Graph:
         return np.column_stack([rows[keep], self.col_indices[keep]])
 
 
+# N * N must fit in int64 for the packed keys u * N + v of build_graph
+MAX_NODES = 3_037_000_499
+
+
+def _integer_ids(edges: np.ndarray) -> bool:
+    """True when every entry of edges is an integer node id (bool is not):
+    an integer dtype, or an object array of Python or numpy integers, as
+    numpy makes for ids past int64."""
+    if edges.dtype.kind in "iu":
+        return True
+    return edges.dtype.kind == "O" and all(
+        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, edges.flat)))
+
+
 def build_graph(edge_list, num_nodes: int) -> Graph:
     """Build a validated symmetric CSR graph from an iterable of (u, v) pairs.
 
     An (M, 2) ndarray is used as it is, without a copy when it is int64.
     Input direction is irrelevant, duplicate edges and self-loops are
     silently dropped. Node ids must already be dense integers in
-    [0, num_nodes).
+    [0, num_nodes); a float, bool or string id is rejected, not truncated.
+
+    Both directions of every non-loop pair are packed as src * N + dst into
+    one int64 array of 2M keys, which one sort orders by (src, dst):
+    dropping adjacent duplicates leaves the CSR's (row, column) pairs.
     """
-    if num_nodes < 1:
-        raise ValidationError(f"num_nodes must be >= 1, got {num_nodes}")
-    if not isinstance(edge_list, np.ndarray):
-        edge_list = list(edge_list)
-    edges = np.asarray(edge_list, dtype=np.int64)
+    if not 1 <= num_nodes <= MAX_NODES:
+        raise ValidationError(f"num_nodes must lie in [1, {MAX_NODES}], got {num_nodes}")
+    # the ids of a list as given: numpy would read True as 1, and an int
+    # past int64 beside smaller ones as a float
+    edges = edge_list if isinstance(edge_list, np.ndarray) \
+        else np.array(list(edge_list), dtype=object)
     if edges.size == 0:
-        edges = edges.reshape(0, 2)
+        edges = np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValidationError("edge list must contain (u, v) pairs")
+    if not _integer_ids(edges):
+        raise ValidationError(f"node ids must be integers, got {edges.dtype} ids")
+    if edges.dtype.kind == "O":
+        try:
+            edges = edges.astype(np.int64)
+        except OverflowError:
+            pass  # an id past int64: the range check names it exactly
 
-    bad = (edges < 0) | (edges >= num_nodes)
-    if bad.any():
+    if edges.min(initial=0) < 0 or edges.max(initial=0) >= num_nodes:
+        bad = (edges < 0) | (edges >= num_nodes)
         line = int(np.flatnonzero(bad.any(axis=1))[0])
         u, v = edges[line]
         raise ValidationError(
             f"edge {line}: node id out of range [0, {num_nodes}): ({u}, {v})"
         )
+    edges = edges.astype(np.int64, copy=False)
 
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    off_diag = lo != hi
-    # unique packed key deduplicates; num_nodes^2 stays well inside int64
-    packed = np.unique(lo[off_diag] * np.int64(num_nodes) + hi[off_diag])
-    lo = packed // num_nodes
-    hi = packed % num_nodes
+    u, v = edges[:, 0], edges[:, 1]
+    off_diag = u != v
+    if not off_diag.all():
+        u, v = u[off_diag], v[off_diag]
+    m = u.size
+    n = np.int64(num_nodes)
+    # keys stay below N * N <= 2**63 - 1 (MAX_NODES): no int64 overflow
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    keys.sort()
+    if m:
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+    src, dst = np.divmod(keys, n)
 
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-
-    degrees = np.bincount(src, minlength=num_nodes).astype(np.int64)
+    degrees = np.bincount(src, minlength=num_nodes).astype(np.int64, copy=False)
     row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(degrees, out=row_offsets[1:])
-    return Graph(num_nodes, row_offsets, dst.astype(np.int64), degrees)
+    return Graph(num_nodes, row_offsets, dst, degrees)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .errors import ConfigurationError, ValidationError
 from .graph import Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
 from .propagation import propagation_steps
-from .smoothness import propagation_pass
+from .smoothness import check_temperature, propagation_pass
 
 
 # (row name, RunConfig grid field) of each sweep axis
@@ -110,8 +110,7 @@ class RunConfig:
                 raise ConfigurationError(f"cap {cap} outside [0, {self.dp}]")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.temperature <= 0.0:
-            raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
+        check_temperature(self.temperature, ConfigurationError)
         if self.feature_norm not in ("none", "l1", "l2"):
             raise ConfigurationError(f"unknown feature_norm: {self.feature_norm!r}")
         if self.baseline not in (None, "sgc"):

@@ -88,10 +88,23 @@ def compute_nsl(stack: PropagatedStack, stationary) -> SmoothnessProfile:
     return SmoothnessProfile(nsl=nsl, gsl=nsl.mean(axis=0))
 
 
+# |nsl| <= 2 up to rounding (a product of two cosines), so at
+# temperature >= 2**-1021 every logit nsl / T lies within 2**1022 and
+# every softmax difference logit - max within 2**1023: both finite. Below
+# it nsl / T can reach inf, and exp(inf - inf) makes the weights NaN.
+MIN_TEMPERATURE = 2.0 ** -1021
+
+
+def check_temperature(temperature: float, error: type[Exception] = ParameterError) -> None:
+    """Raise error unless temperature >= MIN_TEMPERATURE (NaN fails too)."""
+    if not temperature >= MIN_TEMPERATURE:
+        raise error(f"temperature must be >= 2**-1021 (about {MIN_TEMPERATURE:.4g}), "
+                    f"got {temperature}")
+
+
 def propagation_weights(profile: SmoothnessProfile, temperature: float = 1.0) -> np.ndarray:
     """Per-node softmax over steps of nsl / temperature (max-subtracted)."""
-    if temperature <= 0.0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     z = profile.nsl / temperature
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -264,8 +277,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     len(rows) x d) are alive, O(N*d) at any depth, and no N x d array is
     made per step; with a divisor the divided x0 lives in a step buffer.
     """
-    if temperature <= 0.0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     caps = set(caps)
     for cap in caps:
         if not 0 <= cap <= k:

@@ -378,6 +378,38 @@ class TestScaleCommand:
         assert not out.exists()
 
 
+    def test_tiny_p_runs_on_an_edgeless_graph(self, tmp_path):
+        # the geometric gaps pass int64 at this p; the graph has no edges
+        out = tmp_path / "s.csv"
+        code = run_cli("scale", "--sizes", 60, "--p", 1e-18, "--dim", 4, "--classes", 2,
+                       "--epochs", 2, "--train-nodes", 10, "--val-nodes", 10,
+                       "--test-nodes", 10, "--out", out)
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["num_nodes"], r["num_edges"]) for r in rows] == [("60", "0")]
+
+
+class TestTemperatureFloor:
+    @pytest.mark.parametrize("value", ["1e-320", "5e-324", "2.2250738585072014e-308"])
+    def test_below_floor_is_one_line(self, tiny_dir, tmp_path, capsys, value):
+        out = tmp_path / "r.json"
+        code = run_cli("train", "--dataset", tiny_dir, "--temperature", value, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "temperature must be >= 2**-1021" in err
+        assert not out.exists()
+
+    def test_at_floor_trains_with_finite_loss(self, tiny_dir, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli("train", "--dataset", tiny_dir, "--temperature", repr(2.0 ** -1021),
+                       "--epochs", 3, "--out", out)
+        assert code == 0
+        losses = json.loads(out.read_text())["metrics"]["train_loss"]
+        assert len(losses) == 3 and np.isfinite(losses).all()
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("argv", [
         ["profile", "--epochs", "5"], ["scale", "--feature-norm", "l2"],

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgmlp import ParameterError, ValidationError, build_graph, data, drop_edges, \
     erdos_renyi, load_dataset, mask_features, subsample_labels
+from dgmlp.graph import MAX_NODES
 
 from conftest import citation_dataset, random_graph
 
@@ -407,3 +408,18 @@ class TestErdosRenyi:
             erdos_renyi(0, 0.5, seed=0)
         with pytest.raises(ParameterError):
             erdos_renyi(10, 1.5, seed=0)
+        with pytest.raises(ParameterError, match="n must be <="):
+            erdos_renyi(MAX_NODES + 1, 0.5, seed=0)  # fails before any array is made
+
+    @pytest.mark.parametrize("p", [1e-16, 1e-18, 1e-300, 5e-324])
+    @pytest.mark.parametrize("n", [2, 100, 20_000])
+    def test_tiny_p_has_no_edges(self, n, p):
+        # each float gap passes int64 or its cumsum does: both are clamped
+        for seed in (0, 1):
+            assert erdos_renyi(n, p, seed).num_edges == 0
+
+    def test_long_gaps_keep_their_edges(self):
+        # 2e9 pairs at p = 1e-9: gaps average 1e9, below the clamp; the
+        # edges were recorded before the clamp
+        g = erdos_renyi(63_246, 1e-9, seed=3)
+        assert g.undirected_edges().tolist() == [[1431, 61939], [5970, 40649], [56263, 57773]]

@@ -1,10 +1,43 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
-from dgmlp import ParameterError, ValidationError, build_graph, normalize
+from dgmlp import ParameterError, ValidationError, build_graph, drop_edges, erdos_renyi, \
+    load_dataset, normalize
+from dgmlp.graph import MAX_NODES
 
-from conftest import dense_normalized, random_graph
+from conftest import FIXTURES, dense_normalized, random_graph
+
+
+def scipy_reference(pairs, n):
+    """(row_offsets, col_indices, degrees) of the simple undirected graph on
+    pairs, from scipy alone: symmetrize, drop the diagonal, merge duplicates."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    a = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    a = (a + a.T).tocsr()
+    a = (sparse.triu(a, 1) + sparse.tril(a, -1)).tocsr()
+    a.sum_duplicates()
+    a.sort_indices()
+    return (a.indptr.astype(np.int64), a.indices.astype(np.int64),
+            np.diff(a.indptr).astype(np.int64))
+
+
+def assert_matches_reference(graph, pairs, n):
+    want = scipy_reference(pairs, n)
+    for field, ref in zip(("row_offsets", "col_indices", "degrees"), want):
+        got = getattr(graph, field)
+        assert got.dtype == np.int64 and got.tobytes() == ref.tobytes(), field
+
+
+def graph_digest(graph) -> str:
+    """SHA-256 over the bytes of row_offsets, col_indices and degrees."""
+    h = hashlib.sha256()
+    for a in (graph.row_offsets, graph.col_indices, graph.degrees):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 class TestBuildGraph:
@@ -61,6 +94,51 @@ class TestBuildGraph:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(edges, before)  # the caller's array is not written
 
+    def test_empty_list_stays_valid(self):
+        for empty in ([], np.empty((0, 2)), np.empty(0, dtype=np.int32)):
+            g = build_graph(empty, 2)
+            assert g.num_edges == 0 and g.row_offsets.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("edges", [
+        [(0.7, 1)], [(0, 1), (1.0, 2)], np.array([[0.7, 1.0]]), np.array([[0.0, 1.0]]),
+        [(True, 1)], np.array([[True, False]]), [("0", "1")], np.array([["0", "1"]]),
+        [(0, None)], np.array([[0, 1.5]], dtype=object),
+    ])
+    def test_non_integer_ids_rejected(self, edges):
+        # numpy would truncate 0.7 to node 0 and read True as 1
+        with pytest.raises(ValidationError, match="node ids must be integers"):
+            build_graph(edges, 3)
+
+    @pytest.mark.parametrize("edges,shown", [
+        ([(2**70, 1)], "(1180591620717411303424, 1)"),
+        ([(0, 1), (1, -2**64)], "(1, -18446744073709551616)"),
+        ([(2**63, 1)], "(9223372036854775808, 1)"),  # numpy reads this list as floats
+        (np.array([[1, 2**63]], dtype=np.uint64), "(1, 9223372036854775808)"),
+        (np.array([[2**70, 0]], dtype=object), "(1180591620717411303424, 0)"),
+    ])
+    def test_ids_past_int64_are_out_of_range(self, edges, shown):
+        line = len(edges) - 1
+        with pytest.raises(ValidationError, match=rf"edge {line}: node id out of range") as exc:
+            build_graph(edges, 3)
+        assert str(exc.value).endswith(shown)
+
+    def test_other_integer_dtypes_accepted(self):
+        ref = build_graph([(0, 1), (2, 1)], 3)
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64, object):
+            g = build_graph(np.array([[0, 1], [2, 1]], dtype=dtype), 3)
+            assert g.col_indices.tobytes() == ref.col_indices.tobytes()
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0, 1), (2,)], np.zeros((3, 3), np.int64),
+                                       np.zeros(4, np.int64)])
+    def test_not_pairs(self, edges):
+        with pytest.raises(ValidationError, match="pairs"):
+            build_graph(edges, 3)
+
+    def test_num_nodes_range(self):
+        for n in (0, -1, MAX_NODES + 1):
+            with pytest.raises(ValidationError, match="num_nodes"):
+                build_graph([], n)
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_csr_invariants(self, seed):
         g = random_graph(20, 60, seed)
@@ -71,6 +149,75 @@ class TestBuildGraph:
             assert v not in nbrs
             for u in nbrs:  # symmetric
                 assert v in g.neighbors(int(u))
+
+
+class TestBuildGraphOracle:
+    """Bitwise agreement with a plain scipy construction."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_edge_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        pairs = rng.integers(0, max(1, n // 2 + 1), (int(rng.integers(0, 3 * n)), 2))
+        pairs = np.concatenate([
+            pairs,                                 # ids below n // 2 + 1: isolated nodes above
+            pairs[::-1, ::-1],                     # every pair reversed
+            pairs[rng.integers(0, len(pairs), len(pairs) // 2)] if len(pairs) else pairs,
+            np.repeat(rng.integers(0, n, (3, 1)), 2, axis=1),  # self-loops
+        ])
+        pairs = pairs[rng.permutation(len(pairs))]
+        assert_matches_reference(build_graph(pairs, n), pairs, n)
+        assert_matches_reference(build_graph(pairs.tolist(), n), pairs, n)
+
+    @pytest.mark.parametrize("pairs,n", [
+        ([], 1), ([], 5), ([(0, 0)], 1), ([(0, 0), (0, 0)], 2), ([(1, 0)], 2),
+        ([(0, 1), (1, 0), (0, 1)], 2), ([(3, 3), (2, 0)], 7), ([(4, 0), (0, 4), (4, 4)], 5),
+    ])
+    def test_small_cases(self, pairs, n):
+        assert_matches_reference(build_graph(pairs, n), pairs, n)
+
+    def test_many_nodes_few_edges(self):
+        rng = np.random.default_rng(7)
+        n = 1_000_003
+        pairs = rng.integers(0, n, (500, 2))
+        assert_matches_reference(build_graph(pairs, n), pairs, n)
+
+
+class TestGoldenGraphs:
+    """SHA-256 of (row_offsets, col_indices, degrees), recorded from the
+    construction by np.unique and np.lexsort that the single key sort
+    replaced: the graphs are bitwise those of that construction."""
+
+    @pytest.mark.parametrize("n,p,seed,digest", [
+        (30000, 1e-4, 83, "d12fe4471fccadc8fc3b32a51345dabea5dc0833c8a288c871a1d5fa2a377523"),
+        (800, 4e-3, 0, "2283caaa0d12d0e812652b5a61a475e1e8564f7c0de283c5a69c54ccdf63fd5b"),
+        (200, 0.05, 7, "1becfa77ff2934a6932a5705e70894d4657a469f36edae9c72be8cefd5d53cfc"),
+        (60, 1.0, 0, "42bd78cdfad7bf394a5c3571818a0f1df741195223716d9cef0979628187c2c5"),
+        (1, 0.5, 0, "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+        (5000, 1e-3, 1, "1af3ef3d6c2f0a5f8319adf172645ea746350ae09d003b796b7083e9ccb70a61"),
+    ])
+    def test_erdos_renyi(self, n, p, seed, digest):
+        assert graph_digest(erdos_renyi(n, p, seed)) == digest
+
+    @pytest.mark.parametrize("n,p,seed,digest", [
+        (30000, 1e-4, 83, "513e0b8f4246e7692f57794f358cca8421756205e42e8ec7e224f33b5f318186"),
+        (800, 4e-3, 0, "27ac291bde927288d77187a239253884614fa6b1f9529817e7bcc3a8c9ae5dc4"),
+    ])
+    def test_erdos_renyi_edge_list(self, n, p, seed, digest):
+        # the hash perfbench keys its cached "er" input on, at the sizes it uses
+        edges = erdos_renyi(n, p, seed).undirected_edges()
+        assert hashlib.sha256(
+            np.ascontiguousarray(edges, dtype=np.int64).tobytes()).hexdigest() == digest
+
+    def test_drop_edges(self):
+        g = drop_edges(erdos_renyi(5000, 1e-3, 1), 0.5, 3)
+        assert graph_digest(g) == \
+            "3439debb6a7f6d051447d58c9b982ff92fffa347f76fa8e249e24aea613cd1dd"
+
+    def test_tiny_fixture(self):
+        g = load_dataset(FIXTURES / "tiny").graph
+        assert graph_digest(g) == \
+            "6c31d947e3473620ccea80fc1380178e02b78138ea3afb199b9521c11482fe9d"
 
 
 class TestNormalize:

@@ -23,8 +23,10 @@ class TestRunConfig:
             RunConfig(dp=-1)
         with pytest.raises(ConfigurationError):
             RunConfig(dt=0)
-        with pytest.raises(ConfigurationError):
-            RunConfig(temperature=0.0)
+        for t in (0.0, 2.0 ** -1022, float("nan")):
+            with pytest.raises(ConfigurationError, match="temperature"):
+                RunConfig(temperature=t)
+        assert RunConfig(temperature=2.0 ** -1021).temperature == 2.0 ** -1021
         with pytest.raises(ConfigurationError):
             RunConfig(feature_norm="bogus")
         with pytest.raises(ConfigurationError):

@@ -19,7 +19,7 @@ from dgmlp import DimensionError, ParameterError, SmoothnessProfile, ValidationE
 import dgmlp
 from dgmlp import propagation, smoothness
 from dgmlp.propagation import PropagatedStack
-from dgmlp.smoothness import write_gsl_csv, write_node_profile_csv
+from dgmlp.smoothness import MIN_TEMPERATURE, write_gsl_csv, write_node_profile_csv
 
 from conftest import random_graph
 
@@ -119,9 +119,20 @@ class TestPropagationWeights:
         assert w[0, 1] < 1e-6 and w[0, 2] < 1e-6
 
     def test_bad_temperature(self):
-        for t in (0.0, -1.0):
-            with pytest.raises(ParameterError):
+        # below 2**-1021, nsl / T can overflow and the softmax turns NaN
+        for t in (0.0, -1.0, 2.0 ** -1022, 1e-320, 5e-324, float("nan"), -np.inf):
+            with pytest.raises(ParameterError, match=r"temperature must be >= 2\*\*-1021"):
                 propagation_weights(self._profile([[1.0, 0.0]]), t)
+
+    def test_floor_temperature_gives_finite_weights(self):
+        # |nsl| <= 2: at the floor each logit is within 2**1022, and each
+        # difference from the row max within 2**1023
+        assert MIN_TEMPERATURE == 2.0 ** -1021
+        nsl = [[2.0, -2.0, 0.0, 1e-300], [-2.0, -2.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0],
+               [-2.0, -1.0, 5e-324, -2.0]]
+        w = propagation_weights(self._profile(nsl), MIN_TEMPERATURE)
+        assert w.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
+                              [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 1.0, 0.0]]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rows_sum_to_one(self, seed):
@@ -321,14 +332,26 @@ class TestPropagationPass:
     def test_bad_arguments(self):
         g = random_graph(5, 6, 0)
         x = np.ones((5, 2))
-        with pytest.raises(ParameterError):
-            propagation_pass(g, x, k=2, r=0.5, temperature=0.0)
+        for t in (0.0, 1e-320):
+            with pytest.raises(ParameterError, match="temperature"):
+                propagation_pass(g, x, k=2, r=0.5, temperature=t)
         with pytest.raises(ParameterError, match="cap 3"):
             propagation_pass(g, x, k=2, r=0.5, temperature=1.0, caps=[0, 3])
         with pytest.raises(ParameterError):
             propagation_pass(g, x, k=-3, r=0.5, temperature=1.0)
         with pytest.raises(DimensionError):
             propagation_pass(g, np.ones((4, 2)), k=2, r=0.5, temperature=1.0)
+
+
+    @pytest.mark.parametrize("rows", [None, [0, 3, 7]])
+    def test_floor_temperature_is_finite(self, rows):
+        # signed rows: nsl spans most of [-2, 2]
+        g = random_graph(12, 20, 4)
+        x = np.random.default_rng(4).standard_normal((12, 3))
+        walk = propagation_pass(g, x, k=4, r=0.5, temperature=MIN_TEMPERATURE, rows=rows)
+        w = walk.profile.weights
+        assert np.isfinite(w).all() and np.abs(w.sum(axis=1) - 1.0).max() < 1e-15
+        assert np.isfinite(walk.combined).all()
 
 
 def sequential_pass(graph, x, k, r, temperature, caps=()):

@@ -13,15 +13,17 @@ parse as integers are used directly as node indices; otherwise ids are
 treated as opaque strings and remapped to 0..N-1 in order of first
 appearance (the mapping is kept on the Dataset).
 
-Each text file is parsed by one np.loadtxt call when that provably gives
-what the per-line parser would (see ``_load_table``); otherwise by the
-per-line parser, which names the offending line.
+Each text file is parsed by np.loadtxt when that provably gives what the
+per-line parser would (see ``_load_table``; a large file is cut into parts
+for forked workers); otherwise by the per-line parser, which names the
+offending line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .graph import MAX_NODES, Graph, build_graph
+from .propagation import _fork_parts, _run_forked
 
 
 def check_disjoint(splits) -> None:
@@ -97,32 +100,106 @@ _LOADTXT_ONLY = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # one whole-file buffer raised that threshold, and the heap it then grew
 # made peak RSS later in the run vary by ~35 MB from process to process.
 _SCAN_BLOCK = 1 << 16
+# Smallest part of a table file parsed by a forked worker (see _load_table).
+# On a PubMed-like features.csv (2 cores, a parent holding one 79 MB feature
+# matrix), two workers took 30 ms against 28 ms in this process on a 1 MiB
+# file, 48 against 53 ms on 2 MiB and 88 against 102 ms on 4 MiB.
+_MIN_PART_BYTES = 1 << 20
+
+
+def _loadtxt(source, dtype, delimiter: str, max_rows=None) -> np.ndarray:
+    """np.loadtxt of a table file, with its warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(source, delimiter=delimiter, dtype=dtype, comments=None,
+                          ndmin=2, max_rows=max_rows, encoding="utf-8")
+
+
+def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
+                rows: list[int]) -> np.ndarray | None:
+    """The table parsed by forked workers, or None: worker i parses rows[i]
+    lines from byte starts[i] with the np.loadtxt call of _load_table.
+
+    A worker sends its table's shape and then its values, and the table
+    counts only if every part has exactly its own line count, at one
+    common width. With max_rows, loadtxt warns at a blank line, which
+    it would skip and so count a row of the next part; the warning is an
+    error here, and the part is no result.
+    """
+    def work(part: int, out) -> None:
+        with open(path, encoding="utf-8") as fh:
+            fh.seek(starts[part])
+            table = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
+        out.write(np.array(table.shape, dtype=np.int64).tobytes())
+        out.write(np.ascontiguousarray(table).data)
+
+    def collect(readers) -> np.ndarray | None:
+        heads = [reader.read(16) for reader in readers]
+        if any(len(head) != 16 for head in heads):
+            return None  # a worker ended before its shape
+        shapes = [np.frombuffer(head, dtype=np.int64).tolist() for head in heads]
+        width = shapes[0][1]
+        if shapes != [[num_rows, width] for num_rows in rows]:
+            return None
+        table = np.empty((sum(rows), width), dtype=dtype)
+        bounds = np.cumsum([0] + rows)
+        for reader, lo, hi in zip(readers, bounds, bounds[1:]):
+            part = memoryview(table[lo:hi]).cast("B")
+            if reader.readinto(part) != len(part) or reader.read(1):
+                return None
+        return table
+
+    return _run_forked(len(starts), work, collect)
 
 
 def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
-    """The whole file parsed by one np.loadtxt call, or None.
+    """The whole file parsed by np.loadtxt, or None.
 
     The table counts only if loadtxt raised nothing, warned nothing (it
     only warns on an empty file) and returned one row per line as
     ``_read_lines`` counts them (it skips blank lines). None sends the file
     to its per-line parser, which alone reports what is wrong with it.
+
+    A file of two _MIN_PART_BYTES or more is cut at line starts into parts,
+    one per core, each parsed by the same loadtxt call in a forked worker
+    (see _load_parts); the table is the same bit for bit. If the workers
+    give no table, the file is parsed in this process, as a smaller one is.
     """
     num_lines, last = 0, b"\n"
     try:
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            parts = _fork_parts(size, _MIN_PART_BYTES)
+            # each part starts at the first line start at or after its
+            # share of the bytes; starts[i] begins line lines_before[i]
+            targets = [size * i // parts for i in range(1, parts)]
+            starts, lines_before = [0], [0]
+            pos = 0
             while block := fh.read(_SCAN_BLOCK):
                 if any(byte in block for byte in _LOADTXT_ONLY):
                     return None
+                while targets and targets[0] <= pos + len(block):
+                    # the LF that ends the line holding byte target - 1
+                    lf = block.find(b"\n", max(0, targets[0] - 1 - pos))
+                    if lf < 0:
+                        break
+                    if starts[-1] < pos + lf + 1 < size:
+                        starts.append(pos + lf + 1)
+                        lines_before.append(num_lines + block.count(b"\n", 0, lf + 1))
+                    targets.pop(0)
                 num_lines += block.count(b"\n")
                 last = block[-1:]
+                pos += len(block)
     except OSError:
         return None
     num_lines += last != b"\n"  # an unterminated last line
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    table = None
+    if len(starts) > 1:
+        rows = np.diff(lines_before + [num_lines]).tolist()
+        table = _load_parts(path, dtype, delimiter, starts, rows)
+    if table is None:
         try:
-            table = np.loadtxt(path, delimiter=delimiter, dtype=dtype, comments=None,
-                               ndmin=2, encoding="utf-8")
+            table = _loadtxt(path, dtype, delimiter)
         except (ValueError, Warning):
             return None
     return table if table.shape[0] == num_lines else None
@@ -371,9 +448,26 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         pos = int(cand[-1])
     linear = np.concatenate(picks)
 
-    # invert the row-major pair index: row i covers offsets[i] .. offsets[i+1)
-    counts = np.arange(n - 1, 0, -1, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    u = np.searchsorted(offsets, linear, side="right") - 1
-    v = u + 1 + (linear - offsets[u])
+    u, v = _pair_of_index(linear, n)
     return build_graph(np.column_stack([u, v]), n)
+
+
+def _pair_of_index(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v), u < v, at the given row-major linear indices into
+    the n(n-1)/2 pairs of n nodes.
+
+    Counted from the end, the rows u, u+1, ..., n-2 hold t(t+1)/2 pairs
+    for t = n-1-u, so the row of an index with r = total - linear pairs
+    from it to the end is the least t with t(t+1)/2 >= r: the ceiling of
+    (sqrt(8r + 1) - 1) / 2. The float root has a relative error of a few
+    ulps, so t is off by at most one, and one exact integer step each way
+    fixes it; t(t+1) <= n(n-1) < 2**63 for n <= MAX_NODES.
+    """
+    total = n * (n - 1) // 2
+    remaining = total - linear
+    t = np.ceil((np.sqrt(8.0 * remaining + 1.0) - 1.0) / 2.0).astype(np.int64)
+    t = np.clip(t, 1, n - 1)
+    t += t * (t + 1) // 2 < remaining
+    t -= t * (t - 1) // 2 >= remaining
+    u = n - 1 - t
+    return u, u + 1 + (t * (t + 1) // 2 - remaining)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent dense oracles used across the suite."""
 
 import os
+import sys
 import threading
 from functools import lru_cache
 from pathlib import Path
@@ -33,6 +34,46 @@ def no_thread_left_running():
     running = [t.name for t in left if t.is_alive()]
     if running:
         pytest.fail(f"test left threads running: {running}")
+
+
+# forked workers (propagation._run_forked) run on Linux only
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="forked workers run on Linux only")
+
+
+def open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+def assert_no_worker_left(fds: set[str]) -> None:
+    """No child process is left, reaped or not, and the open file
+    descriptors are those in fds."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@pytest.fixture
+def no_worker_left():
+    """Fail a test that leaves a child process or a file descriptor behind."""
+    fds = open_fds()
+    yield
+    assert_no_worker_left(fds)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pids of the processes os.fork makes during the test, in order."""
+    made, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
 
 
 @pytest.fixture

@@ -401,6 +401,16 @@ class TestTemperatureFloor:
         assert "temperature must be >= 2**-1021" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity"])
+    def test_infinite_is_one_line(self, tiny_dir, tmp_path, capsys, value):
+        out = tmp_path / "r.json"
+        code = run_cli("train", "--dataset", tiny_dir, "--temperature", value, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "temperature must be >= 2**-1021" in err and "and finite" in err
+        assert not out.exists()
+
     def test_at_floor_trains_with_finite_loss(self, tiny_dir, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli("train", "--dataset", tiny_dir, "--temperature", repr(2.0 ** -1021),

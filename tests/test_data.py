@@ -1,5 +1,8 @@
 import json
+import math
+import os
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgmlp import ParameterError, ValidationError, build_graph, data, drop_edges, \
-    erdos_renyi, load_dataset, mask_features, subsample_labels
+    erdos_renyi, load_dataset, mask_features, propagation, subsample_labels
 from dgmlp.graph import MAX_NODES
 
-from conftest import citation_dataset, random_graph
+from conftest import assert_no_worker_left, citation_dataset, linux_only, open_fds, \
+    random_graph
 
 
 class TestLoadDataset:
@@ -218,6 +222,149 @@ class TestParserAgreement:
         assert_parsers_agree(*(_layout(gen, lines) for lines in (features, labels, edges)))
 
 
+def _write_dataset(directory: Path, features: str, labels: str, edges: str) -> None:
+    for name, text in (("features.csv", features), ("labels.csv", labels),
+                       ("edges.tsv", edges), ("splits.json", SPLITS)):
+        (directory / name).write_bytes(text.encode("utf-8"))
+
+
+def assert_workers_agree(features: str, labels: str, edges: str, shards: int = 2) -> None:
+    """load_dataset with every table of two or more lines cut into parts
+    for forked workers gives what it gives in one process, and leaves no
+    worker and no pipe behind."""
+    fds = open_fds()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_dataset(Path(tmp), features, labels, edges)
+        one_process = _outcome(tmp)
+        with mock.patch.object(data, "_MIN_PART_BYTES", 1), \
+                mock.patch.object(propagation, "_num_shards", lambda: shards):
+            forked = _outcome(tmp)
+    assert forked == one_process
+    assert_no_worker_left(fds)
+
+
+def _lines(count: int, bad_line: int | None = None, bad: str | None = None) -> str:
+    """A features.csv of `count` rows "v.5,-v", line bad_line replaced by bad."""
+    rows = [f"{v}.5,{-v}" for v in range(count)]
+    if bad_line is not None:
+        rows[bad_line - 1] = bad
+    return "".join(row + "\n" for row in rows)
+
+
+@linux_only
+class TestWorkerParsing:
+    """_load_table with its minimum part size lowered, so that small files
+    go to the forked workers."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("case", DIVERGENT.values(), ids=DIVERGENT.keys())
+    def test_divergent_inputs_as_in_one_process(self, case, shards):
+        assert_workers_agree(*case, shards=shards)
+
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_generated_files_as_in_one_process(self, gen):
+        num_nodes = gen.draw(st.integers(1, 12), label="num_nodes")
+        width = gen.draw(st.integers(1, 3), label="width")
+        value = st.one_of(st.floats(allow_subnormal=True).map(repr), st.integers(-5, 5).map(str),
+                          st.sampled_from(["", "a", "1_0", " 2 ", "nan"]))
+        index = st.integers(0, num_nodes - 1).map(str)
+        features = [",".join(gen.draw(st.lists(value, min_size=width, max_size=width)))
+                    for _ in range(num_nodes)]
+        labels = [gen.draw(index) for _ in range(num_nodes)]
+        edges = [f"{gen.draw(index)}\t{gen.draw(index)}"
+                 for _ in range(gen.draw(st.integers(0, 12)))]
+        assert_workers_agree(*(_layout(gen, lines) for lines in (features, labels, edges)),
+                             shards=gen.draw(st.integers(2, 4), label="shards"))
+
+    def test_clean_tables_come_from_the_workers(self, tmp_path, monkeypatch, no_worker_left):
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        _write_dataset(tmp_path, _lines(40), "0\n" * 40, "0\t1\n1\t2\n")
+        loadtxt = data._loadtxt
+
+        def in_workers_only(source, *args, **kwargs):
+            assert not isinstance(source, Path), "table parsed in this process"
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(data, "_loadtxt", in_workers_only)
+        ds = load_dataset(tmp_path)
+        assert ds.features.tobytes() == \
+            np.array([[v + 0.5, -v] for v in range(40)]).tobytes()
+
+    @pytest.mark.parametrize("bad_line,bad,message", [
+        (35, "1.0,x", "line 35: could not convert string to float: 'x'"),
+        (35, "", "line 35: expected 2 values, got 1"),
+        (40, "1.0,2.0,3.0", "line 40: expected 2 values, got 3"),
+    ])
+    def test_error_in_a_later_part(self, tmp_path, monkeypatch, no_worker_left,
+                                   bad_line, bad, message):
+        _write_dataset(tmp_path, _lines(40, bad_line, bad), "0\n" * 40, "0\t1\n")
+        with pytest.raises(ValidationError) as one_process:
+            load_dataset(tmp_path)
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        with pytest.raises(ValidationError) as forked:
+            load_dataset(tmp_path)
+        assert str(forked.value) == str(one_process.value)
+        assert str(forked.value).endswith(f"features.csv: {message}")
+
+    @pytest.mark.parametrize("fault", ["exit", "kill", "a column", "a row", "one row",
+                                       "half the bytes"])
+    def test_failed_or_misshapen_part_is_parsed_in_this_process(
+            self, tmp_path, monkeypatch, no_worker_left, fault):
+        _write_dataset(tmp_path, _lines(40), "0\n" * 40, "0\t1\n")
+        want = _outcome(tmp_path)
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        parent, loadtxt, in_process = os.getpid(), data._loadtxt, []
+
+        def faulty(source, *args, **kwargs):
+            if os.getpid() == parent:
+                in_process.append(Path(source).name)
+                return loadtxt(source, *args, **kwargs)
+            if source.tell() == 0:  # the first part's worker
+                return loadtxt(source, *args, **kwargs)
+            if fault == "exit":
+                os._exit(3)
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            table = loadtxt(source, *args, **kwargs)
+            # "one row" sends the right bytes, "half the bytes" the right shape
+            return {"a column": table[:, :1], "a row": table[:-1],
+                    "one row": table.reshape(1, -1),
+                    "half the bytes": table.astype(np.float32)}[fault]
+
+        monkeypatch.setattr(data, "_loadtxt", faulty)
+        assert _outcome(tmp_path) == want
+        assert "features.csv" in in_process
+
+    def test_small_files_never_fork(self, tmp_path, monkeypatch, tiny_dir, forks):
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 64)
+        load_dataset(tiny_dir)  # every file below 128 bytes
+        assert forks == []
+        path = tmp_path / "t.csv"
+        for text, workers in (("1.0,2.0\n" * 15 + "1.0,2.0", 0), ("1.0,2.0\n" * 16, 2)):
+            path.write_text(text)  # 127 and 128 bytes
+            forks.clear()
+            assert data._load_table(path, np.float64, ",").shape == (16, 2)
+            assert len(forks) == workers
+
+    @pytest.mark.parametrize("shards,starts,rows", [
+        (2, [0, 62], [2, 1]), (3, [0, 51], [1, 2]), (8, [0, 51, 62], [1, 1, 1]),
+    ])
+    def test_parts_start_at_line_starts(self, tmp_path, monkeypatch, shards, starts, rows):
+        # lines longer than a part: every part still holds whole lines
+        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        seen = []
+        monkeypatch.setattr(data, "_load_parts",
+                            lambda path, dtype, delimiter, starts, rows:
+                            seen.append((starts, rows)))
+        path = tmp_path / "t.csv"
+        path.write_text("1" * 50 + "\n" + "2" * 10 + "\n" + "3" * 50)
+        assert data._load_table(path, np.float64, ",") is not None
+        assert seen == [(starts, rows)]
+
+
 def _layout(gen, lines: list[str]) -> str:
     """Join lines into a file, sometimes with one of the layout faults in DIVERGENT."""
     lines = list(lines)
@@ -410,6 +557,29 @@ class TestErdosRenyi:
             erdos_renyi(10, 1.5, seed=0)
         with pytest.raises(ParameterError, match="n must be <="):
             erdos_renyi(MAX_NODES + 1, 0.5, seed=0)  # fails before any array is made
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 200])
+    def test_pair_of_index_against_brute_force(self, n):
+        u, v = data._pair_of_index(np.arange(n * (n - 1) // 2, dtype=np.int64), n)
+        want_u, want_v = np.triu_indices(n, k=1)
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+    @pytest.mark.parametrize("n", [MAX_NODES, MAX_NODES - 1, 2**31 + 11, 10**9 + 7])
+    def test_pair_of_index_exact_at_large_n(self, n):
+        # the indices around row starts, where the float root alone puts
+        # thousands of them in the neighbouring row; the row by math.isqrt
+        total = n * (n - 1) // 2
+        rows = np.random.default_rng(n % 1000).integers(0, n - 1, 300).tolist() + [0, n - 2]
+        starts = {i * (2 * n - i - 1) // 2 for i in rows}
+        linear = sorted({s + d for s in starts for d in (-1, 0, 1)} - {-1, total})
+        want = []
+        for index in linear:
+            r = total - index
+            t = (math.isqrt(8 * r + 1) - 1) // 2
+            t += t * (t + 1) // 2 < r
+            want.append((n - 1 - t, n - t + t * (t + 1) // 2 - r))
+        u, v = data._pair_of_index(np.array(linear, dtype=np.int64), n)
+        assert list(zip(u.tolist(), v.tolist())) == want
 
     @pytest.mark.parametrize("p", [1e-16, 1e-18, 1e-300, 5e-324])
     @pytest.mark.parametrize("n", [2, 100, 20_000])

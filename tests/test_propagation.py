@@ -1,4 +1,7 @@
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from dgmlp import DimensionError, NormalizedAdjacency, ParameterError, \
     ValidationError, build_graph, erdos_renyi, normalize, propagate, propagation, \
     propagation_steps, spmm, stationary_features
 
-from conftest import dense_normalized, random_graph
+from conftest import dense_normalized, linux_only, random_graph
 
 
 class TestSpmm:
@@ -124,6 +127,87 @@ class TestRunSharded:
         assert threading.active_count() == before
         assert callers[0] is threading.current_thread()
         assert threading.current_thread() not in (callers[1], callers[2])
+
+
+@linux_only
+class TestRunForked:
+    """Forked workers: results in part order, no result on any failure,
+    and every worker reaped (and its pipe closed) before the call returns."""
+
+    @staticmethod
+    def read_all(readers):
+        return [reader.read() for reader in readers]
+
+    def test_results_in_part_order(self, no_worker_left):
+        def work(part, out):
+            # more than the pipe holds, so the parts are read while written
+            out.write(f"{part}:{os.getpid()};".encode() * (part + 1) * 100_000)
+
+        got = propagation._run_forked(3, work, self.read_all)
+        parts = [set(text.split(b";")[:-1]) for text in got]
+        assert [len(p) for p in parts] == [1, 1, 1]
+        tags = [p.pop().split(b":") for p in parts]
+        assert [tag for tag, _ in tags] == [b"0", b"1", b"2"]
+        pids = {int(pid) for _, pid in tags}
+        assert len(pids) == 3 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
+    def test_a_failed_worker_is_no_result(self, no_worker_left, failing, how):
+        def work(part, out):
+            out.write(b"x" * 10_000)
+            if part == failing:
+                if how == "raise":
+                    raise RuntimeError("worker failed")
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        assert propagation._run_forked(2, work, self.read_all) is None
+
+    def test_none_from_collect_kills_running_workers(self, no_worker_left):
+        def work(part, out):
+            if part:
+                time.sleep(60)
+
+        start = time.perf_counter()
+        assert propagation._run_forked(2, work, lambda readers: None) is None
+        assert time.perf_counter() - start < 10
+
+    def test_collect_error_propagates_after_reaping(self, no_worker_left):
+        def collect(readers):
+            raise KeyError("collect failed")
+
+        start = time.perf_counter()
+        with pytest.raises(KeyError, match="collect failed"):
+            propagation._run_forked(2, lambda part, out: time.sleep(60), collect)
+        assert time.perf_counter() - start < 10
+
+    def test_failed_fork_is_no_result(self, monkeypatch, no_worker_left):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            if forks:
+                raise BlockingIOError("out of processes")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert propagation._run_forked(3, lambda part, out: None, self.read_all) is None
+
+    def test_fork_parts(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 3)
+        assert [propagation._fork_parts(size, 4) for size in (0, 7, 8, 11, 12, 100)] == \
+            [1, 1, 2, 2, 3, 3]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert propagation._fork_parts(100, 4) == 1  # a worker would lack that thread
+        finally:
+            stop.set()
+            thread.join()
 
 
 class TestPropagationSteps:

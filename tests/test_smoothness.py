@@ -1,5 +1,6 @@
 import csv
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from dgmlp import propagation, smoothness
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import MIN_TEMPERATURE, write_gsl_csv, write_node_profile_csv
 
-from conftest import random_graph
+from conftest import linux_only, random_graph
 
 
 class TestCosine:
@@ -123,6 +124,22 @@ class TestPropagationWeights:
         for t in (0.0, -1.0, 2.0 ** -1022, 1e-320, 5e-324, float("nan"), -np.inf):
             with pytest.raises(ParameterError, match=r"temperature must be >= 2\*\*-1021"):
                 propagation_weights(self._profile([[1.0, 0.0]]), t)
+
+    @pytest.mark.parametrize("t", [np.inf, float("inf")])
+    def test_infinite_temperature_rejected(self, t):
+        # T = inf is the uniform limit, but it cannot be written to strict JSON
+        with pytest.raises(ParameterError, match="temperature must be .* and finite, got inf"):
+            propagation_weights(self._profile([[1.0, 0.0]]), t)
+        g = random_graph(12, 20, 0)
+        x = np.random.default_rng(0).random((12, 3))
+        with pytest.raises(ParameterError, match="and finite, got inf"):
+            propagation_pass(g, x, k=2, r=0.5, temperature=t)
+
+    def test_largest_finite_temperature_is_uniform(self):
+        g = random_graph(12, 20, 1)
+        x = np.random.default_rng(1).standard_normal((12, 3))
+        walk = propagation_pass(g, x, k=4, r=0.5, temperature=np.finfo(np.float64).max)
+        assert (walk.profile.weights == 0.2).all()
 
     def test_floor_temperature_gives_finite_weights(self):
         # |nsl| <= 2: at the floor each logit is within 2**1022, and each
@@ -951,22 +968,76 @@ class TestCsvExport:
             rows = list(csv.DictReader(fh))
         assert [float(r["gsl"]) for r in rows] == list(profile.gsl)
 
-    @pytest.mark.parametrize("block_rows", [1 << 16, 6, 1])  # blocks of 3, 2 and 1 nodes
-    def test_node_profile_bytes_match_csv_writer(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(smoothness, "_CSV_BLOCK_ROWS", block_rows)
+    @staticmethod
+    def odd_profile() -> SmoothnessProfile:
         nsl = np.array([[0.0, -0.0, 5e-324], [1e300, -2.5e-310, 1 / 3], [-1.5, 2.0, 0.25]])
         weights = np.array([[-0.0, 1e300, 0.1], [np.nextafter(0, 1), 0.5, -1e-300],
                             [1.0, 0.0, 1e-5]])
-        profile = SmoothnessProfile(nsl=nsl, gsl=nsl.mean(axis=0), weights=weights)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
+        return SmoothnessProfile(nsl=nsl, gsl=nsl.mean(axis=0), weights=weights)
+
+    @staticmethod
+    def csv_writer_bytes(profile: SmoothnessProfile, path) -> bytes:
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["node_id", "step", "nsl", "weight"])
-            for v in range(3):
-                for k in range(3):
-                    writer.writerow([v, k, repr(float(nsl[v, k])), repr(float(weights[v, k]))])
+            for v, k in np.ndindex(profile.nsl.shape):
+                writer.writerow([v, k, repr(float(profile.nsl[v, k])),
+                                 repr(float(profile.weights[v, k]))])
+        return Path(path).read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [1 << 16, 6, 1])  # blocks of 3, 2 and 1 nodes
+    def test_node_profile_bytes_match_csv_writer(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(smoothness, "_CSV_BLOCK_ROWS", block_rows)
+        profile = self.odd_profile()
         write_node_profile_csv(profile, tmp_path / "out.csv")
-        assert (tmp_path / "out.csv").read_bytes() == ref.read_bytes()
+        assert (tmp_path / "out.csv").read_bytes() == \
+            self.csv_writer_bytes(profile, tmp_path / "ref.csv")
+
+    @linux_only
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("block_rows", [1 << 16, 6, 1])
+    def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch, no_worker_left, forks,
+                                          block_rows, shards):
+        monkeypatch.setattr(smoothness, "_CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(smoothness, "_CSV_MIN_PART_ROWS", 1)
+        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        profile = self.odd_profile()
+        write_node_profile_csv(profile, tmp_path / "out.csv")
+        assert len(forks) == shards
+        assert (tmp_path / "out.csv").read_bytes() == \
+            self.csv_writer_bytes(profile, tmp_path / "ref.csv")
+
+    @linux_only
+    @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
+    def test_failed_worker_writes_in_this_process(self, tmp_path, monkeypatch,
+                                                  no_worker_left, how):
+        monkeypatch.setattr(smoothness, "_CSV_MIN_PART_ROWS", 1)
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 3)
+        parent, profile_rows, in_process = os.getpid(), smoothness._profile_rows, []
+
+        def failing(profile, lo, hi):
+            if os.getpid() == parent:
+                in_process.append((lo, hi))
+            elif lo > 0:  # a later part's worker
+                if how == "raise":
+                    raise MemoryError
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return profile_rows(profile, lo, hi)
+
+        monkeypatch.setattr(smoothness, "_profile_rows", failing)
+        profile = self.odd_profile()
+        write_node_profile_csv(profile, tmp_path / "out.csv")
+        assert in_process == [(0, 3)]
+        assert (tmp_path / "out.csv").read_bytes() == \
+            self.csv_writer_bytes(profile, tmp_path / "ref.csv")
+
+    def test_small_profiles_never_fork(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        monkeypatch.setattr(smoothness, "_CSV_MIN_PART_ROWS", 5)
+        write_node_profile_csv(self.odd_profile(), tmp_path / "out.csv")  # 9 rows < 2 * 5
+        assert forks == []
 
     def test_export_requires_weights(self, tmp_path):
         profile = SmoothnessProfile(nsl=np.zeros((2, 2)), gsl=np.zeros(2))

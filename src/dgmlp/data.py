@@ -115,6 +115,15 @@ def _loadtxt(source, dtype, delimiter: str, max_rows=None) -> np.ndarray:
                           ndmin=2, max_rows=max_rows, encoding="utf-8")
 
 
+class _BadData(Exception):
+    """A forked worker's loadtxt rejected its part of a table file."""
+
+
+# The head a worker sends in place of its table's shape when loadtxt
+# raised or warned on its part.
+_BAD_DATA_HEAD = [-1, -1]
+
+
 def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
                 rows: list[int]) -> np.ndarray | None:
     """The table parsed by forked workers, or None: worker i parses rows[i]
@@ -124,20 +133,32 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
     counts only if every part has exactly its own line count, at one
     common width. With max_rows, loadtxt warns at a blank line, which
     it would skip and so count a row of the next part; the warning is an
-    error here, and the part is no result.
+    error here. A worker whose loadtxt raises or warns sends a bad-data
+    head instead, and _BadData is raised once it is read: loadtxt of the
+    whole file would fail too, or count the blank line's row short.
     """
     def work(part: int, out) -> None:
         with open(path, encoding="utf-8") as fh:
             fh.seek(starts[part])
-            table = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
+            try:
+                table = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
+            except (ValueError, Warning):
+                out.write(np.array(_BAD_DATA_HEAD, dtype=np.int64).tobytes())
+                return
         out.write(np.array(table.shape, dtype=np.int64).tobytes())
         out.write(np.ascontiguousarray(table).data)
 
     def collect(readers) -> np.ndarray | None:
-        heads = [reader.read(16) for reader in readers]
-        if any(len(head) != 16 for head in heads):
-            return None  # a worker ended before its shape
-        shapes = [np.frombuffer(head, dtype=np.int64).tolist() for head in heads]
+        shapes = []
+        for reader in readers:
+            head = reader.read(16)
+            if len(head) != 16:
+                return None  # a worker ended before its shape
+            shapes.append(np.frombuffer(head, dtype=np.int64).tolist())
+            if shapes[-1] == _BAD_DATA_HEAD:
+                # raised, not returned: _run_forked then kills every
+                # worker before one dies writing to a closed pipe
+                raise _BadData
         width = shapes[0][1]
         if shapes != [[num_rows, width] for num_rows in rows]:
             return None
@@ -162,8 +183,10 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
 
     A file of two _MIN_PART_BYTES or more is cut at line starts into parts,
     one per core, each parsed by the same loadtxt call in a forked worker
-    (see _load_parts); the table is the same bit for bit. If the workers
-    give no table, the file is parsed in this process, as a smaller one is.
+    (see _load_parts); the table is the same bit for bit. If a worker's
+    loadtxt rejects its part, the answer is None at once. If the workers
+    give no table otherwise (a worker crashed or sent a misshapen part),
+    the file is parsed in this process, as a smaller one is.
     """
     num_lines, last = 0, b"\n"
     try:
@@ -196,7 +219,10 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
     table = None
     if len(starts) > 1:
         rows = np.diff(lines_before + [num_lines]).tolist()
-        table = _load_parts(path, dtype, delimiter, starts, rows)
+        try:
+            table = _load_parts(path, dtype, delimiter, starts, rows)
+        except _BadData:
+            return None
     if table is None:
         try:
             table = _loadtxt(path, dtype, delimiter)

@@ -211,8 +211,8 @@ class PropagationPass:
     """What one walk over the propagation steps yields."""
 
     profile: SmoothnessProfile  # nsl, gsl, step weights, temperature: every node
-    combined: np.ndarray        # sum_k w_v(k) x_v^k, row i for node rows[i]; (N, d)
-                                # with rows=None
+    combined: np.ndarray        # sum_k w_v(k) x_v^k, row i for node picked[i]:
+                                # every node when rows is None
     cap_gsl: dict[int, float]   # cap c -> GSL of the combination truncated at c
 
 
@@ -252,8 +252,8 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     combine on the stored stack up to rounding.
 
     rows (sorted, unique node ids; None for every node) picks the nodes
-    whose combination is kept: acc then has one row per picked node, and
-    only those rows are accumulated. Every node is still scored, so the
+    whose combination is kept: acc has one row per picked node, and only
+    those rows are accumulated. Every node is still scored, so the
     profile is complete. caps need every row of the combination, since a
     cap's GSL is a mean over all nodes, so caps and rows are exclusive.
 
@@ -265,9 +265,9 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     rows whose norm has cancelled far below it take x . s from x (see
     _rank_one_nsl). So each block of a step is read twice: by the x.x and
     x.x0 row reductions, and by the accumulate acc += e * x, one pass of
-    scipy's CSR kernel on diag(e) or, with rows, on the picked rows of
-    diag(e). Nothing calls BLAS, and each row's arithmetic is the same
-    whatever the block, shard or BLAS thread count, so the bits are too.
+    scipy's CSR kernel on the picked rows of diag(e). Nothing calls BLAS,
+    and each row's arithmetic is the same whatever the block, shard or
+    BLAS thread count, so the bits are too.
 
     divisor (N positive row divisors; None for none) starts the walk from
     x0 / divisor[:, None], as propagation_steps does: the rows of x0 are
@@ -278,8 +278,8 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
 
     Each step's spmm and its scoring and fold are split over the cores by
     row shard: every part of the fold is row-local. The steps come from
-    propagation_steps: x0, its two step buffers and acc (N x d, or
-    len(rows) x d) are alive, O(N*d) at any depth, and no N x d array is
+    propagation_steps: x0, its two step buffers and acc (one row per
+    picked node) are alive, O(N*d) at any depth, and no N x d array is
     made per step; with a divisor the divided x0 lives in a step buffer.
     """
     check_temperature(temperature)
@@ -287,12 +287,11 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     for cap in caps:
         if not 0 <= cap <= k:
             raise ParameterError(f"cap {cap} outside [0, {k}]")
-    picked = None
-    if rows is not None:
-        if caps:
-            raise ParameterError("caps and rows are exclusive: a cap's GSL averages "
-                                 "the combination over every node")
-        picked = _check_rows(rows, graph.num_nodes)
+    if rows is not None and caps:
+        raise ParameterError("caps and rows are exclusive: a cap's GSL averages "
+                             "the combination over every node")
+    picked = (np.arange(graph.num_nodes) if rows is None
+              else _check_rows(rows, graph.num_nodes))
     # normalize checks r and the walk checks k, x0 and divisor: all before
     # any array below is made. features is then the array the walk checked,
     # and x0 its first step: features itself, or features / divisor.
@@ -308,7 +307,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     nsl = np.empty((n, k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
-    acc = np.empty_like(x0) if picked is None else np.empty((len(picked), d))
+    acc = np.empty((len(picked), d))
     x0_sq, u, reach = (np.empty(n) for _ in range(3))
     if caps:
         acc_u, acc_reach, cap_level = (np.empty(n) for _ in range(3))
@@ -335,12 +334,9 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         for start in range(lo, hi, block):
             rows = slice(start, min(start + block, hi))
             x_rows = x[rows]
-            if picked is None:
-                sel, acc_rows = slice(None), acc[rows]
-            else:
-                # the block's picked rows, as offsets into the block
-                a, b = np.searchsorted(picked, (rows.start, rows.stop))
-                sel, acc_rows = picked[a:b] - start, acc[a:b]
+            # the block's picked rows, as offsets into the block
+            a, b = np.searchsorted(picked, (rows.start, rows.stop))
+            sel, acc_rows = picked[a:b] - start, acc[a:b]
             xx = np.einsum("ij,ij->i", x_rows, x_rows)
             if step == 0:
                 # x is x0: its norms and u_0 = x0.s come from this read
@@ -353,12 +349,9 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
             logit = level[rows] / temperature
             if step == 0:
                 m[rows] = logit
-                if picked is None:
-                    acc_rows[:] = x_rows
-                else:
-                    # "clip" writes straight into acc_rows; "raise" would
-                    # buffer the output (sel is in range either way)
-                    np.take(x_rows, sel, axis=0, out=acc_rows, mode="clip")
+                # "clip" writes straight into acc_rows; "raise" would
+                # buffer the output (sel is in range either way)
+                np.take(x_rows, sel, axis=0, out=acc_rows, mode="clip")
                 if caps:
                     acc_u[rows] = u[rows]
                     acc_reach[rows] = reach[rows]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .graph import MAX_NODES, Graph, build_graph
+from .graph import MAX_NODES, Graph, _IdOutOfRange, build_graph
 from .propagation import _fork_parts, _run_forked
 
 
@@ -101,9 +102,11 @@ _LOADTXT_ONLY = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # made peak RSS later in the run vary by ~35 MB from process to process.
 _SCAN_BLOCK = 1 << 16
 # Smallest part of a table file parsed by a forked worker (see _load_table).
-# On a PubMed-like features.csv (2 cores, a parent holding one 79 MB feature
-# matrix), two workers took 30 ms against 28 ms in this process on a 1 MiB
-# file, 48 against 53 ms on 2 MiB and 88 against 102 ms on 4 MiB.
+# On prefixes of a PubMed-like features.csv (2 cores, a parent holding one
+# 79 MB feature matrix, medians of 25 in three runs), two workers writing
+# into the shared table took 13.5-16.9 ms against 13.6-15.7 ms in this
+# process on 1 MiB, 22.3-22.5 against 27.2-30.6 ms on 2 MiB and 43.6-44.3
+# against 55.2-63.4 ms on 4 MiB.
 _MIN_PART_BYTES = 1 << 20
 
 
@@ -119,9 +122,9 @@ class _BadData(Exception):
     """A forked worker's loadtxt rejected its part of a table file."""
 
 
-# The head a worker sends in place of its table's shape when loadtxt
-# raised or warned on its part.
-_BAD_DATA_HEAD = [-1, -1]
+# The head a worker sends in place of its shape when loadtxt raised or
+# warned on its part.
+_BAD_DATA_HEAD = np.array([-1, -1], dtype=np.int64).tobytes()
 
 
 def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
@@ -129,48 +132,72 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
     """The table parsed by forked workers, or None: worker i parses rows[i]
     lines from byte starts[i] with the np.loadtxt call of _load_table.
 
-    A worker sends its table's shape and then its values, and the table
-    counts only if every part has exactly its own line count, at one
-    common width. With max_rows, loadtxt warns at a blank line, which
-    it would skip and so count a row of the next part; the warning is an
-    error here. A worker whose loadtxt raises or warns sends a bad-data
-    head instead, and _BadData is raised once it is read: loadtxt of the
-    whole file would fail too, or count the blank line's row short.
+    The rows land in one table of sum(rows) rows, as wide as the file's
+    first line has fields, held in a memfd made before the fork. Each
+    worker maps it shared and copies its part into its own row range, but
+    only if the part has exactly its own line count at that width, in the
+    requested dtype; only then does it send its shape over its pipe. A
+    worker that sends no shape (it crashed, or its part was misshapen)
+    gives None, and the caller parses the file in this process. With
+    max_rows, loadtxt warns at a blank line, which it would skip and so
+    count a row of the next part; the warning is an error here. A worker
+    whose loadtxt raises or warns sends a bad-data head instead, and
+    _BadData is raised once it is read: loadtxt of the whole file would
+    fail too, or count the blank line's row short.
+
+    The table returned maps the memfd privately: a process forked later
+    that writes into it gets its own copy of the page, and this process's
+    values stay as they are. The mapping keeps a descriptor of the memfd
+    open until the table is freed.
     """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        width = fh.readline().count(delimiter.encode()) + 1
+    bounds = np.cumsum([0] + rows).tolist()
+    shape = (bounds[-1], width)
+    if shape[0] * width > size:  # not loadtxt's table: each value takes a byte
+        return None
+    nbytes = shape[0] * width * np.dtype(dtype).itemsize
+
     def work(part: int, out) -> None:
         with open(path, encoding="utf-8") as fh:
             fh.seek(starts[part])
             try:
-                table = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
+                got = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
             except (ValueError, Warning):
-                out.write(np.array(_BAD_DATA_HEAD, dtype=np.int64).tobytes())
+                out.write(_BAD_DATA_HEAD)
                 return
-        out.write(np.array(table.shape, dtype=np.int64).tobytes())
-        out.write(np.ascontiguousarray(table).data)
+        # assignment would cast a part of another dtype silently
+        if got.shape == (rows[part], width) and got.dtype == dtype:
+            table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
+            table[bounds[part]:bounds[part + 1]] = got
+            out.write(np.array(got.shape, dtype=np.int64).tobytes())
 
-    def collect(readers) -> np.ndarray | None:
-        shapes = []
+    def collect(readers) -> bool | None:
         for reader in readers:
             head = reader.read(16)
-            if len(head) != 16:
-                return None  # a worker ended before its shape
-            shapes.append(np.frombuffer(head, dtype=np.int64).tolist())
-            if shapes[-1] == _BAD_DATA_HEAD:
+            if head == _BAD_DATA_HEAD:
                 # raised, not returned: _run_forked then kills every
                 # worker before one dies writing to a closed pipe
                 raise _BadData
-        width = shapes[0][1]
-        if shapes != [[num_rows, width] for num_rows in rows]:
-            return None
-        table = np.empty((sum(rows), width), dtype=dtype)
-        bounds = np.cumsum([0] + rows)
-        for reader, lo, hi in zip(readers, bounds, bounds[1:]):
-            part = memoryview(table[lo:hi]).cast("B")
-            if reader.readinto(part) != len(part) or reader.read(1):
+            if len(head) != 16 or reader.read(1):
                 return None
-        return table
+        return True
 
-    return _run_forked(len(starts), work, collect)
+    try:
+        fd = os.memfd_create(path.name, os.MFD_CLOEXEC)
+    except OSError:
+        return None
+    try:
+        os.ftruncate(fd, nbytes)
+        if _run_forked(len(starts), work, collect) is None:
+            return None
+        mapped = mmap.mmap(fd, nbytes, flags=mmap.MAP_PRIVATE)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+    return np.frombuffer(mapped, dtype).reshape(shape)
 
 
 def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
@@ -183,10 +210,11 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
 
     A file of two _MIN_PART_BYTES or more is cut at line starts into parts,
     one per core, each parsed by the same loadtxt call in a forked worker
-    (see _load_parts); the table is the same bit for bit. If a worker's
-    loadtxt rejects its part, the answer is None at once. If the workers
-    give no table otherwise (a worker crashed or sent a misshapen part),
-    the file is parsed in this process, as a smaller one is.
+    that writes its rows into one table shared with this process (see
+    _load_parts); the table is the same bit for bit. If a worker's loadtxt
+    rejects its part, the answer is None at once. If the workers give no
+    table otherwise (a worker crashed or its part was misshapen), the file
+    is parsed in this process, as a smaller one is.
     """
     num_lines, last = 0, b"\n"
     try:
@@ -210,7 +238,7 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
                         starts.append(pos + lf + 1)
                         lines_before.append(num_lines + block.count(b"\n", 0, lf + 1))
                     targets.pop(0)
-                num_lines += block.count(b"\n")
+                num_lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
                 last = block[-1:]
                 pos += len(block)
     except OSError:
@@ -331,20 +359,14 @@ def _parse_edge_lines(path: Path, num_nodes: int) -> tuple[list[tuple], dict[str
 
 
 def _parse_edges(path: Path, num_nodes: int) -> tuple[np.ndarray, dict[str, int] | None]:
-    """(M, 2) int64 node indices, and the string-id map if ids were remapped."""
+    """(M, 2) integer node ids, row i from line i + 1, and the string-id map
+    if ids were remapped. build_graph checks their range."""
     edges = _load_table(path, np.int64, "\t")
-    id_map = None
-    if edges is None or edges.shape[1] != 2:
-        pairs, id_map = _parse_edge_lines(path, num_nodes)
-        # object dtype keeps ids past int64 intact for the range message
-        edges = np.array(pairs, dtype=object).reshape(-1, 2)
-    bad = np.flatnonzero(((edges < 0) | (edges >= num_nodes)).any(axis=1))
-    if bad.size:
-        u, v = edges[bad[0]]
-        raise ValidationError(
-            f"{path}: line {bad[0] + 1}: node id out of range [0, {num_nodes}): ({u}, {v})"
-        )
-    return edges.astype(np.int64, copy=False), id_map
+    if edges is not None and edges.shape[1] == 2:
+        return edges, None
+    pairs, id_map = _parse_edge_lines(path, num_nodes)
+    # object dtype keeps ids past int64 intact for build_graph's range message
+    return np.array(pairs, dtype=object).reshape(-1, 2), id_map
 
 
 def _parse_splits(path: Path, num_nodes: int) -> Splits:
@@ -379,9 +401,13 @@ def load_dataset(directory) -> Dataset:
     features = _parse_features(directory / "features.csv")
     num_nodes = features.shape[0]
     labels, num_classes = _parse_labels(directory / "labels.csv", num_nodes)
-    edges, id_map = _parse_edges(directory / "edges.tsv", num_nodes)
+    edges_path = directory / "edges.tsv"
+    edges, id_map = _parse_edges(edges_path, num_nodes)
+    try:
+        graph = build_graph(edges, num_nodes)
+    except _IdOutOfRange as exc:
+        raise ValidationError(f"{edges_path}: line {exc.row + 1}: {exc.detail}") from None
     splits = _parse_splits(directory / "splits.json", num_nodes)
-    graph = build_graph(edges, num_nodes)
     return Dataset(graph, features, labels, splits, num_classes, id_map)
 
 

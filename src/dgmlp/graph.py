@@ -55,6 +55,14 @@ class Graph:
 MAX_NODES = 3_037_000_499
 
 
+class _IdOutOfRange(ValidationError):
+    """An edge list row whose node id lies outside [0, num_nodes)."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"edge {row}: {detail}")
+        self.row, self.detail = row, detail
+
+
 def _integer_ids(edges: np.ndarray) -> bool:
     """True when every entry of edges is an integer node id (bool is not):
     an integer dtype, or an object array of Python or numpy integers, as
@@ -97,11 +105,9 @@ def build_graph(edge_list, num_nodes: int) -> Graph:
 
     if edges.min(initial=0) < 0 or edges.max(initial=0) >= num_nodes:
         bad = (edges < 0) | (edges >= num_nodes)
-        line = int(np.flatnonzero(bad.any(axis=1))[0])
-        u, v = edges[line]
-        raise ValidationError(
-            f"edge {line}: node id out of range [0, {num_nodes}): ({u}, {v})"
-        )
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        u, v = edges[row]
+        raise _IdOutOfRange(row, f"node id out of range [0, {num_nodes}): ({u}, {v})")
     edges = edges.astype(np.int64, copy=False)
 
     u, v = edges[:, 0], edges[:, 1]

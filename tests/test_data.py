@@ -86,6 +86,28 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="line 2"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("per_line", [False, True], ids=["as read", "per-line parser"])
+    @pytest.mark.parametrize("edges,line,pair", [
+        ("0\t1\n1\t2\n0\t6\n", 3, "(0, 6)"),
+        ("0\t1\n-1\t2\n2\t3\n", 2, "(-1, 2)"),
+        ("0\t1\n1\t2\n2\t3\n5\t99999999999999999999\n", 4, "(5, 99999999999999999999)"),
+    ], ids=["past N", "negative", "past int64"])
+    def test_edge_id_out_of_range_names_file_and_line(self, tmp_path, tiny_dir, edges, line,
+                                                      pair, per_line):
+        d = tmp_path / "ds"
+        shutil.copytree(tiny_dir, d)
+        (d / "edges.tsv").write_text(edges)
+        (d / "splits.json").write_text("not JSON")  # read after the edges are checked
+        line_parser = mock.Mock(wraps=data._parse_edge_lines)
+        load_table = mock.Mock(return_value=None) if per_line else data._load_table
+        with mock.patch.multiple(data, _parse_edge_lines=line_parser, _load_table=load_table), \
+                pytest.raises(ValidationError) as info:
+            load_dataset(d)
+        assert str(info.value) == \
+            f"{d / 'edges.tsv'}: line {line}: node id out of range [0, 6): {pair}"
+        # np.loadtxt rejects an id past int64, so that file takes the per-line path
+        assert line_parser.called == (per_line or "9" * 20 in edges)
+
     def test_missing_class_rejected(self, tmp_path, tiny_dir):
         d = tmp_path / "ds"
         shutil.copytree(tiny_dir, d)
@@ -122,14 +144,16 @@ SPLITS = '{"train": [0], "val": [], "test": []}'
 
 
 def _outcome(directory):
-    """Everything load_dataset returns, bit for bit, or its error line."""
+    """Everything load_dataset returns, bit for bit and with its layout
+    flags, or its error line."""
     try:
         ds = load_dataset(directory)
     except ValidationError as exc:
         return str(exc)
     arrays = (ds.features, ds.labels, ds.graph.row_offsets, ds.graph.col_indices,
               ds.graph.degrees)
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [ds.num_classes, ds.node_id_map]
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.flags.writeable, a.tobytes())
+            for a in arrays] + [ds.num_classes, ds.node_id_map]
 
 
 def assert_parsers_agree(features: str, labels: str, edges: str) -> None:
@@ -252,6 +276,7 @@ def _lines(count: int, bad_line: int | None = None, bad: str | None = None) -> s
 
 
 @linux_only
+@pytest.mark.usefixtures("no_worker_left")
 class TestWorkerParsing:
     """_load_table with its minimum part size lowered, so that small files
     go to the forked workers."""
@@ -290,6 +315,23 @@ class TestWorkerParsing:
         ds = load_dataset(tmp_path)
         assert ds.features.tobytes() == \
             np.array([[v + 0.5, -v] for v in range(40)]).tobytes()
+
+    def test_a_later_fork_writing_the_features_leaves_them(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        _write_dataset(tmp_path, _lines(40), "0\n" * 40, "0\t1\n1\t2\n")
+        ds = load_dataset(tmp_path)
+        assert not ds.features.flags.owndata  # the workers' table, not a parse here
+        want = ds.features.tobytes()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                ds.features[:] = -1.0
+                status = 0 if (ds.features == -1.0).all() else 2
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert ds.features.tobytes() == want
 
     @pytest.mark.parametrize("bad_line,bad,message", [
         (35, "1.0,x", "line 35: could not convert string to float: 'x'"),
@@ -368,6 +410,14 @@ class TestWorkerParsing:
             forks.clear()
             assert data._load_table(path, np.float64, ",").shape == (16, 2)
             assert len(forks) == workers
+
+    def test_no_table_with_more_values_than_bytes(self, tmp_path, monkeypatch, forks):
+        # 100 lines at the first line's 100 fields: 10,000 values in 398 bytes
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        path = tmp_path / "t.csv"
+        path.write_text(",".join("1" * 100) + "\n" + "1\n" * 99)
+        assert data._load_table(path, np.float64, ",") is None
+        assert forks == []
 
     @pytest.mark.parametrize("shards,starts,rows", [
         (2, [0, 62], [2, 1]), (3, [0, 51], [1, 2]), (8, [0, 51, 62], [1, 1, 1]),

@@ -130,6 +130,7 @@ class TestRunSharded:
 
 
 @linux_only
+@pytest.mark.usefixtures("no_worker_left")
 class TestRunForked:
     """Forked workers: results in part order, no result on any failure,
     and every worker reaped (and its pipe closed) before the call returns."""

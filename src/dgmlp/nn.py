@@ -303,6 +303,84 @@ class Adam:
             pb -= np.divide(a, b, out=a)
 
 
+# Bytes of one evaluation batch of a one-layer model: its block of weight
+# snapshots plus their product with the evaluated rows (its logits). With BLAS on one
+# thread of a 2-vCPU Intel Xeon, one epoch's 1,560x500 @ 500x3 product
+# took 0.83-0.98 ms (about 5 GFLOP/s: it streams all the rows for three
+# columns), and one 1,560x500 @ 500x600 product for all 200 epochs took
+# 19-23 ms.
+# 4 MiB gives 84 epochs a batch on those shapes.
+_EVAL_BATCH_BYTES = 4 << 20
+
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1074  # smallest subnormal float64
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+def _norms(a: np.ndarray, axis: int) -> np.ndarray:
+    """2-norms of the rows (axis 1) or columns (axis 0) of a, rounded up
+    for squares that underflowed: each loses less than _TINY. inf where a
+    sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a)
+    return np.sqrt(sq + a.shape[axis] * _TINY)
+
+
+def _certified_hits(logits: np.ndarray, labels: np.ndarray, x_norms: np.ndarray,
+                    w_norms: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row's label is its argmax, and where that is certified.
+
+    logits (rows, classes, epochs) holds x_r . W_k[:, c] (+ b_k[c]): a
+    depth-term dot product computed in some order, then the bias added.
+    x_norms (rows,) and w_norms (classes, epochs) are the 2-norms of the
+    rows x_r and of the columns of W_k. Returns two (rows, epochs) bool
+    arrays, hit and certified. Where certified, the top logit is the only
+    one within the bound below, so every other evaluation of the same
+    logits, whatever the order of its sums, has the same argmax, and hit
+    says whether it is the label.
+
+    Higham, "Accuracy and Stability of Numerical Algorithms", section 3.1:
+    any evaluation of a K-term dot product is within gamma_K sum|x_i w_i|
+    <= gamma_K |x| |w| of the exact one (Cauchy-Schwarz), so two
+    evaluations differ by at most 2 gamma_K |x| |w|. Each then adds the
+    bias in one rounding, at most u |value|; gamma_{K+1} on the product
+    and gamma_2 |logit| on the sum cover both evaluations' adds. A product
+    term that underflows errs by at most _TINY / 2 absolutely instead, an
+    add does not err in the subnormal range, and four dot products (two
+    evaluations of two logits) hold 4K terms. So logits a and c keep their
+    order in every evaluation when
+        l_a - l_c > 2 gamma_{K+1} |x| (|w_a| + |w_c|)
+                    + gamma_2 (|l_a| + |l_c|) + 2K _TINY.
+    The test asks the top logit to beat every other by twice that, taken
+    with |w_a| + |w_c| <= 2 max_c |w_c| and |l| <= the largest magnitude
+    of the row's logits; the doubling covers the rounding of the test
+    itself (a few operations, each within u or _TINY / 2). A tie, a
+    non-finite logit or a bound that overflows is never certified.
+    """
+    cols = logits.transpose(1, 0, 2)
+    top, low = cols[0].copy(), cols[0].copy()
+    second = np.full_like(top, -np.inf)
+    for col in cols[1:]:
+        np.maximum(second, np.minimum(top, col), out=second)
+        np.maximum(top, col, out=top)
+        np.minimum(low, col, out=low)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the largest magnitude, top or -low; inf or nan when a logit is
+        bound = np.negative(low, out=low)
+        np.maximum(bound, top, out=bound)
+        bound *= 4.0 * _gamma(2)
+        bound += np.multiply.outer(x_norms, (8.0 * _gamma(depth + 1)) * w_norms.max(axis=0))
+        bound += 8.0 * (depth + 2) * _TINY
+        threshold = np.subtract(top, bound, out=bound)
+        certified = second < threshold
+        hit = logits[np.arange(len(labels)), labels] >= threshold
+    return hit, certified
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
@@ -357,6 +435,14 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     update puts its exception on every layer it has not resolved, so a
     waiting gradient pass raises it. The update frees each gradient once it
     has written its parameter, so one gradient set at most is alive.
+
+    A one-layer model is evaluated in batches of epochs: each update's
+    weights are copied into a block, and a full block (or the last epoch's)
+    is evaluated as one wide product, one forward of the model whose weight
+    is the block. An epoch whose argmax
+    _certified_hits certifies for every row takes its accuracies from that
+    product; any other epoch is evaluated again by forward, so the
+    accuracies are those of one forward per epoch.
     """
     check_disjoint(splits)
     features = np.asarray(features, dtype=np.float64)
@@ -378,20 +464,64 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     union_feats, union_labels = features[union], labels[union]
     # the training rows, gathered once: the leading rows of union_feats
     train_feats, train_labels = union_feats[:n_tr], union_labels[:n_tr]
-    # the evaluation's hidden activations, made once here: made on the
-    # worker at each epoch, they moved the traced peak with the thread timing
-    hidden_out = tuple(np.empty((union.size, model.weights[0].shape[1]))
-                       for _ in range(min(2, model.num_layers - 1))) or None
 
-    def evaluate() -> tuple[float, float, float]:
-        logits = forward(model, union_feats, training=False, hidden_out=hidden_out)
-        pred_ok = logits.argmax(axis=1) == union_labels
-        acc_tr = float(pred_ok[:n_tr].mean())
-        acc_va = float(pred_ok[n_tr:n_tr + n_va].mean()) if n_va else 0.0
-        acc_te = float(pred_ok[n_tr + n_va:].mean()) if te.size else 0.0
-        return acc_tr, acc_va, acc_te
+    def accuracies(pred_ok: np.ndarray) -> list[tuple[float, float, float]]:
+        """(train, val, test) accuracy of each column of pred_ok, a
+        (rows, epochs) bool array; 0.0 for an empty split."""
+        parts = np.split(pred_ok, [n_tr, n_tr + n_va])
+        cols = [part.sum(axis=0) / len(part) if len(part) else np.zeros(pred_ok.shape[1])
+                for part in parts]
+        return [tuple(map(float, accs)) for accs in zip(*cols)]
 
-    def update_then_evaluate(grads: list, ready: list[Future]) -> tuple[float, float, float]:
+    if num_layers > 1:
+        # the evaluation's hidden activations, made once here: made on the
+        # worker at each epoch, they moved the traced peak with the thread
+        # timing
+        hidden_out = tuple(np.empty((union.size, model.weights[0].shape[1]))
+                           for _ in range(min(2, num_layers - 1)))
+
+        def evaluate(epoch: int) -> list[tuple[float, float, float]]:
+            logits = forward(model, union_feats, training=False, hidden_out=hidden_out)
+            return accuracies((logits.argmax(axis=1) == union_labels)[:, None])
+    else:
+        rows, classes, depth = union.size, model.num_classes, model.in_dim
+        per_epoch = rows * classes * 8 + sum(p.nbytes for p in params)
+        batch = max(1, min(config.epochs, _EVAL_BATCH_BYTES // per_epoch))
+        # a batch of nb epochs keeps its (depth, classes, nb) weight
+        # snapshots and its (classes, nb) bias snapshots at the start of
+        # these, made once here
+        w_buf, b_buf = np.empty(depth * classes * batch), np.empty(classes * batch)
+        x_norms = _norms(union_feats, axis=1)
+        # a label outside the classes is never an argmax
+        labeled = (union_labels >= 0) & (union_labels < classes)
+        label_cols = np.where(labeled, union_labels, 0)
+
+        def evaluate(epoch: int) -> list[tuple[float, float, float]]:
+            j = epoch % batch
+            nb = min(batch, config.epochs - (epoch - j))
+            w_snap = w_buf[:depth * classes * nb].reshape(depth, classes, nb)
+            b_snap = b_buf[:classes * nb].reshape(classes, nb)
+            w_snap[:, :, j] = params[0]
+            if model.biases is not None:
+                b_snap[:, j] = params[1]
+            if j < nb - 1:
+                return []
+            # one forward of the model whose weight holds every snapshot
+            stacked = ResidualMlp([w_snap.reshape(depth, classes * nb)],
+                                  None if model.biases is None else [b_snap.reshape(-1)])
+            logits = forward(stacked, union_feats)
+            hit, certified = _certified_hits(
+                logits.reshape(rows, classes, nb), label_cols, x_norms,
+                _norms(stacked.weights[0], axis=0).reshape(classes, nb), depth)
+            hit &= labeled[:, None]
+            for k in np.flatnonzero(~certified.all(axis=0)):
+                snapshot = ResidualMlp([np.ascontiguousarray(w_snap[:, :, k])],
+                                       None if model.biases is None else [b_snap[:, k].copy()])
+                hit[:, k] = forward(snapshot, union_feats).argmax(axis=1) == union_labels
+            return accuracies(hit)
+
+    def update_then_evaluate(grads: list, ready: list[Future],
+                             epoch: int) -> list[tuple[float, float, float]]:
         def layer_done(j: int) -> None:
             # the list is the only holder of its gradients left, so each is
             # freed once its parameter is written: all of them before the
@@ -408,13 +538,13 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
                 if not fut.done():
                     fut.set_exception(exc)
             raise
-        return evaluate()
+        return evaluate(epoch)
 
     losses, accs = [], []
     ready: list[Future] = []
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = None
-        for _ in range(config.epochs):
+        for epoch in range(config.epochs):
             wait = (lambda i, ready=ready: ready[i].result()) if ready else None
             loss, grads = loss_and_grad(
                 model, train_feats, train_labels, None,
@@ -422,12 +552,12 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
                 before_layer=wait,
             )
             if pending is not None:
-                accs.append(pending.result())
+                accs += pending.result()
             losses.append(loss)
             ready = [Future() for _ in range(num_layers)]
-            pending = worker.submit(update_then_evaluate, grads, ready)
+            pending = worker.submit(update_then_evaluate, grads, ready, epoch)
             del grads  # the update frees them (see layer_done)
-        accs.append(pending.result())
+        accs += pending.result()
 
     tr_accs, va_accs, te_accs = (list(col) for col in zip(*accs))
     best_epoch = va_accs.index(max(va_accs))

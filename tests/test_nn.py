@@ -253,11 +253,13 @@ def sequential_train(model, x, y, splits, config):
                 test_accuracy=best_test)
 
 
-def pipeline_case(dt=3, use_bias=False, dropout=0.0, epochs=6, empty_eval=False, seed=0):
+def pipeline_case(dt=3, use_bias=False, dropout=0.0, epochs=6, empty_eval=False, seed=0,
+                  zero_rows=True):
     rng = np.random.default_rng(seed)
     n, d = 90, 7
     x = rng.normal(size=(n, d))
-    x[::9] = 0.0
+    if zero_rows:
+        x[::9] = 0.0
     y = rng.integers(0, 4, n)
     perm = rng.permutation(n)
     splits = Splits(train=perm[:40],
@@ -344,7 +346,8 @@ class TestPipelinedTrain:
         assert failures == []
 
     def test_evaluation_failure_reraised_and_worker_joined(self, monkeypatch):
-        make_model, x, y, splits, config = pipeline_case(epochs=10)
+        # a deeper model, evaluated by forward at every epoch
+        make_model, x, y, splits, config = pipeline_case(dt=3, epochs=10)
         boom = RuntimeError("evaluation failed")
         callers = []
         real_forward = dgmlp.nn.forward
@@ -429,6 +432,199 @@ class TestPipelinedTrain:
         assert_matches_sequential(pipeline_case(dt, use_bias, dropout=0.5))
 
 
+def force_batch(monkeypatch, case, size):
+    """Sets the evaluation batch of a one-layer case to size epochs (None
+    keeps the default), and counts the batches and the forward passes of
+    train: one per batch, and one per epoch evaluated again."""
+    make_model, _, _, splits, _ = case
+    if size is not None:
+        model = make_model()
+        rows = splits.train.size + splits.val.size + splits.test.size
+        per_epoch = rows * model.num_classes * 8 + sum(p.nbytes for p in model.parameters())
+        monkeypatch.setattr(dgmlp.nn, "_EVAL_BATCH_BYTES", size * per_epoch)
+    calls = {"batches": 0, "forward": 0}
+    real_hits, real_forward = dgmlp.nn._certified_hits, dgmlp.nn.forward
+
+    def counted_hits(*args, **kwargs):
+        calls["batches"] += 1
+        return real_hits(*args, **kwargs)
+
+    def counted_forward(*args, **kwargs):
+        calls["forward"] += 1
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(dgmlp.nn, "_certified_hits", counted_hits)
+    monkeypatch.setattr(dgmlp.nn, "forward", counted_forward)
+    return calls
+
+
+class TestBatchedEvaluation:
+    """A one-layer model's epochs are evaluated in batches of one product."""
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(use_bias=True), dict(dropout=0.5),
+                                        dict(use_bias=True, dropout=0.5),
+                                        dict(empty_eval=True, dropout=0.5)])
+    @pytest.mark.parametrize("size", [1, 2, 3, None])
+    def test_batches_equal_sequential_loop(self, monkeypatch, size, kwargs):
+        case = pipeline_case(dt=1, epochs=7, zero_rows=False, **kwargs)
+        calls = force_batch(monkeypatch, case, size)
+        assert_matches_sequential(case)
+        batches = math.ceil(7 / (size or 7))
+        assert calls == {"batches": batches, "forward": batches}
+
+    @pytest.mark.parametrize("size", [2, None])
+    def test_exact_ties_fall_back_to_forward(self, monkeypatch, size):
+        # classes 0 and 1 have the same weight column, no training row is
+        # of either, so they stay equal, and the zero rows tie all four
+        # classes: every epoch has ties, which argmax breaks to the first
+        # index, so a tied row of label 0 is a hit and one of label 1 not
+        make_model, x, y, splits, config = pipeline_case(dt=1, epochs=7, dropout=0.5)
+        y[splits.train] = 2 + y[splits.train] % 2
+        y[splits.val[:8]] = [0, 1] * 4
+        x[splits.val[:8]] = 0.0
+
+        def tied_model():
+            model = make_model()
+            model.weights[0][:, 1] = model.weights[0][:, 0]
+            return model
+
+        case = (tied_model, x, y, splits, config)
+        calls = force_batch(monkeypatch, case, size)
+        assert_matches_sequential(case)
+        batches = math.ceil(7 / (size or 7))
+        assert calls == {"batches": batches, "forward": batches + 7}
+        got_model, _ = train(tied_model(), x, y, splits, config)
+        w = got_model.weights[0]
+        assert w[:, 0].tobytes() == w[:, 1].tobytes()
+        logits = forward(got_model, x[splits.val])
+        assert np.array_equal(logits[:8], np.zeros((8, 4)))
+        assert (logits.argmax(axis=1) == y[splits.val])[:8].tolist() == [True, False] * 4
+
+    def test_labels_outside_the_classes_never_hit(self, monkeypatch):
+        make_model, x, y, splits, config = pipeline_case(dt=1, epochs=5, zero_rows=False)
+        y[splits.val[:3]] = [-1, 4, 9]  # no such class; the training rows keep theirs
+        calls = force_batch(monkeypatch, (make_model, x, y, splits, config), 2)
+        assert_matches_sequential((make_model, x, y, splits, config))
+        assert calls == {"batches": 3, "forward": 3}
+
+    @pytest.mark.parametrize("fail_at", [2, 4])  # a middle batch, the last one
+    def test_batch_failure_reraised_and_worker_joined(self, monkeypatch, fail_at):
+        case = pipeline_case(dt=1, epochs=10, zero_rows=False)
+        force_batch(monkeypatch, case, 3)
+        make_model, x, y, splits, config = case
+        boom = RuntimeError("evaluation failed")
+        callers = []
+        real_hits = dgmlp.nn._certified_hits
+
+        def failing_hits(*args, **kwargs):
+            callers.append(threading.current_thread())
+            if len(callers) == fail_at:
+                raise boom
+            return real_hits(*args, **kwargs)
+
+        monkeypatch.setattr(dgmlp.nn, "_certified_hits", failing_hits)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            train(make_model(), x, y, splits, config)
+        assert info.value is boom
+        assert threading.active_count() == before
+        assert len(callers) == fail_at
+        assert threading.current_thread() not in callers
+
+
+def gamma(n):
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
+def evaluation_gap(logits, x_norms, w_norms, depth):
+    """Bound on |l - l'| of any two evaluations of each logit (rows,
+    classes): two dot products and two bias adds, plus underflow."""
+    return (2.0 * gamma(depth) * (1 + 2.0 ** -53) * np.multiply.outer(x_norms, w_norms)
+            + gamma(2) * np.abs(logits) + depth * 2.0 ** -1074)
+
+
+def certify(logits, x_norms, w_norms, depth, labels=None):
+    """_certified_hits on one epoch of (rows, classes) logits."""
+    labels = np.zeros(len(logits), dtype=np.int64) if labels is None else labels
+    hit, certified = dgmlp.nn._certified_hits(
+        logits[:, :, None], labels, x_norms, w_norms[:, None], depth)
+    return hit[:, 0], certified[:, 0]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
+    def test_perturbations_within_the_bound_keep_a_certified_argmax(self, scale):
+        # logits whose runner-up trails the top by 0.25 to 100 times the
+        # pair's bound, pushed against each other by the whole bound: a
+        # certified top always stays on top, alone
+        rng = np.random.default_rng(21)
+        rows, classes, depth = 4000, 4, 300
+        x_norms = rng.uniform(0.5, 2.0, rows) * scale
+        w_norms = rng.uniform(0.5, 2.0, classes)
+        logits = rng.normal(size=(rows, classes)) * x_norms[:, None]
+        top = logits.argmax(axis=1)
+        rest = (top + rng.integers(1, classes, rows)) % classes
+        rows_ = np.arange(rows)
+        gap = evaluation_gap(logits, x_norms, w_norms, depth)
+        pair = gap[rows_, top] + gap[rows_, rest]
+        factor = np.exp(rng.uniform(np.log(0.25), np.log(100.0), rows))
+        logits[rows_, rest] = logits[rows_, top] - factor * pair
+        gap = evaluation_gap(logits, x_norms, w_norms, depth)
+        top = logits.argmax(axis=1)
+        labels = rng.integers(0, classes, rows)
+
+        hit, certified = certify(logits, x_norms, w_norms, depth, labels)
+        assert certified[factor > 64].all()
+        assert not certified[factor < 1].any()
+        assert np.array_equal(hit[certified], (top == labels)[certified])
+        worst = logits + gap
+        worst[rows_, top] = logits[rows_, top] - gap[rows_, top]
+        worst = worst[certified]
+        kept = worst[np.arange(len(worst)), top[certified]]
+        assert (np.sort(worst, axis=1)[:, -2] < kept).all()
+
+    def test_summation_orders_agree_where_certified(self):
+        # near ties: column 1 differs from column 0 by 1e-11 times a random
+        # direction, so a row's margin between them runs from far above the
+        # rounding bound to below it; column 2, 1e-15 away, is below it and
+        # often ordered differently by different sums. Wherever the wide
+        # product's argmax is certified, narrow products, exact sums and
+        # sums in reverse or random order all pick the same class
+        rng = np.random.default_rng(5)
+        rows, depth = 300, 64
+        x = rng.normal(size=(rows, depth))
+        w = rng.normal(size=(depth, 3))
+        w[:, 1] = w[:, 0] + 1e-11 * rng.normal(size=depth)
+        w[:, 2] = w[:, 0] + 1e-15 * rng.normal(size=depth)
+        wide = np.hstack([rng.normal(size=(depth, 60)), w])
+        logits = (x @ wide)[:, 60:]
+        x_norms = np.sqrt((x * x).sum(axis=1))
+        w_norms = np.sqrt((w * w).sum(axis=0))
+        _, certified = certify(logits, x_norms, w_norms, depth)
+        perm = rng.permutation(depth)
+        orders = [
+            x @ w,
+            np.array([[math.fsum(xi * w[:, c]) for c in range(3)] for xi in x]),
+            np.array([[sum((xi * w[:, c])[::-1].tolist()) for c in range(3)] for xi in x]),
+            np.array([[sum((xi * w[:, c])[perm].tolist()) for c in range(3)] for xi in x]),
+        ]
+        assert 0 < certified.sum() < rows
+        differs = [other.argmax(axis=1) != logits.argmax(axis=1) for other in orders]
+        assert not any(d[certified].any() for d in differs)
+        assert any(d[~certified].any() for d in differs)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_ties_non_finite_logits_and_overflowed_bounds_never_certified(self, value):
+        logits = np.array([[3.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 0.0],
+                           [5.0, 1.0, value], [value, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        x_norms = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e300])
+        w_norms = np.array([1e10, 1.0, 1.0])
+        hit, certified = certify(logits, x_norms, w_norms, 10)
+        assert certified.tolist() == [True] + [False] * 5
+        assert hit[0]
+
+
 class TestAdam:
     def test_in_place_step_equals_textbook_update(self):
         # small parameters, ones of more than one block and of rows wider
@@ -489,6 +685,44 @@ class TestTrainMemory:
             tracemalloc.stop()
         assert peak <= params + adam + evaluation + activations + params + slack
 
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_one_layer_peak_holds_one_evaluation_batch(self, monkeypatch, use_bias):
+        # a one-layer model holds one evaluation batch on top of its
+        # training arrays: the block of weight snapshots and its product,
+        # at most _EVAL_BATCH_BYTES together, and the certificate's working
+        # arrays, four (rows, batch) float64 arrays and two bool ones. The
+        # slack covers the small arrays of a gradient pass and of the
+        # accuracies, and two of numpy's ufunc buffers (8192 values each); a
+        # second product alive, as when a batch's outlived the next batch,
+        # breaks the bound
+        n_train, n_eval, d, classes, batch = 200, 600, 32, 5, 25
+        rng = np.random.default_rng(7)
+        n = n_train + n_eval
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, classes, n)
+        splits = Splits(train=np.arange(n_train), val=np.arange(n_train, n_train + 300),
+                        test=np.arange(n_train + 300, n))
+        model = ResidualMlp.create(d, classes, num_layers=1, use_bias=use_bias,
+                                   dropout_rate=0.5, seed=8)
+        params = sum(p.nbytes for p in model.parameters())
+        monkeypatch.setattr(dgmlp.nn, "_EVAL_BATCH_BYTES", batch * (n * classes * 8 + params))
+        adam = 4 * params  # m, v and two scratch blocks no larger than a parameter
+        evaluation = n * d * 8 + n * (8 + 8 + 1)  # the rows, their norms and labels
+        activations = n_train * d * (8 + 8 + 1)  # dropout's draws, its output and mask
+        certificate = n * batch * (4 * 8 + 2)
+        slack = n * batch * 8 + 2 * 8192 * 8
+        assert slack < n * batch * classes * 8  # one product
+        config = TrainConfig(learning_rate=1e-3, epochs=3 * batch - 4, weight_decay=1e-4,
+                             seed=9)
+        tracemalloc.start()
+        try:
+            train(model, x, y, splits, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (params + adam + evaluation + activations + params
+                        + dgmlp.nn._EVAL_BATCH_BYTES + certificate + slack)
 
 class TestTrainConfig:
     def test_validation(self):

@@ -118,13 +118,9 @@ def _loadtxt(source, dtype, delimiter: str, max_rows=None) -> np.ndarray:
                           ndmin=2, max_rows=max_rows, encoding="utf-8")
 
 
-class _BadData(Exception):
-    """A forked worker's loadtxt rejected its part of a table file."""
-
-
-# The head a worker sends in place of its shape when loadtxt raised or
-# warned on its part.
-_BAD_DATA_HEAD = np.array([-1, -1], dtype=np.int64).tobytes()
+# The exit code of a forked worker whose loadtxt raised or warned on its
+# part of a table file.
+_BAD_DATA = 2
 
 
 def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
@@ -134,16 +130,16 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
 
     The rows land in one table of sum(rows) rows, as wide as the file's
     first line has fields, held in a memfd made before the fork. Each
-    worker maps it shared and copies its part into its own row range, but
-    only if the part has exactly its own line count at that width, in the
-    requested dtype; only then does it send its shape over its pipe. A
-    worker that sends no shape (it crashed, or its part was misshapen)
-    gives None, and the caller parses the file in this process. With
-    max_rows, loadtxt warns at a blank line, which it would skip and so
-    count a row of the next part; the warning is an error here. A worker
-    whose loadtxt raises or warns sends a bad-data head instead, and
-    _BadData is raised once it is read: loadtxt of the whole file would
-    fail too, or count the blank line's row short.
+    worker maps it shared, copies its part into its own row range and
+    exits with 0. A part without exactly its own line count at that
+    width, in the requested dtype, is not copied, and its worker exits
+    with 1. With max_rows, loadtxt warns at a blank line, which it would
+    skip and so count a row of the next part; the warning is an error
+    here. A worker whose loadtxt raises or warns exits with _BAD_DATA, and
+    ValueError is then raised, once every worker is reaped: loadtxt of the
+    whole file would fail too, or count the blank line's row short. Any
+    other nonzero code (a crash, a misshapen part) gives None, and the
+    caller parses the file in this process.
 
     The table returned maps the memfd privately: a process forked later
     that writes into it gets its own copy of the page, and this process's
@@ -159,30 +155,19 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
         return None
     nbytes = shape[0] * width * np.dtype(dtype).itemsize
 
-    def work(part: int, out) -> None:
+    def work(part: int) -> int:
         with open(path, encoding="utf-8") as fh:
             fh.seek(starts[part])
             try:
                 got = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
             except (ValueError, Warning):
-                out.write(_BAD_DATA_HEAD)
-                return
+                return _BAD_DATA
         # assignment would cast a part of another dtype silently
-        if got.shape == (rows[part], width) and got.dtype == dtype:
-            table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
-            table[bounds[part]:bounds[part + 1]] = got
-            out.write(np.array(got.shape, dtype=np.int64).tobytes())
-
-    def collect(readers) -> bool | None:
-        for reader in readers:
-            head = reader.read(16)
-            if head == _BAD_DATA_HEAD:
-                # raised, not returned: _run_forked then kills every
-                # worker before one dies writing to a closed pipe
-                raise _BadData
-            if len(head) != 16 or reader.read(1):
-                return None
-        return True
+        if got.shape != (rows[part], width) or got.dtype != dtype:
+            return 1
+        table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
+        table[bounds[part]:bounds[part + 1]] = got
+        return 0
 
     try:
         fd = os.memfd_create(path.name, os.MFD_CLOEXEC)
@@ -190,7 +175,10 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
         return None
     try:
         os.ftruncate(fd, nbytes)
-        if _run_forked(len(starts), work, collect) is None:
+        codes = _run_forked(len(starts), work)
+        if codes is not None and _BAD_DATA in codes:
+            raise ValueError(f"{path}: np.loadtxt rejected a part")
+        if codes != [0] * len(starts):
             return None
         mapped = mmap.mmap(fd, nbytes, flags=mmap.MAP_PRIVATE)
     except OSError:
@@ -212,9 +200,9 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
     one per core, each parsed by the same loadtxt call in a forked worker
     that writes its rows into one table shared with this process (see
     _load_parts); the table is the same bit for bit. If a worker's loadtxt
-    rejects its part, the answer is None at once. If the workers give no
-    table otherwise (a worker crashed or its part was misshapen), the file
-    is parsed in this process, as a smaller one is.
+    rejects its part, the answer is None once the workers are done. If the
+    workers give no table otherwise (a worker crashed or its part was
+    misshapen), the file is parsed in this process, as a smaller one is.
     """
     num_lines, last = 0, b"\n"
     try:
@@ -244,18 +232,13 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
     except OSError:
         return None
     num_lines += last != b"\n"  # an unterminated last line
-    table = None
-    if len(starts) > 1:
-        rows = np.diff(lines_before + [num_lines]).tolist()
-        try:
-            table = _load_parts(path, dtype, delimiter, starts, rows)
-        except _BadData:
-            return None
-    if table is None:
-        try:
+    rows = np.diff(lines_before + [num_lines]).tolist()
+    try:
+        table = _load_parts(path, dtype, delimiter, starts, rows) if len(starts) > 1 else None
+        if table is None:
             table = _loadtxt(path, dtype, delimiter)
-        except (ValueError, Warning):
-            return None
+    except (ValueError, Warning):
+        return None
     return table if table.shape[0] == num_lines else None
 
 

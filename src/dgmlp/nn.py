@@ -389,12 +389,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # chained comparisons: NaN fails both, like inf
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ParameterError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.weight_decay < 0.0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ParameterError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

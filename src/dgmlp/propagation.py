@@ -102,61 +102,33 @@ def _fork_parts(size: int, min_part: int) -> int:
     return max(1, min(_num_shards(), size // min_part))
 
 
-def _run_forked(parts: int, work, collect):
-    """collect(readers) over what work(part, out) wrote in `parts` forked
-    workers, or None for no result.
+def _run_forked(parts: int, work) -> list[int] | None:
+    """The exit codes of `parts` forked workers, in part order, or None if a
+    fork failed.
 
-    Worker `part` runs work(part, out), out a binary file on a pipe of its
-    own, and leaves by os._exit: status 0 once work returns, 1 if it
-    raised; it runs nothing else of this process. collect gets the pipes'
-    read ends in part order and returns the result, or None. A failed
-    fork, a worker that does not exit with 0 and a None from collect all
-    give None, and the caller then runs the job in this process; an
-    exception from collect propagates. Every worker is reaped before this
-    returns, and killed first unless collect returned a result, which it
-    does only after reading every pipe to its end.
+    Worker `part` runs work(part) and leaves by os._exit with its return
+    value (0 for None), or 1 if it raised; it runs nothing else of this
+    process. A worker killed by signal N gives -N. Every worker is reaped
+    before this returns; if a fork fails, the workers already made are
+    killed first.
     """
-    import fcntl  # only on Linux, where _fork_parts lets a job fork
-
-    pids, readers = [], []
-    result = None
+    pids = []
     try:
-        try:
-            for part in range(parts):
-                fd, write_fd = os.pipe()
-                readers.append(open(fd, "rb"))
-                # a 1 MiB pipe in place of 64 KiB: loading a PubMed-sized
-                # features.csv took 0.438 s against 0.467 s (medians of 20)
+        for part in range(parts):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
                 try:
-                    fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-                except OSError:
-                    pass
-                # this process's write end is closed once the worker is made
-                with open(write_fd, "wb") as out:
-                    pid = os.fork()
-                    if pid == 0:
-                        status = 1
-                        try:
-                            for reader in readers:
-                                reader.close()
-                            work(part, out)
-                            out.close()
-                            status = 0
-                        finally:
-                            os._exit(status)
-                    pids.append(pid)
-        except OSError:  # out of pipes or processes
-            return None
-        result = collect(readers)
-    finally:
-        for reader in readers:
-            reader.close()
+                    code = work(part) or 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+    except OSError:  # out of processes
         for pid in pids:
-            if result is None:
-                os.kill(pid, signal.SIGKILL)
-            if os.waitpid(pid, 0)[1] != 0:
-                result = None
-    return result
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        return None
+    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
 
 
 def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

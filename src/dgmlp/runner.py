@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
     mask_features, subsample_labels
 from .errors import ConfigurationError, ValidationError
-from .graph import Graph, normalize
+from .graph import MAX_NODES, Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
 from .propagation import propagation_steps
 from .smoothness import check_temperature, propagation_pass
@@ -46,6 +46,7 @@ _LEAST = {"dp": 0, "dt": 1, "hidden": 1, "num_seeds": 1, "labels_per_class": 1,
           "dim": 1, "classes": 1, "train_nodes": 1, "val_nodes": 1, "test_nodes": 1,
           "n": 3}  # n: a scale graph size; 3 nodes give three non-empty splits
 _FRACTIONS = ("keep_edges", "mask_features", "edge_prob")  # must lie in [0, 1]
+_MOST = {"n": MAX_NODES}  # knob -> greatest legal value
 
 
 def _check_knob(name: str, value, option: str | None = None) -> None:
@@ -56,6 +57,8 @@ def _check_knob(name: str, value, option: str | None = None) -> None:
         raise ConfigurationError(f"{where}{name} must lie in [0, 1], got {value}")
     if name in _LEAST and value < _LEAST[name]:
         raise ConfigurationError(f"{where}{name} must be >= {_LEAST[name]}, got {value}")
+    if name in _MOST and value > _MOST[name]:
+        raise ConfigurationError(f"{where}{name} must be <= {_MOST[name]}, got {value}")
 
 
 @dataclass
@@ -120,7 +123,7 @@ class RunConfig:
             raise ConfigurationError(
                 f"{name} does not apply to the sgc baseline, which always trains one layer"
             )
-        self.train_config()  # fail on lr, epochs or weight_decay before any data is read
+        self.train_config()  # fail on lr, epochs, weight_decay or seed before any data is read
 
     def to_dict(self) -> dict:
         return asdict(self)

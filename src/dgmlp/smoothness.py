@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import shutil
 from dataclasses import dataclass
 
@@ -468,35 +469,44 @@ def write_node_profile_csv(profile: SmoothnessProfile, path) -> None:
     """One row per (node, step): node_id, step, nsl, weight.
 
     A profile of two _CSV_MIN_PART_ROWS rows or more is formatted by
-    forked workers, one range of nodes each (see propagation._run_forked),
-    and their bytes are copied into the file in node order: the file is
-    the same byte for byte. If a worker fails, the file is written again
-    in this process, as a smaller profile is.
+    forked workers, one range of nodes each (see propagation._run_forked).
+    Each streams its rows into a memfd of its own, made before the fork,
+    and this process copies the memfds into the file in node order once
+    every worker exited with 0: the file is the same byte for byte. If a
+    worker fails, the file is written in this process, as a smaller
+    profile is.
     """
     if profile.weights is None:
         raise ParameterError("profile has no weights; compute them before exporting")
     num_nodes = profile.nsl.shape[0]
     parts = _fork_parts(profile.nsl.size, _CSV_MIN_PART_ROWS)
-    if parts > 1:
-        bounds = [num_nodes * i // parts for i in range(parts + 1)]
+    bounds = [num_nodes * i // parts for i in range(parts + 1)]
+    fds, forked = [], False
 
-        def work(part: int, out) -> None:
-            # the whole part is formatted before any of it is written: a
-            # pipe holds little, and the parent copies the parts in order
-            out.writelines(list(_profile_rows(profile, bounds[part], bounds[part + 1])))
+    def work(part: int) -> None:
+        with open(fds[part], "wb", closefd=False) as out:
+            out.writelines(_profile_rows(profile, bounds[part], bounds[part + 1]))
 
-        def collect(readers) -> bool:
-            with open(path, "wb") as fh:
-                fh.write(_CSV_HEADER)
-                for reader in readers:
-                    shutil.copyfileobj(reader, fh)
-            return True
-
-        if _run_forked(parts, work, collect):
-            return
-    with open(path, "wb") as fh:
-        fh.write(_CSV_HEADER)
-        fh.writelines(_profile_rows(profile, 0, num_nodes))
+    try:
+        if parts > 1:
+            try:
+                for _ in range(parts):
+                    fds.append(os.memfd_create("node_profile", os.MFD_CLOEXEC))
+                forked = _run_forked(parts, work) == [0] * parts
+            except OSError:  # out of memfds
+                pass
+        with open(path, "wb") as fh:
+            fh.write(_CSV_HEADER)
+            if forked:
+                for fd in fds:
+                    os.lseek(fd, 0, os.SEEK_SET)  # its worker left the shared offset at the end
+                    with open(fd, "rb", closefd=False) as rows:
+                        shutil.copyfileobj(rows, fh)
+            else:
+                fh.writelines(_profile_rows(profile, 0, num_nodes))
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def write_gsl_csv(profile: SmoothnessProfile, path) -> None:

@@ -36,6 +36,27 @@ def no_thread_left_running():
         pytest.fail(f"test left threads running: {running}")
 
 
+def child_left() -> bool:
+    """Whether this process has a child process, running or exited and not
+    yet reaped; none is reaped here."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process of its own, running or
+    exited and not reaped. A child left by an earlier test, which failed
+    for it, is not blamed on this one."""
+    before = child_left()
+    yield
+    if not before and child_left():
+        pytest.fail("test left a child process")
+
+
 # forked workers (propagation._run_forked) run on Linux only
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="forked workers run on Linux only")
@@ -46,10 +67,9 @@ def open_fds() -> set[str]:
 
 
 def assert_no_worker_left(fds: set[str]) -> None:
-    """No child process is left, reaped or not, and the open file
+    """No child process is left, running or not reaped, and the open file
     descriptors are those in fds."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert not child_left()
     assert open_fds() == fds
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from dgmlp import load_checkpoint, load_dataset
 from dgmlp.cli import build_parser, config_from_args, main
+from dgmlp.graph import MAX_NODES
 from dgmlp.runner import RunConfig, run_train
 
 
@@ -167,6 +168,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag,value,name", [
         ("--lr", 0, "learning_rate"), ("--epochs", 0, "epochs"),
         ("--weight-decay", -1, "weight_decay"),
+        ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+        ("--weight-decay", "nan", "weight_decay"), ("--weight-decay", "inf", "weight_decay"),
+        ("--seed", -1, "seed"),
     ])
     def test_training_knob_fails_before_data(self, tmp_path, capsys, flag, value, name):
         # no --dataset either: the knob is reported, so it was checked first
@@ -193,6 +197,8 @@ class TestTrainCommand:
          "mask_features_grid"),
         (["sweep", "--dataset", "no-such-dataset", "--labels-per-class-grid", 0],
          "labels_per_class_grid"),
+        (["sweep", "--dp-grid", 1, "--seed", -1], "seed must be >= 0"),
+        (["scale", "--seed", -1], "seed must be >= 0"),
     ])
     def test_run_config_knob_fails_before_data(self, tmp_path, capsys, argv, name):
         code = run_cli(*argv, "--out", tmp_path / "x.out")
@@ -361,6 +367,8 @@ class TestScaleCommand:
         (["--sizes", "50", "--p", -0.1], "edge_prob must lie in [0, 1], got -0.1"),
         (["--sizes", "2", "--p", 0.5], "sizes: n must be >= 3, got 2"),
         (["--sizes", "1"], "sizes: n must be >= 3, got 1"),
+        (["--sizes", "300000,4000000000", "--p", 1e-5],
+         f"sizes: n must be <= {MAX_NODES}, got 4000000000"),
     ])
     def test_graph_knob_fails_before_any_graph(self, tmp_path, capsys, monkeypatch,
                                                argv, message):

@@ -735,6 +735,17 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             ResidualMlp.create(3, 2, dropout_rate=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
+    def test_rates_must_be_finite(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
+    def test_seed_must_not_be_negative(self):
+        assert TrainConfig(seed=0).seed == 0
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
     @pytest.mark.parametrize("hidden_dim", [-3, 0])
     def test_create_rejects_hidden_dim_below_one(self, hidden_dim):
         with pytest.raises(ParameterError, match="hidden_dim must be >= 1"):

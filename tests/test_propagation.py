@@ -132,31 +132,21 @@ class TestRunSharded:
 @linux_only
 @pytest.mark.usefixtures("no_worker_left")
 class TestRunForked:
-    """Forked workers: results in part order, no result on any failure,
-    and every worker reaped (and its pipe closed) before the call returns."""
+    """Forked workers: their exit codes in part order, None when a fork
+    fails, and every worker reaped before the call returns."""
 
-    @staticmethod
-    def read_all(readers):
-        return [reader.read() for reader in readers]
+    def test_results_in_part_order(self, no_worker_left, forks):
+        def work(part):
+            time.sleep(0.1 * (2 - part))  # the last part finishes first
+            return part * 10 or None  # None exits with 0
 
-    def test_results_in_part_order(self, no_worker_left):
-        def work(part, out):
-            # more than the pipe holds, so the parts are read while written
-            out.write(f"{part}:{os.getpid()};".encode() * (part + 1) * 100_000)
-
-        got = propagation._run_forked(3, work, self.read_all)
-        parts = [set(text.split(b";")[:-1]) for text in got]
-        assert [len(p) for p in parts] == [1, 1, 1]
-        tags = [p.pop().split(b":") for p in parts]
-        assert [tag for tag, _ in tags] == [b"0", b"1", b"2"]
-        pids = {int(pid) for _, pid in tags}
-        assert len(pids) == 3 and os.getpid() not in pids
+        assert propagation._run_forked(3, work) == [0, 10, 20]
+        assert len(forks) == 3
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
-    def test_a_failed_worker_is_no_result(self, no_worker_left, failing, how):
-        def work(part, out):
-            out.write(b"x" * 10_000)
+    def test_a_failed_worker_gives_its_code(self, no_worker_left, capfd, failing, how):
+        def work(part):
             if part == failing:
                 if how == "raise":
                     raise RuntimeError("worker failed")
@@ -164,25 +154,18 @@ class TestRunForked:
                     os._exit(3)
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        assert propagation._run_forked(2, work, self.read_all) is None
+        code = {"raise": 1, "exit": 3, "kill": -signal.SIGKILL}[how]
+        assert propagation._run_forked(2, work) == [code if part == failing else 0
+                                                    for part in range(2)]
+        assert capfd.readouterr() == ("", "")  # a worker prints no traceback
 
-    def test_none_from_collect_kills_running_workers(self, no_worker_left):
-        def work(part, out):
+    def test_a_slow_worker_is_waited_for(self, no_worker_left):
+        def work(part):
             if part:
-                time.sleep(60)
+                time.sleep(0.5)
+                return 7
 
-        start = time.perf_counter()
-        assert propagation._run_forked(2, work, lambda readers: None) is None
-        assert time.perf_counter() - start < 10
-
-    def test_collect_error_propagates_after_reaping(self, no_worker_left):
-        def collect(readers):
-            raise KeyError("collect failed")
-
-        start = time.perf_counter()
-        with pytest.raises(KeyError, match="collect failed"):
-            propagation._run_forked(2, lambda part, out: time.sleep(60), collect)
-        assert time.perf_counter() - start < 10
+        assert propagation._run_forked(2, work) == [0, 7]
 
     def test_failed_fork_is_no_result(self, monkeypatch, no_worker_left):
         forks = []
@@ -195,7 +178,10 @@ class TestRunForked:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
-        assert propagation._run_forked(3, lambda part, out: None, self.read_all) is None
+        start = time.perf_counter()
+        # the worker already made is killed, not waited for
+        assert propagation._run_forked(3, lambda part: time.sleep(60)) is None
+        assert time.perf_counter() - start < 10
 
     def test_fork_parts(self, monkeypatch):
         monkeypatch.setattr(propagation, "_num_shards", lambda: 3)

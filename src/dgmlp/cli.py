@@ -11,11 +11,10 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import DgmlpError
+from .errors import ConfigurationError, DgmlpError
 from .nn import save_checkpoint
 from .runner import RunConfig, load_run_dataset, run_profile, run_scale, \
     run_sweep, run_train
@@ -159,27 +158,19 @@ def _check_output(path, *, directory: bool = False) -> None:
         raise DgmlpError(f"cannot write {path}: {parent} is not writable")
 
 
-@contextmanager
-def _writing():
-    """Report a failed write as one DgmlpError line instead of a traceback."""
-    try:
-        yield
-    except OSError as exc:
-        raise DgmlpError(f"cannot write output: {exc}") from None
-
-
 def _cmd_train(cfg: RunConfig, checkpoint: str | None) -> int:
     out = cfg.out or "train_result.json"
     _check_output(out)
     if checkpoint:
         _check_output(checkpoint)
+        if Path(checkpoint).resolve() == Path(out).resolve():
+            raise ConfigurationError(f"--checkpoint and --out name the same file: {out}")
     dataset = load_run_dataset(cfg)
     result, model, _ = run_train(dataset, cfg)
-    with _writing():
-        if checkpoint:
-            save_checkpoint(model, checkpoint)
-            result["checkpoint"] = checkpoint
-        write_json(result, out)
+    if checkpoint:
+        save_checkpoint(model, checkpoint)
+        result["checkpoint"] = checkpoint
+    write_json(result, out)
     print(f"test_accuracy={result['test_accuracy']:.4f} "
           f"best_epoch={result['best_epoch']} -> {out}")
     return 0
@@ -190,8 +181,7 @@ def _cmd_profile(cfg: RunConfig) -> int:
     _check_output(out_dir, directory=True)
     dataset = load_run_dataset(cfg)
     result = run_profile(dataset, cfg)
-    with _writing():
-        _write_profile(result, out_dir)
+    _write_profile(result, out_dir)
     print(f"wrote smoothness profile to {out_dir}/")
     return 0
 
@@ -225,8 +215,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     _check_output(out)
     dataset = load_run_dataset(cfg)
     rows = run_sweep(dataset, cfg)
-    with _writing():
-        write_csv(rows, out)
+    write_csv(rows, out)
     print(f"{len(rows)} sweep rows -> {out}")
     return 0
 
@@ -235,8 +224,7 @@ def _cmd_scale(cfg: RunConfig) -> int:
     out = cfg.out or "scale_results.csv"
     _check_output(out)
     rows = run_scale(cfg)
-    with _writing():
-        write_csv(rows, out)
+    write_csv(rows, out)
     for row in rows:
         print(f"n={row['num_nodes']} preprocess={row['preprocess_seconds']:.2f}s "
               f"train={row['train_seconds']:.2f}s peak={row['peak_traced_mb']:.0f}MB")
@@ -245,6 +233,10 @@ def _cmd_scale(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; 0 on success. Any failure prints one 'error:' line
+    to stderr, never a traceback, and exits 2 for a rejected value or a file
+    that cannot be read or written (DgmlpError, OSError), 1 for any other
+    error (an allocation that fails, say)."""
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
@@ -257,9 +249,12 @@ def main(argv=None) -> int:
         if args.command == "scale":
             return _cmd_scale(cfg)
         raise DgmlpError(f"unknown command {args.command!r}")
-    except DgmlpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (DgmlpError, OSError) as exc:
+        code, message = 2, str(exc)
+    except Exception as exc:
+        code, message = 1, f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

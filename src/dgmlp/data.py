@@ -36,30 +36,32 @@ from .graph import MAX_NODES, Graph, _IdOutOfRange, build_graph
 from .propagation import _fork_parts, _run_forked
 
 
-def check_disjoint(splits) -> None:
-    """Reject train/val/test index sets that share a node."""
-    names = ("train", "val", "test")
-    arrays = [np.asarray(getattr(splits, n), dtype=np.int64) for n in names]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            common = np.intersect1d(arrays[i], arrays[j])
-            if common.size:
-                raise ValidationError(
-                    f"splits '{names[i]}' and '{names[j]}' overlap at index {int(common[0])}"
-                )
-
-
 @dataclass(frozen=True)
 class Splits:
+    """Train/val/test node indices: no split lists a node twice, and no
+    two splits share a node."""
+
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
 
     def __post_init__(self):
-        for name in ("train", "val", "test"):
+        names = ("train", "val", "test")
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             object.__setattr__(self, name, arr)
-        check_disjoint(self)
+            ids, counts = np.unique(arr, return_counts=True)
+            if (counts > 1).any():
+                raise ValidationError(
+                    f"split '{name}' lists node {int(ids[counts > 1][0])} more than once"
+                )
+        for i in range(3):
+            for j in range(i + 1, 3):
+                common = np.intersect1d(getattr(self, names[i]), getattr(self, names[j]))
+                if common.size:
+                    raise ValidationError(
+                        f"splits '{names[i]}' and '{names[j]}' overlap at index {int(common[0])}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -373,7 +375,10 @@ def _parse_splits(path: Path, num_nodes: int) -> Splits:
         if bad is not None:
             raise ValidationError(f"{path}: split '{name}' contains out-of-range index {bad}")
         parts[name] = entries
-    return Splits(**parts)
+    try:
+        return Splits(**parts)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_dataset(directory) -> Dataset:

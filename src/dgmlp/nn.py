@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.npyio import NpzFile
 
-from .data import check_disjoint
+from .data import Splits
 from .errors import ConfigurationError, DimensionError, ParameterError, ValidationError
 
 
@@ -449,12 +449,10 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
     product; any other epoch is evaluated again by forward, so the
     accuracies are those of one forward per epoch.
     """
-    check_disjoint(splits)
+    splits = Splits(splits.train, splits.val, splits.test)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    tr = np.asarray(splits.train, dtype=np.int64)
-    va = np.asarray(splits.val, dtype=np.int64)
-    te = np.asarray(splits.test, dtype=np.int64)
+    tr, va, te = splits.train, splits.val, splits.test
     if tr.size == 0:
         raise ConfigurationError("the labeled training set is empty")
 

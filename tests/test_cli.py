@@ -11,6 +11,7 @@ import pytest
 
 from dgmlp import load_checkpoint, load_dataset
 from dgmlp.cli import build_parser, config_from_args, main
+from dgmlp.errors import DgmlpError
 from dgmlp.graph import MAX_NODES
 from dgmlp.runner import RunConfig, run_train
 
@@ -482,6 +483,18 @@ class TestOutputPaths:
         err = self._fails_on_output(capsys, "scale", "--sizes", "50", "--out", tmp_path)
         assert "is a directory" in err
 
+    @pytest.mark.parametrize("spelling", ["same", "dot-dot", "symlink"])
+    def test_checkpoint_and_out_same_file(self, tmp_path, capsys, spelling):
+        out = tmp_path / "r.json"
+        checkpoint = {"same": out, "dot-dot": tmp_path / "sub" / ".." / "r.json",
+                      "symlink": tmp_path / "link.json"}[spelling]
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(out)
+        err = self._fails_on_output(capsys, "train", "--dataset", tmp_path / "missing",
+                                    "--out", out, "--checkpoint", checkpoint)
+        assert "--checkpoint and --out name the same file" in err and "dataset" not in err
+        assert not out.exists()
+
     def test_write_failure_is_one_line(self, tiny_dir, tmp_path, capsys, monkeypatch):
         def refuse(payload, path):
             raise PermissionError(13, "Permission denied", str(path))
@@ -490,6 +503,94 @@ class TestOutputPaths:
         err = self._fails_on_output(capsys, "train", "--dataset", tiny_dir, "--dp", 1,
                                     "--epochs", 2, "--out", tmp_path / "r.json")
         assert "Permission denied" in err
+
+
+class TestOneFailurePath:
+    """main turns every failure, wherever it is raised, into one 'error:'
+    line: exit 2 for DgmlpError and OSError, 1 for anything else."""
+
+    FAULTS = {
+        "DgmlpError": (lambda: DgmlpError("injected fault"), 2),
+        "OSError": (lambda: OSError(5, "Input/output error", "injected.file"), 2),
+        # raised, never provoked: the test allocates nothing large
+        "MemoryError": (lambda: MemoryError("injected fault"), 1),
+        "ValueError": (lambda: ValueError("injected fault"), 1),
+    }
+    # (command, stage, the name the fault replaces)
+    STAGES = [
+        ("train", "load", "dgmlp.cli.load_run_dataset"),
+        ("train", "run", "dgmlp.cli.run_train"),
+        ("train", "write", "dgmlp.cli.save_checkpoint"),
+        ("train", "write", "dgmlp.cli.write_json"),
+        ("profile", "load", "dgmlp.cli.load_run_dataset"),
+        ("profile", "run", "dgmlp.cli.run_profile"),
+        ("profile", "write", "dgmlp.cli.write_node_profile_csv"),
+        ("profile", "write", "dgmlp.cli.write_json"),
+        ("sweep", "load", "dgmlp.cli.load_run_dataset"),
+        ("sweep", "run", "dgmlp.cli.run_sweep"),
+        ("sweep", "write", "dgmlp.cli.write_csv"),
+        ("scale", "load", "dgmlp.runner.erdos_renyi"),
+        ("scale", "run", "dgmlp.cli.run_scale"),
+        ("scale", "write", "dgmlp.cli.write_csv"),
+    ]
+
+    @staticmethod
+    def _argv(command, tiny_dir, tmp_path):
+        if command == "train":
+            return ["train", "--dataset", tiny_dir, "--dp", 1, "--epochs", 2,
+                    "--out", tmp_path / "r.json", "--checkpoint", tmp_path / "m.npz"]
+        if command == "profile":
+            return ["profile", "--dataset", tiny_dir, "--dp", 2, "--out", tmp_path / "p"]
+        if command == "sweep":
+            return ["sweep", "--dataset", tiny_dir, "--dp-grid", 1, "--epochs", 2,
+                    "--out", tmp_path / "s.csv"]
+        return ["scale", "--sizes", 60, "--p", 0.05, "--dim", 4, "--classes", 2,
+                "--epochs", 2, "--train-nodes", 10, "--val-nodes", 10,
+                "--test-nodes", 10, "--out", tmp_path / "s.csv"]
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("command,stage,target", STAGES,
+                             ids=[f"{c}-{s}-{t.rsplit('.', 1)[1]}" for c, s, t in STAGES])
+    def test_one_line_and_exit_code(self, tiny_dir, tmp_path, capsys, monkeypatch,
+                                    command, stage, target, fault):
+        make, expected = self.FAULTS[fault]
+
+        def fail(*args, **kwargs):
+            raise make()
+
+        monkeypatch.setattr(target, fail)
+        code = run_cli(*self._argv(command, tiny_dir, tmp_path))
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "injected" in err
+        if expected == 1:
+            assert err.startswith(f"error: {fault}: injected fault")
+
+    def test_multi_line_message_stays_one_line(self, tiny_dir, tmp_path, capsys,
+                                               monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("first\nsecond")
+
+        monkeypatch.setattr("dgmlp.cli.run_train", fail)
+        code = run_cli("train", "--dataset", tiny_dir, "--out", tmp_path / "r.json")
+        assert code == 1
+        assert capsys.readouterr().err == "error: RuntimeError: first second\n"
+
+    def test_shape_numpy_rejects_is_one_line(self, tiny_dir, tmp_path):
+        # numpy refuses the weight shape before it allocates anything
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgmlp.cli", "train", "--dataset", str(tiny_dir),
+             "--dt", "2", "--hidden", "10000000000000000000", "--epochs", "1",
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ValueError: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestParserMatchesRunConfig:

@@ -72,6 +72,16 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match=r"'train' and 'val' overlap at index 3"):
             load_dataset(d)
 
+    def test_split_repeating_a_node_names_file_split_and_node(self, tmp_path, tiny_dir):
+        # a repeated test node would count four times in every test accuracy
+        d = tmp_path / "ds"
+        shutil.copytree(tiny_dir, d)
+        (d / "splits.json").write_text('{"train": [0, 3], "val": [1, 4], "test": [2, 5, 2, 2, 2]}')
+        with pytest.raises(ValidationError) as info:
+            load_dataset(d)
+        assert str(info.value) == \
+            f"{d / 'splits.json'}: split 'test' lists node 2 more than once"
+
     def test_split_out_of_range(self, tmp_path, tiny_dir):
         d = tmp_path / "ds"
         shutil.copytree(tiny_dir, d)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -198,6 +199,19 @@ class TestTrain:
             object.__setattr__(bad, "val", np.array([1, 2]))
             object.__setattr__(bad, "test", np.array([3]))
             train(model, x, y, bad, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_repeated_node_rejected(self, name):
+        x, y, _ = toy_blobs()
+        parts = {"train": [0, 1], "val": [2, 3], "test": [4, 5]}
+        parts[name] = parts[name] + [parts[name][1]]
+        message = f"split '{name}' lists node {parts[name][1]} more than once"
+        with pytest.raises(ValidationError, match=message):
+            Splits(**parts)
+        model = ResidualMlp.create(2, 2, num_layers=1, seed=0)
+        unchecked = types.SimpleNamespace(**parts)  # any object with the three fields
+        with pytest.raises(ValidationError, match=message):
+            train(model, x, y, unchecked, TrainConfig(epochs=1))
 
     def test_empty_train_split_rejected(self):
         x, y, _ = toy_blobs()

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import fields
 from pathlib import Path
 
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
     """Run one subcommand; 0 on success. Any failure prints one 'error:' line
     to stderr, never a traceback, and exits 2 for a rejected value or a file
     that cannot be read or written (DgmlpError, OSError), 1 for any other
-    error (an allocation that fails, say)."""
+    error (an allocation that fails, say; the line names its last dgmlp frame)."""
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         code, message = 2, str(exc)
     except Exception as exc:
         code, message = 1, f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        where = [f for f in traceback.extract_tb(exc.__traceback__)
+                 if os.path.dirname(f.filename) == os.path.dirname(__file__)][-1]
+        message += f" ({os.path.basename(where.filename)}:{where.lineno}, in {where.name})"
     print("error:", " ".join(message.splitlines()), file=sys.stderr)
     return code
 

@@ -13,7 +13,6 @@ and the stack is never stored.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import resource
 import time
@@ -336,7 +335,8 @@ def run_profile(dataset: Dataset, cfg: RunConfig) -> dict:
 
 
 def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
-    """Grid sweep; one output row per cell with mean/std over num_seeds runs."""
+    """Grid sweep; one output row per cell with mean/std over num_seeds runs.
+    Each classifier input is built once, for every run that reads it."""
     axes = [(name, list(getattr(cfg, attr)))
             for name, attr in _SWEEP_AXES if getattr(cfg, attr)]
     if not axes:
@@ -348,46 +348,40 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
     # subsample_labels draws from the train split, so these rows serve
     # every cell
     labeled = _labeled_rows(dataset.splits)
+    seeds = range(cfg.seed, cfg.seed + cfg.num_seeds)
+    # every train split is drawn before the first walk, so an impossible
+    # labels_per_class fails first ("" when it is not swept: the row's cell)
+    targets = {(per_class, seed): dataset if per_class == ""
+               else subsample_labels(dataset, per_class, seed)
+               for per_class in cfg.labels_per_class_grid or [""] for seed in seeds}
 
-    @functools.lru_cache(maxsize=4)
-    def prepared(dp, keep, mask, seed):
-        """Classifier input; seed is None unless edges or features are perturbed."""
-        graph = dataset.graph if keep >= 1.0 else drop_edges(dataset.graph, keep, seed)
-        feats = dataset.features
-        if mask > 0.0:
-            feats = mask_features(dataset, mask, seed).features
-        return _classifier_input(graph, feats, cfg, dp, labeled, divisor)
+    defaults = {"dp": cfg.dp, "dt": cfg.dt, "keep_edges": 1.0, "labels_per_class": "",
+                "mask_features": 0.0}
+    cells = [defaults | dict(zip((name for name, _ in axes), cell))
+             for cell in itertools.product(*(vals for _, vals in axes))]
+    # (cell, seed) runs by the input they read; the seed is part of its key
+    # only when edges or features are perturbed
+    readers = {}
+    for i, point in enumerate(cells):
+        keep, mask = point["keep_edges"], point["mask_features"]
+        for s, seed in enumerate(seeds):
+            key = (point["dp"], keep, mask, seed if keep < 1.0 or mask > 0.0 else None)
+            readers.setdefault(key, []).append((i, s))
 
-    rows = []
-    for cell in itertools.product(*(vals for _, vals in axes)):
-        point = dict(zip((name for name, _ in axes), cell))
-        dp = point.get("dp", cfg.dp)
-        dt = point.get("dt", cfg.dt)
-        keep = point.get("keep_edges", 1.0)
-        mask = point.get("mask_features", 0.0)
-        structural = keep < 1.0 or mask > 0.0
-        per_class = point.get("labels_per_class")
-        accs = []
-        for s in range(cfg.num_seeds):
-            seed = cfg.seed + s
-            feats = prepared(dp, keep, mask, seed if structural else None)
-            ds = dataset
-            if per_class is not None:
-                ds = subsample_labels(dataset, per_class, seed)
+    accs = np.empty((len(cells), cfg.num_seeds))
+    for (dp, keep, mask, seed), runs in readers.items():
+        # the perturbed graph and features live only as long as the walk
+        feats = _classifier_input(
+            dataset.graph if keep >= 1.0 else drop_edges(dataset.graph, keep, seed),
+            mask_features(dataset, mask, seed).features if mask > 0.0 else dataset.features,
+            cfg, dp, labeled, divisor)
+        for i, s in runs:
+            ds = targets[cells[i]["labels_per_class"], seeds[s]]
             _, metrics = _train_on(feats, *_at_rows(labeled, ds.labels, ds.splits),
-                                   dataset.num_classes, cfg, dt=dt, seed=seed)
-            accs.append(metrics.test_accuracy)
-        accs = np.asarray(accs)
-        row = {
-            "dp": dp, "dt": dt, "keep_edges": keep,
-            "labels_per_class": per_class if per_class is not None else "",
-            "mask_features": mask,
-            "num_seeds": cfg.num_seeds,
-            "test_acc_mean": float(accs.mean()),
-            "test_acc_std": float(accs.std()),
-        }
-        rows.append(row)
-    return rows
+                                   dataset.num_classes, cfg, dt=cells[i]["dt"], seed=seeds[s])
+            accs[i, s] = metrics.test_accuracy
+    return [point | {"num_seeds": cfg.num_seeds, "test_acc_mean": float(acc.mean()),
+                     "test_acc_std": float(acc.std())} for point, acc in zip(cells, accs)]
 
 
 def synthetic_node_data(n: int, cfg: RunConfig, seed: int):

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import inspect
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dgmlp import load_checkpoint, load_dataset
+from dgmlp import cli, load_checkpoint, load_dataset
 from dgmlp.cli import build_parser, config_from_args, main
 from dgmlp.errors import DgmlpError
 from dgmlp.graph import MAX_NODES
@@ -576,7 +578,27 @@ class TestOneFailurePath:
         monkeypatch.setattr("dgmlp.cli.run_train", fail)
         code = run_cli("train", "--dataset", tiny_dir, "--out", tmp_path / "r.json")
         assert code == 1
-        assert capsys.readouterr().err == "error: RuntimeError: first second\n"
+        # fail lives outside the package: the line names the call into it
+        lines, first = inspect.getsourcelines(cli._cmd_train)
+        line = first + next(i for i, text in enumerate(lines) if "run_train(" in text)
+        assert capsys.readouterr().err == (
+            f"error: RuntimeError: first second (cli.py:{line}, in _cmd_train)\n")
+
+    def test_exit_1_line_names_the_innermost_package_frame(self, tiny_dir, tmp_path,
+                                                           capsys):
+        # numpy refuses the weight shape inside ResidualMlp.create
+        code = run_cli("train", "--dataset", tiny_dir, "--dt", 2, "--hidden",
+                       10000000000000000000, "--epochs", 1, "--out", tmp_path / "r.json")
+        assert code == 1
+        assert re.fullmatch(r"error: ValueError: [^\n]+ \(nn\.py:\d+, in create\)\n",
+                            capsys.readouterr().err)
+
+    def test_exit_2_line_names_no_frame(self, tiny_dir, tmp_path, capsys):
+        code = run_cli("sweep", "--dataset", tiny_dir, "--dp-grid", 1,
+                       "--labels-per-class-grid", "1,2", "--epochs", 2,
+                       "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert capsys.readouterr().err == "error: class 0 has only 1 training nodes, need 2\n"
 
     def test_shape_numpy_rejects_is_one_line(self, tiny_dir, tmp_path):
         # numpy refuses the weight shape before it allocates anything

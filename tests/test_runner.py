@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from dgmlp import ConfigurationError, Dataset, ResidualMlp, Splits, ValidationError, \
     combine, compute_nsl, drop_edges, erdos_renyi, load_checkpoint, load_dataset, \
-    normalize, propagate, propagation, propagation_pass, propagation_weights, runner, \
-    save_checkpoint, stationary_features, subsample_labels, train
+    mask_features, normalize, propagate, propagation, propagation_pass, \
+    propagation_weights, runner, save_checkpoint, stationary_features, subsample_labels, \
+    train
 from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
     row_divisor, row_normalize, run_profile, run_scale, run_sweep, run_train, \
     synthetic_node_data
@@ -327,7 +328,22 @@ class TestSgcDivisorWalk:
         assert got.tobytes() == want.tobytes()
 
 
-class TestRunSweepCache:
+def counted_inputs(monkeypatch) -> list:
+    """The dp of each runner._classifier_input call from now on."""
+    real = runner._classifier_input
+    calls = []
+
+    def counting(graph, features, cfg, dp, *rest):
+        calls.append(dp)
+        return real(graph, features, cfg, dp, *rest)
+
+    monkeypatch.setattr(runner, "_classifier_input", counting)
+    return calls
+
+
+class TestRunSweepInputs:
+    """run_sweep builds each distinct classifier input once."""
+
     def test_one_classifier_input_per_structural_key(self, tiny_dataset, monkeypatch):
         # dt and the unperturbed graph's seeds repeat keys; keep < 1 makes
         # the seed part of the key
@@ -345,6 +361,25 @@ class TestRunSweepCache:
         assert len(rows) == 8
         # per dp: one unperturbed key plus one per seed with keep 0.5
         assert len(calls) == 2 * (1 + 2)
+
+    @pytest.mark.parametrize("num_seeds", [5, 10])
+    def test_one_walk_per_input_at_many_seeds(self, tiny_dataset, monkeypatch, num_seeds):
+        calls = counted_inputs(monkeypatch)
+        cfg = RunConfig(dp_grid=[1, 2], dt_grid=[1, 2], keep_edges_grid=[1.0, 0.5],
+                        num_seeds=num_seeds, epochs=2, lr=0.05, dropout=0.0)
+        assert len(run_sweep(tiny_dataset, cfg)) == 8
+        # 12 inputs at 5 seeds and 22 at 10, in dp order
+        assert calls == [1] * (1 + num_seeds) + [2] * (1 + num_seeds)
+
+    def test_impossible_labels_per_class_fails_before_any_walk(self, tiny_dataset,
+                                                                monkeypatch):
+        # tiny's train split holds one node per class
+        calls = counted_inputs(monkeypatch)
+        cfg = RunConfig(dp_grid=[1, 3], labels_per_class_grid=[1, 2], epochs=2)
+        with pytest.raises(ValidationError,
+                           match="^class 0 has only 1 training nodes, need 2$"):
+            run_sweep(tiny_dataset, cfg)
+        assert calls == []
 
 
 class TestRunScale:
@@ -432,6 +467,36 @@ class TestLabeledRows:
                 graph = ds.graph if keep >= 1.0 else drop_edges(ds.graph, keep, seed)
                 sub = subsample_labels(ds, row["labels_per_class"], seed)
                 _, metrics = whole_matrix_run(graph, ds.features, sub.labels, sub.splits,
+                                              ds.num_classes, cfg, dp=row["dp"],
+                                              dt=row["dt"], seed=seed, divisor=divisor)
+                accs.append(metrics.test_accuracy)
+            assert row["test_acc_mean"] == float(np.mean(accs))
+            assert row["test_acc_std"] == float(np.std(accs))
+
+    @pytest.mark.parametrize("baseline", [None, "sgc"])
+    def test_run_sweep_over_every_axis_at_five_seeds(self, monkeypatch, baseline):
+        # every axis kind at once; sgc trains one layer, so it has no dt axis
+        ds = partly_labeled()
+        calls = counted_inputs(monkeypatch)
+        cfg = RunConfig(baseline=baseline, dp_grid=[1, 3],
+                        dt_grid=None if baseline else [1, 2],
+                        keep_edges_grid=[1.0, 0.6], labels_per_class_grid=[1, 2],
+                        mask_features_grid=[0.0, 0.4], num_seeds=5, hidden=8,
+                        epochs=4, lr=0.05, seed=7)
+        rows = run_sweep(ds, cfg)
+        assert len(rows) == (16 if baseline else 32)
+        # per dp: the unperturbed input, plus one per seed for each of the
+        # three perturbed (keep_edges, mask_features) pairs
+        assert len(calls) == 2 * (1 + 3 * 5)
+        divisor = row_divisor(ds.features, cfg.feature_norm)
+        for row in rows:
+            accs = []
+            for seed in range(cfg.seed, cfg.seed + 5):
+                keep, mask = row["keep_edges"], row["mask_features"]
+                graph = ds.graph if keep >= 1.0 else drop_edges(ds.graph, keep, seed)
+                feats = mask_features(ds, mask, seed).features if mask > 0.0 else ds.features
+                sub = subsample_labels(ds, row["labels_per_class"], seed)
+                _, metrics = whole_matrix_run(graph, feats, sub.labels, sub.splits,
                                               ds.num_classes, cfg, dp=row["dp"],
                                               dt=row["dt"], seed=seed, divisor=divisor)
                 accs.append(metrics.test_accuracy)

@@ -309,6 +309,9 @@ def _default_caps(dp: int) -> list[int]:
 def run_profile(dataset: Dataset, cfg: RunConfig) -> dict:
     """Smoothness curves: raw per-step GSL, combined GSL per depth cap,
     and per-step mean NSL of three degree terciles."""
+    if dataset.num_nodes < 3:
+        raise ValidationError(f"profile needs at least 3 nodes, one per degree tercile, "
+                              f"got {dataset.num_nodes}")
     caps = cfg.caps if cfg.caps else _default_caps(cfg.dp)
     walk = propagation_pass(dataset.graph, dataset.features, k=cfg.dp, r=cfg.r,
                             temperature=cfg.temperature, caps=caps,
@@ -351,9 +354,12 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
     seeds = range(cfg.seed, cfg.seed + cfg.num_seeds)
     # every train split is drawn before the first walk, so an impossible
     # labels_per_class fails first ("" when it is not swept: the row's cell)
-    targets = {(per_class, seed): dataset if per_class == ""
-               else subsample_labels(dataset, per_class, seed)
-               for per_class in cfg.labels_per_class_grid or [""] for seed in seeds}
+    try:
+        targets = {(per_class, seed): dataset if per_class == ""
+                   else subsample_labels(dataset, per_class, seed)
+                   for per_class in cfg.labels_per_class_grid or [""] for seed in seeds}
+    except ValidationError as exc:
+        raise ValidationError(f"labels_per_class_grid: {exc}") from None
 
     defaults = {"dp": cfg.dp, "dt": cfg.dt, "keep_edges": 1.0, "labels_per_class": "",
                 "mask_features": 0.0}

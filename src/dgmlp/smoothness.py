@@ -95,7 +95,7 @@ def compute_nsl(stack: PropagatedStack, stationary) -> SmoothnessProfile:
 # |nsl| <= 2 up to rounding (a product of two cosines), so at
 # temperature >= 2**-1021 every logit nsl / T lies within 2**1022 and
 # every softmax difference logit - max within 2**1023: both finite. Below
-# it nsl / T can reach inf, and exp(inf - inf) makes the weights NaN.
+# it nsl / T can overflow to inf, and exp(inf - inf) makes the weights NaN.
 MIN_TEMPERATURE = 2.0 ** -1021
 
 
@@ -143,11 +143,6 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 # The pipeline's propagation pass: one walk over the steps in O(N*d) memory.
 # ---------------------------------------------------------------------------
 
-# A walked x.s (see propagation_pass) is used for a row while the row's
-# norm is at least 1/64 of its norm bound; below that, cancellation may
-# have left the walked value fewer correct digits than the row's own.
-_MAX_CANCELLATION = 64.0
-
 # With row divisors, y.x0 is (y.features) / divisor for a row whose divisor
 # lies in [1 / _DIVISOR_RANGE, _DIVISOR_RANGE] and whose divided row x0_v
 # has norm at most sqrt(_X0_SQ_BOUND): each product y_j f_j is then y_j x0_j
@@ -173,23 +168,20 @@ def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
     """matrix_nsl(., x0, x_inf) for an x_inf whose rows are positive multiples of s.
 
     cos(x_v, x_inf_v) = x_v . s / (|x_v| |s|), so the N x d stationary
-    matrix is never built. nsl(xx, xx0, xs, reach, x, rows) scores the
-    rows `rows` of a step x from row reductions over them: xx = x.x and
-    xx0 = x.x0, and xs = x.s carried by a walk beside reach >= |x_v|, a
-    bound on the row norms carried by the same walk. The walked xs is off
-    by a few ulps of reach |s|, so in a row whose norm has cancelled to
-    below reach / _MAX_CANCELLATION, x.s is taken from the row x_v itself.
-    x0_sq holds x0.x0 per row; it is read when nsl is called, so it may be
-    filled after this returns. A zero norm gives a zero cosine, as in
-    _row_cosines. An overflowed reduction (inf in s.s, xx, xx0 or xs)
-    raises ValidationError: its cosine would be 0 or NaN, with no error.
+    matrix is never built. nsl(xx, xx0, xs, rows) scores the rows `rows`
+    of a step x from three row reductions over them: xx = x.x, xx0 = x.x0
+    and xs = x.s. x0_sq holds x0.x0 per row; it is read when nsl is
+    called, so it may be filled after this returns. A zero norm gives a
+    zero cosine, as in _row_cosines. An overflowed reduction (inf in s.s,
+    xx, xx0 or xs) raises ValidationError: its cosine would be 0 or NaN,
+    with no error.
     """
     s_norm = float(np.sqrt(np.einsum("i,i->", s, s)))
     if not np.isfinite(s_norm):
         raise _overflow_error()
 
-    def nsl(xx: np.ndarray, xx0: np.ndarray, xs: np.ndarray, reach: np.ndarray,
-            x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def nsl(xx: np.ndarray, xx0: np.ndarray, xs: np.ndarray,
+            rows: slice = slice(None)) -> np.ndarray:
         if not (np.isfinite(xx).all() and np.isfinite(xx0).all() and np.isfinite(xs).all()):
             raise _overflow_error()
         x_norm, x0_norm = np.sqrt(xx), np.sqrt(x0_sq[rows])
@@ -197,10 +189,6 @@ def _rank_one_nsl(x0_sq: np.ndarray, s: np.ndarray):
                           where=(x_norm > 0.0) & (x0_norm > 0.0))
         beta = np.zeros(len(xx))
         if s_norm > 0.0:
-            cancelled = reach > _MAX_CANCELLATION * x_norm
-            if cancelled.any():
-                xs = xs.copy()
-                xs[cancelled] = np.einsum("ij,j->i", x[cancelled], s)
             np.divide(xs, x_norm * s_norm, out=beta, where=x_norm > 0.0)
         return alpha * (1.0 - beta)
 
@@ -258,17 +246,14 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     profile is complete. caps need every row of the combination, since a
     cap's GSL is a mean over all nodes, so caps and rows are exclusive.
 
-    x_k . s, the dot with the stationary direction, is not read off x_k:
-    it is u_k = A_hat u_{k-1}, an N-vector walk from u_0 = x0 . s, and
-    for the caps acc . s is folded beside acc as acc_u. A second N-vector
-    walk carries reach_k = A_hat reach_{k-1} from the row norms of x0,
-    which bounds the row norms of x_k since A_hat is nonnegative; the few
-    rows whose norm has cancelled far below it take x . s from x (see
-    _rank_one_nsl). So each block of a step is read twice: by the x.x and
-    x.x0 row reductions, and by the accumulate acc += e * x, one pass of
-    scipy's CSR kernel on the picked rows of diag(e). Nothing calls BLAS,
-    and each row's arithmetic is the same whatever the block, shard or
-    BLAS thread count, so the bits are too.
+    Each block of a step is read while it is in cache, by three row
+    reductions, x.x, x.x0 and x.s (s the stationary direction; see
+    _rank_one_nsl), and by the accumulate acc += e * x, one pass of
+    scipy's CSR kernel on the picked rows of diag(e). A cap scores its
+    block of acc by the same three reductions. The adjacency is read only
+    by the walk's spmm, once a step. Nothing calls BLAS, and each row's
+    arithmetic is the same whatever the block, shard or BLAS thread
+    count, so the bits are too.
 
     divisor (N positive row divisors; None for none) starts the walk from
     x0 / divisor[:, None], as propagation_steps does: the rows of x0 are
@@ -309,10 +294,9 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     gsl = np.empty(k + 1)
     cap_gsl = {}
     acc = np.empty((len(picked), d))
-    x0_sq, u, reach = (np.empty(n) for _ in range(3))
+    x0_sq, level, m, z = np.empty(n), np.empty(n), np.empty(n), np.ones(n)
     if caps:
-        acc_u, acc_reach, cap_level = (np.empty(n) for _ in range(3))
-    level, m, z = np.empty(n), np.empty(n), np.ones(n)
+        cap_level = np.empty(n)
     nsl_of = _rank_one_nsl(x0_sq, s)
 
     def x0_dots(y: np.ndarray, rows: slice) -> np.ndarray:
@@ -328,10 +312,9 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         return dots
 
     def fold(shard: int, lo: int, hi: int) -> None:
-        """Score rows lo..hi-1 of step `step` (the current x, with x.s in u
-        and its norm bound in reach) and fold them into m, z, acc and, for
-        the caps, acc_u and acc_reach, one block at a time; after the last
-        step, acc becomes acc / z."""
+        """Score rows lo..hi-1 of step `step` (the current x) and fold them
+        into m, z and acc, one block at a time; after the last step, acc
+        becomes acc / z."""
         for start in range(lo, hi, block):
             rows = slice(start, min(start + block, hi))
             x_rows = x[rows]
@@ -340,22 +323,16 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
             sel, acc_rows = picked[a:b] - start, acc[a:b]
             xx = np.einsum("ij,ij->i", x_rows, x_rows)
             if step == 0:
-                # x is x0: its norms and u_0 = x0.s come from this read
-                x0_sq[rows] = xx0 = xx
-                u[rows] = np.einsum("ij,j->i", x_rows, s)
-                reach[rows] = np.sqrt(xx)
+                x0_sq[rows] = xx0 = xx  # x is x0
             else:
                 xx0 = x0_dots(x_rows, rows)
-            level[rows] = nsl_of(xx, xx0, u[rows], reach[rows], x_rows, rows)
+            level[rows] = nsl_of(xx, xx0, np.einsum("ij,j->i", x_rows, s), rows)
             logit = level[rows] / temperature
             if step == 0:
                 m[rows] = logit
                 # "clip" writes straight into acc_rows; "raise" would
                 # buffer the output (sel is in range either way)
                 np.take(x_rows, sel, axis=0, out=acc_rows, mode="clip")
-                if caps:
-                    acc_u[rows] = u[rows]
-                    acc_reach[rows] = reach[rows]
             else:
                 m_rows = m[rows]
                 if (logit > m_rows).any():
@@ -365,14 +342,8 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                     z[rows] *= rescale
                     np.maximum(m_rows, logit, out=m_rows)
                     acc_rows *= rescale[sel, None]
-                    if caps:
-                        acc_u[rows] *= rescale
-                        acc_reach[rows] *= rescale
                 e = np.exp(logit - m_rows)
                 _add_scaled_rows(acc_rows, e, x_rows, sel)
-                if caps:
-                    acc_u[rows] += e * u[rows]
-                    acc_reach[rows] += e * reach[rows]
                 z[rows] += e
             if step and step in caps:
                 # nsl is a product of cosines, blind to the positive row
@@ -380,13 +351,11 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                 # 0, acc is x0 and its level is step 0's.
                 cap_level[rows] = nsl_of(np.einsum("ij,ij->i", acc_rows, acc_rows),
                                          x0_dots(acc_rows, rows),
-                                         acc_u[rows], acc_reach[rows], acc_rows, rows)
+                                         np.einsum("ij,j->i", acc_rows, s), rows)
             if step == k:
                 acc_rows /= z[rows][sel, None]
 
     for step, x in enumerate(itertools.chain([x0], steps)):
-        if step:
-            u, reach = adj.matrix @ u, adj.matrix @ reach
         _run_sharded(fold, n, shards, block)
         if step == 0 and divisor is not None:
             # the rows whose y.x0 is read from x0 itself (see _DIVISOR_RANGE);

@@ -245,6 +245,24 @@ class TestProfileCommand:
         assert code == 2
         assert "cap 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("num_nodes", [1, 2])
+    def test_fewer_than_three_nodes_is_one_line(self, tmp_path, capsys, num_nodes):
+        # three degree terciles need a node each: one left empty gave NaN
+        # in profile.json and nsl_by_degree.csv, with exit 0
+        data = tmp_path / "small"
+        data.mkdir()
+        (data / "edges.tsv").write_text("0\t1\n" if num_nodes == 2 else "")
+        (data / "features.csv").write_text("1.0,0.5\n" * num_nodes)
+        (data / "labels.csv").write_text("0\n" * num_nodes)
+        (data / "splits.json").write_text('{"train": [0], "val": [], "test": []}')
+        out = tmp_path / "profile"
+        code = run_cli("profile", "--dataset", data, "--dp", 2, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: profile needs at least 3 nodes, one per degree tercile, "
+            f"got {num_nodes}\n")
+        assert not out.exists()
+
     def test_fixture_outputs(self, tiny_dir, tmp_path):
         out = tmp_path / "profile"
         assert run_cli("profile", "--dataset", tiny_dir, "--dp", 3,
@@ -310,6 +328,17 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 14
         assert sorted({r["dp"] for r in rows}) == sorted(str(k) for k in range(1, 8))
+
+    def test_impossible_label_grid_names_its_option(self, tiny_dir, tmp_path, capsys):
+        # tiny's train split holds one node per class
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", "--dataset", tiny_dir, "--dp-grid", "1,3",
+                       "--labels-per-class-grid", "1,2", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: labels_per_class_grid: ") and err.count("\n") == 1
+        assert "class 0 has only 1 training nodes, need 2" in err
+        assert not out.exists()
 
     def test_label_grid_uses_subsampling(self, tiny_dir, tmp_path):
         out = tmp_path / "labels.csv"
@@ -598,7 +627,8 @@ class TestOneFailurePath:
                        "--labels-per-class-grid", "1,2", "--epochs", 2,
                        "--out", tmp_path / "s.csv")
         assert code == 2
-        assert capsys.readouterr().err == "error: class 0 has only 1 training nodes, need 2\n"
+        assert capsys.readouterr().err == ("error: labels_per_class_grid: class 0 has only "
+                                           "1 training nodes, need 2\n")
 
     def test_shape_numpy_rejects_is_one_line(self, tiny_dir, tmp_path):
         # numpy refuses the weight shape before it allocates anything

@@ -377,7 +377,8 @@ class TestRunSweepInputs:
         calls = counted_inputs(monkeypatch)
         cfg = RunConfig(dp_grid=[1, 3], labels_per_class_grid=[1, 2], epochs=2)
         with pytest.raises(ValidationError,
-                           match="^class 0 has only 1 training nodes, need 2$"):
+                           match="^labels_per_class_grid: class 0 has only 1 training "
+                                 "nodes, need 2$"):
             run_sweep(tiny_dataset, cfg)
         assert calls == []
 

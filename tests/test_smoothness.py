@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from dgmlp import DimensionError, ParameterError, SmoothnessProfile, ValidationError, \
     build_graph, combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, \
@@ -19,6 +20,7 @@ from dgmlp import DimensionError, ParameterError, SmoothnessProfile, ValidationE
     stationary_features
 import dgmlp
 from dgmlp import propagation, smoothness
+from dgmlp.graph import NormalizedAdjacency
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import MIN_TEMPERATURE, write_gsl_csv, write_node_profile_csv
 
@@ -328,9 +330,8 @@ class TestPropagationPass:
 
     def test_row_cancelled_to_a_rounding_residue(self):
         # node 3's step-1 row is exactly 0 in exact arithmetic but a residue
-        # of about 1e-17 in floating point: the walked x.s, off by a few
-        # ulps of the terms it sums, says nothing about that residue's
-        # direction, so the pass takes x.s from the row there
+        # of about 1e-17 in floating point: its cosines must come from the
+        # residue itself, as the stack oracle's do
         edges = [(1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)]
         graph = build_graph(edges, 8)
         x = np.array([[-1.0], [0.0], [0.25], [-0.75], [0.25], [0.25], [0.0], [0.5]])
@@ -373,47 +374,40 @@ class TestPropagationPass:
 
 def sequential_pass(graph, x, k, r, temperature, caps=()):
     """Reference walk: each step's spmm (a plain adj.matrix @ x), scoring and
-    fold one after another, on whole matrices. x.s is carried as the
-    N-vector walk u = adj.matrix @ u and acc.s as acc_u, beside the norm
-    bounds reach and acc_reach. Returns (nsl, gsl, combined, cap_gsl)."""
+    fold one after another, on whole matrices; x.s and acc.s are read from
+    the rows. Returns (nsl, gsl, combined, cap_gsl)."""
     adj = normalize(graph, r)
     s = stationary_direction(graph, x, r)
-    x0, x0_sq, u = x, np.einsum("ij,ij->i", x, x), np.einsum("ij,j->i", x, s)
-    reach = np.sqrt(x0_sq)
+    x0, x0_sq = x, np.einsum("ij,ij->i", x, x)
     nsl_of = smoothness._rank_one_nsl(x0_sq, s)
     nsl = np.empty((x.shape[0], k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
     for step in range(k + 1):
         if step:
-            x, u, reach = adj.matrix @ x, adj.matrix @ u, adj.matrix @ reach
+            x = adj.matrix @ x
             level = nsl_of(np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x, x0),
-                           u, reach, x)
+                           np.einsum("ij,j->i", x, s))
         else:
-            level = nsl_of(x0_sq, x0_sq, u, reach, x)
+            level = nsl_of(x0_sq, x0_sq, np.einsum("ij,j->i", x, s))
         nsl[:, step] = level
         gsl[step] = level.mean()
         logit = level / temperature
         if step == 0:
             m, acc, z = logit, x.copy(), np.ones(x.shape[0])
-            acc_u, acc_reach = u.copy(), reach.copy()
         else:
             rise = logit > m
             rescale = np.exp(m[rise] - logit[rise])
             acc[rise] *= rescale[:, None]
-            acc_u[rise] *= rescale
-            acc_reach[rise] *= rescale
             z[rise] *= rescale
             m = np.maximum(m, logit)
             e = np.exp(logit - m)
             acc += e[:, None] * x
-            acc_u += e * u
-            acc_reach += e * reach
             z += e
         if step in caps:
             cap_gsl[step] = float(nsl_of(np.einsum("ij,ij->i", acc, acc),
                                          np.einsum("ij,ij->i", acc, x0),
-                                         acc_u, acc_reach, acc).mean())
+                                         np.einsum("ij,j->i", acc, s)).mean())
     acc /= z[:, None]
     return nsl, gsl, acc, cap_gsl
 
@@ -519,12 +513,12 @@ class TestPipelinedPass:
         def failing_rank_one(x0_sq, s):
             nsl_of = real_rank_one(x0_sq, s)
 
-            def nsl(xx, xx0, xs, reach, cur, rows=slice(None)):
+            def nsl(xx, xx0, xs, rows=slice(None)):
                 scorers.append(threading.current_thread())
                 if rows.start >= 297 and len(scorers) > 4 * (fail_at - 1):
                     failed_on.append(threading.current_thread())
                     raise boom
-                return nsl_of(xx, xx0, xs, reach, cur, rows)
+                return nsl_of(xx, xx0, xs, rows)
             return nsl
 
         monkeypatch.setattr(propagation, "spmm", counted_spmm)
@@ -566,6 +560,36 @@ class TestPipelinedPass:
         assert len(outs) == 8 and outs[0] is not outs[1]
         assert all(a is b for a, b in zip(outs, outs[2:]))
         assert all(out.shape == x.shape for out in outs)
+
+    def test_adjacency_read_only_by_spmm(self, monkeypatch):
+        # the pass makes no product with adj.matrix of its own: the walk's
+        # spmm, once a step, is its only read of the adjacency
+        class NoProduct(sparse.csr_matrix):
+            def __matmul__(self, other):
+                raise AssertionError("adj.matrix @ v outside spmm")
+
+        real_normalize, real_spmm = smoothness.normalize, propagation.spmm
+        calls = []
+
+        def guarded_normalize(graph, r):
+            adj = real_normalize(graph, r)
+            return NormalizedAdjacency(adj.num_nodes, NoProduct(adj.matrix))
+
+        def counted_spmm(adj, cur, out=None):
+            calls.append(adj)
+            return real_spmm(adj, cur, out=out)
+
+        monkeypatch.setattr(smoothness, "normalize", guarded_normalize)
+        monkeypatch.setattr(propagation, "spmm", counted_spmm)
+        graph, x = signed_case()
+        with pytest.raises(AssertionError, match="outside spmm"):
+            guarded_normalize(graph, 0.5).matrix @ x[:, 0]
+        for extra in ({"rows": [0, 5, 17]}, {"caps": (0, 3, 6)},
+                      {"divisor": row_divisor(x, "l1")}):
+            calls.clear()
+            propagation_pass(graph, x, k=6, r=0.5, temperature=0.2, **extra)
+            assert len(calls) == 6
+            assert all(isinstance(adj.matrix, NoProduct) for adj in calls)
 
     def test_concurrent_calls_stay_independent(self, monkeypatch):
         # more threads than cores, each call on three shards, and a short
@@ -644,7 +668,7 @@ class TestPassRows:
     @pytest.mark.parametrize("k", [0, 1, 7])
     @pytest.mark.parametrize("temperature", [1e-3, 1.0])
     def test_rows_of_the_whole_combination(self, k, temperature):
-        # signed features (the cancellation guard), zero rows and isolated nodes
+        # signed features, zero rows and isolated nodes
         graph, x = signed_case(seed=k)
         for rows in row_choices(x.shape[0], k):
             assert_rows_match_full_pass(graph, x, k, 0.5, temperature, rows)
@@ -661,7 +685,7 @@ class TestPassRows:
 
     def test_row_cancelled_to_a_rounding_residue(self):
         # the graph of TestPropagationPass's case: node 3's step-1 row is a
-        # rounding residue, and x.s is taken from the row there
+        # rounding residue
         edges = [(1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)]
         graph = build_graph(edges, 8)
         x = np.array([[-1.0], [0.0], [0.25], [-0.75], [0.25], [0.25], [0.0], [0.5]])

@@ -17,6 +17,12 @@ Each text file is parsed by np.loadtxt when that provably gives what the
 per-line parser would (see ``_load_table``; a large file is cut into parts
 for forked workers); otherwise by the per-line parser, which names the
 offending line.
+
+The feature rows are normalized where they are parsed: a run's
+feature_norm ("l1" or "l2") divides each row as row_normalize does, in
+the forked workers for their parts or in this process, so a loaded
+table holds the bits row_normalize(raw, mode) gives whatever the part
+count.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ConfigurationError, ParameterError, ValidationError
 from .graph import MAX_NODES, Graph, _IdOutOfRange, build_graph
 from .propagation import _fork_parts, _run_forked
 
@@ -126,21 +132,24 @@ _BAD_DATA = 2
 
 
 def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
-                rows: list[int]) -> np.ndarray | None:
+                rows: list[int], norm: str = "none") -> np.ndarray | None:
     """The table parsed by forked workers, or None: worker i parses rows[i]
     lines from byte starts[i] with the np.loadtxt call of _load_table.
 
     The rows land in one table of sum(rows) rows, as wide as the file's
     first line has fields, held in a memfd made before the fork. Each
-    worker maps it shared, copies its part into its own row range and
-    exits with 0. A part without exactly its own line count at that
+    worker maps it shared, copies its part into its own row range (with
+    norm "l1" or "l2", its rows divided as row_normalize divides them)
+    and exits with 0. A part without exactly its own line count at that
     width, in the requested dtype, is not copied, and its worker exits
-    with 1. With max_rows, loadtxt warns at a blank line, which it would
-    skip and so count a row of the next part; the warning is an error
-    here. A worker whose loadtxt raises or warns exits with _BAD_DATA, and
-    ValueError is then raised, once every worker is reaped: loadtxt of the
-    whole file would fail too, or count the blank line's row short. Any
-    other nonzero code (a crash, a misshapen part) gives None, and the
+    with 1; so does a worker whose normalization raised (a row whose
+    norm is above DBL_MAX, or one holding inf). With max_rows, loadtxt
+    warns at a blank line, which it would skip and so count a row of the
+    next part; the warning is an error here. A worker whose loadtxt raises
+    or warns exits with _BAD_DATA, and ValueError is then raised, once
+    every worker is reaped: loadtxt of the whole file would fail too, or
+    count the blank line's row short. Any other nonzero code (a crash, a
+    misshapen part, a row it could not normalize) gives None, and the
     caller parses the file in this process.
 
     The table returned maps the memfd privately: a process forked later
@@ -168,7 +177,10 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
         if got.shape != (rows[part], width) or got.dtype != dtype:
             return 1
         table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
-        table[bounds[part]:bounds[part + 1]] = got
+        if norm == "none":
+            table[bounds[part]:bounds[part + 1]] = got
+        else:
+            _normalize_rows(got, norm, out=table[bounds[part]:bounds[part + 1]])
         return 0
 
     try:
@@ -190,7 +202,7 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
     return np.frombuffer(mapped, dtype).reshape(shape)
 
 
-def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
+def _load_table(path: Path, dtype, delimiter: str, norm: str = "none") -> np.ndarray | None:
     """The whole file parsed by np.loadtxt, or None.
 
     The table counts only if loadtxt raised nothing, warned nothing (it
@@ -203,8 +215,12 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
     that writes its rows into one table shared with this process (see
     _load_parts); the table is the same bit for bit. If a worker's loadtxt
     rejects its part, the answer is None once the workers are done. If the
-    workers give no table otherwise (a worker crashed or its part was
-    misshapen), the file is parsed in this process, as a smaller one is.
+    workers give no table otherwise (a worker crashed, its part was
+    misshapen or its rows could not be normalized), the file is parsed in
+    this process, as a smaller one is.
+
+    With norm "l1" or "l2", the rows of the table are divided as
+    row_normalize divides them (see _normalize_finite).
     """
     num_lines, last = 0, b"\n"
     try:
@@ -236,12 +252,14 @@ def _load_table(path: Path, dtype, delimiter: str) -> np.ndarray | None:
     num_lines += last != b"\n"  # an unterminated last line
     rows = np.diff(lines_before + [num_lines]).tolist()
     try:
-        table = _load_parts(path, dtype, delimiter, starts, rows) if len(starts) > 1 else None
-        if table is None:
-            table = _loadtxt(path, dtype, delimiter)
+        if len(starts) > 1:
+            table = _load_parts(path, dtype, delimiter, starts, rows, norm)
+            if table is not None:  # one row per line by construction
+                return table
+        table = _loadtxt(path, dtype, delimiter)
     except (ValueError, Warning):
         return None
-    return table if table.shape[0] == num_lines else None
+    return _normalize_finite(table, norm) if table.shape[0] == num_lines else None
 
 
 def _parse_feature_lines(path: Path) -> np.ndarray:
@@ -265,10 +283,10 @@ def _parse_feature_lines(path: Path) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _parse_features(path: Path) -> np.ndarray:
-    feats = _load_table(path, np.float64, ",")
+def _parse_features(path: Path, norm: str) -> np.ndarray:
+    feats = _load_table(path, np.float64, ",", norm)
     if feats is None:
-        feats = _parse_feature_lines(path)
+        feats = _normalize_finite(_parse_feature_lines(path), norm)
     if not np.isfinite(feats).all():
         raise ValidationError(f"{path}: features contain NaN or Inf")
     return feats
@@ -381,12 +399,16 @@ def _parse_splits(path: Path, num_nodes: int) -> Splits:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def load_dataset(directory) -> Dataset:
-    """Load and validate a dataset directory (see module docstring)."""
+def load_dataset(directory, *, _feature_norm: str = "none") -> Dataset:
+    """Load and validate a dataset directory (see module docstring).
+
+    _feature_norm, a run's feature_norm, normalizes the feature rows as
+    they are parsed; runner.load_run_dataset passes it.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise ValidationError(f"dataset directory not found: {directory}")
-    features = _parse_features(directory / "features.csv")
+    features = _parse_features(directory / "features.csv", _feature_norm)
     num_nodes = features.shape[0]
     labels, num_classes = _parse_labels(directory / "labels.csv", num_nodes)
     edges_path = directory / "edges.tsv"
@@ -397,6 +419,118 @@ def load_dataset(directory) -> Dataset:
         raise ValidationError(f"{edges_path}: line {exc.row + 1}: {exc.detail}") from None
     splits = _parse_splits(directory / "splits.json", num_nodes)
     return Dataset(graph, features, labels, splits, num_classes, id_map)
+
+
+# ---------------------------------------------------------------------------
+# Row normalization of the features, applied as they are parsed.
+# ---------------------------------------------------------------------------
+
+# values of |x| made per block of rows while row divisors are computed
+_DIVISOR_BLOCK_VALUES = 1 << 16
+
+# An L2 norm below this (2**-511) comes from a sum of squares below the
+# normal range, where the squares have lost bits or underflowed to zero
+_L2_SQUARES_FLOOR = 2.0 ** -511
+
+
+def _row_norms(part: np.ndarray, mode: str) -> np.ndarray:
+    """The L1 or L2 norm of each row of part, by one whole-block reduction."""
+    if mode == "l1":
+        return np.abs(part, dtype=np.float64).sum(axis=1)
+    return np.linalg.norm(part, axis=1)
+
+
+def _unit_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scaled, exp): each row scaled by 2**-exp, exactly (where no entry
+    falls below the subnormal grid), to a largest magnitude in [0.5, 1)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    _, exp = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
+    return np.ldexp(rows, -exp[:, None]), exp
+
+
+def row_divisor(features: np.ndarray, mode: str) -> np.ndarray | None:
+    """The N-vector row_normalize divides the rows by: each row's L1 or L2
+    norm, or 1 for a zero row; None for mode "none".
+
+    The norms are taken a block of rows at a time, each row by the same
+    reduction as over the whole matrix, so no N x d |x| is made and a
+    row's norm does not depend on the rows beside it. A row whose norm so
+    taken overflowed to inf, or whose L2 norm fell below 2**-511 (where
+    its squares lose bits, or all underflow to 0), takes its norm again
+    from the row scaled by a power of two, exactly, to a largest
+    magnitude in [0.5, 1), then scaled back; every other row keeps the
+    bits of the plain reduction. An L2 norm below the normal range
+    (2**-1022) is then the norm rounded to the subnormal grid; row_normalize
+    divides such a row after the same scale instead. Raises
+    ValidationError for a row whose norm lies beyond DBL_MAX: no float64
+    divisor gives it unit norm.
+    """
+    if mode == "none":
+        return None
+    if mode not in ("l1", "l2"):
+        raise ConfigurationError(f"unknown feature_norm: {mode!r}")
+    features = np.asarray(features)
+    if features.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-D, got shape {features.shape}")
+    n = features.shape[0]
+    block = max(1, _DIVISOR_BLOCK_VALUES // max(1, features.shape[1]))
+    norms = np.empty(n)
+    floor = _L2_SQUARES_FLOOR if mode == "l2" else 0.0
+    with np.errstate(over="ignore"):  # an overflowed norm is taken again
+        for start in range(0, n, block):
+            part = features[start:start + block]
+            got = norms[start:start + block]
+            got[:] = _row_norms(part, mode)
+            redo = np.flatnonzero((got == np.inf) | (got < floor))
+            if redo.size:
+                scaled, exp = _unit_scaled(part[redo])
+                got[redo] = np.ldexp(_row_norms(scaled, mode), exp)
+    if n and norms.max() == np.inf:
+        raise ValidationError(
+            f"row {int(np.argmax(norms))} of the features has an {mode.upper()} norm above "
+            f"DBL_MAX (1.8e308), so no float64 divisor gives it unit norm; scale the "
+            f"features down")
+    # a zero row divided by 1.0 stays as it is, -0.0 included
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def _normalize_rows(features: np.ndarray, mode: str, out=None) -> np.ndarray:
+    """features / row_divisor(features, mode)[:, None], written into out
+    (features itself, or a part of the loaded table) or a new array.
+
+    A row whose divisor is below the normal range (2**-1022; a subnormal
+    L2 norm is rounded to the subnormal grid) is scaled by its exact power
+    of two first, as row_divisor scales it, and divided by the norm of
+    the scaled row, which is normal. An L1 norm there is exact, so its
+    row keeps the bits of the plain quotient.
+    """
+    divisor = row_divisor(features, mode)
+    tiny = np.flatnonzero(divisor < np.finfo(np.float64).tiny)
+    scaled, _ = _unit_scaled(features[tiny])  # before out overwrites them
+    out = np.divide(features, divisor[:, None], out=out)
+    out[tiny] = scaled / _row_norms(scaled, mode)[:, None]
+    return out
+
+
+def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
+    """Scale each row to unit L1/L2 norm; zero rows stay zero; mode "none"
+    returns features itself.
+
+    The rows are divided by row_divisor(features, mode), each on its own:
+    load_dataset applies a run's feature_norm with the same bits.
+    """
+    if mode == "none":
+        return features
+    return _normalize_rows(features, mode)
+
+
+def _normalize_finite(table: np.ndarray, norm: str) -> np.ndarray:
+    """table, its rows divided in place as row_normalize divides them. A
+    table holding NaN or Inf is left as it is, for _parse_features to
+    reject."""
+    if norm != "none" and np.isfinite(table).all():
+        _normalize_rows(table, norm, out=table)
+    return table
 
 
 # ---------------------------------------------------------------------------

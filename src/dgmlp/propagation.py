@@ -192,59 +192,34 @@ def _add_scaled_rows(acc: np.ndarray, e: np.ndarray, x: np.ndarray,
                              acc.reshape(-1))
 
 
-def _checked_walk(adj: NormalizedAdjacency, features, k: int, divisor=None):
-    """(features, divisor, steps): features and divisor as checked, and the
-    walk of propagation_steps over them. Every argument is checked here,
-    before the walk starts."""
+def propagation_steps(adj: NormalizedAdjacency, x0, k: int):
+    """An iterator over X, A_hat X, ..., A_hat^k X: the one propagation walk.
+
+    k and x0 (2-D, one row per node, finite) are checked here, before the
+    walk starts. X itself (as_feature_matrix(x0)) is the first step. Steps
+    1..k are written into two buffers made on the thread that iterates
+    the walk: step j goes into the buffer that held step j-2, so a step is
+    valid only until the walk yields the step after next. A caller that
+    keeps steps copies them.
+    """
     if k < 0:
         raise ParameterError(f"propagation depth must be >= 0, got {k}")
-    features = as_feature_matrix(features)
-    n = features.shape[0]
-    if n != adj.num_nodes:
+    x0 = as_feature_matrix(x0)
+    if x0.shape[0] != adj.num_nodes:
         raise DimensionError(
             f"adjacency is {adj.num_nodes}x{adj.num_nodes} but features have shape "
-            f"{features.shape}"
+            f"{x0.shape}"
         )
-    if divisor is not None:
-        divisor = np.asarray(divisor, dtype=np.float64)
-        if divisor.shape != (n,):
-            raise DimensionError(
-                f"row divisors have shape {divisor.shape}, expected ({n},)")
-        if not (divisor > 0.0).all():
-            raise ValidationError("row divisors must be positive")
 
     def walk():
-        buffers = [np.empty_like(features) for _ in range(min(k, 2))]
-        cur = features
-        if divisor is not None:
-            # x0 goes where step 2 will go: the walk then holds two N x d
-            # arrays beside the caller's features, as without a divisor
-            cur = np.divide(features, divisor[:, None],
-                            out=buffers[0] if k >= 2 else None)
+        buffers = [np.empty_like(x0) for _ in range(min(k, 2))]
+        cur = x0
         yield cur
         for step in range(1, k + 1):
             cur = spmm(adj, cur, out=buffers[step % len(buffers)])
             yield cur
 
-    return features, divisor, walk()
-
-
-def propagation_steps(adj: NormalizedAdjacency, x0, k: int, divisor=None):
-    """An iterator over X, A_hat X, ..., A_hat^k X: the one propagation walk.
-
-    k, x0 (2-D, one row per node, finite) and divisor are checked here,
-    before the walk starts. X itself is the first step. Steps 1..k are
-    written into two buffers made on the thread that iterates the walk:
-    step j goes into the buffer that held step j-2, so a step is valid
-    only until the walk yields the step after next. A caller that keeps
-    steps copies them.
-
-    With divisor (N positive row divisors), X is x0 / divisor[:, None],
-    the rows of x0 divided, bit for bit, as row_normalize divides them.
-    It is written into the buffer that step 2 reuses, or into an array of
-    its own when k < 2; x0 is left as it is.
-    """
-    return _checked_walk(adj, x0, k, divisor)[2]
+    return walk()
 
 
 def propagate(adj: NormalizedAdjacency, x0, k: int) -> PropagatedStack:

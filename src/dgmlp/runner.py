@@ -1,12 +1,11 @@
 """End-to-end pipeline orchestration behind the CLI subcommands.
 
-The training pipeline is: row divisors of the features -> normalized
-adjacency -> multi-step propagation of the divided features -> per-node
-smoothing levels -> softmax step weights -> combined features -> residual
-MLP (or the propagate-then-logistic-regression baseline). The features are
-not normalized into a copy: the walk divides them by the row divisors
-(one N-vector) into its first step buffer. Propagation, smoothing levels
-and the combination share one walk over the steps
+The training pipeline is: features (row-normalized by the loader, see
+load_run_dataset) -> normalized adjacency -> multi-step propagation ->
+per-node smoothing levels -> softmax step weights -> combined features ->
+residual MLP (or the propagate-then-logistic-regression baseline). The
+runners use the dataset's features as given. Propagation, smoothing
+levels and the combination share one walk over the steps
 (smoothness.propagation_pass), so working memory stays O(N*d) at any depth
 and the stack is never stored.
 """
@@ -22,8 +21,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+# row_divisor and row_normalize live beside the parser that applies them;
+# they stay importable from here
 from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
-    mask_features, subsample_labels
+    mask_features, row_divisor, row_normalize, subsample_labels
 from .errors import ConfigurationError, ValidationError
 from .graph import MAX_NODES, Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
@@ -45,7 +46,8 @@ _LEAST = {"dp": 0, "dt": 1, "hidden": 1, "num_seeds": 1, "labels_per_class": 1,
           "dim": 1, "classes": 1, "train_nodes": 1, "val_nodes": 1, "test_nodes": 1,
           "n": 3}  # n: a scale graph size; 3 nodes give three non-empty splits
 _FRACTIONS = ("keep_edges", "mask_features", "edge_prob")  # must lie in [0, 1]
-_MOST = {"n": MAX_NODES}  # knob -> greatest legal value
+# knob -> greatest legal value; a hidden width must fit an int64 array dimension
+_MOST = {"n": MAX_NODES, "hidden": 2 ** 63 - 1}
 
 
 def _check_knob(name: str, value, option: str | None = None) -> None:
@@ -78,7 +80,7 @@ class RunConfig:
     use_bias: bool = False
     baseline: str | None = None      # "sgc" trains on the dp-step features
     out: str | None = None
-    feature_norm: str = "l1"         # none | l1 | l2
+    feature_norm: str = "l1"         # none | l1 | l2, applied by load_run_dataset
     # profile
     caps: list[int] | None = None
     # sweep
@@ -135,110 +137,31 @@ class RunConfig:
         )
 
 
-# values of |x| made per block of rows while row divisors are computed
-_DIVISOR_BLOCK_VALUES = 1 << 16
-
-# An L2 norm below this (2**-511) comes from a sum of squares below the
-# normal range, where the squares have lost bits or underflowed to zero
-_L2_SQUARES_FLOOR = 2.0 ** -511
-
-
-def _row_norms(part: np.ndarray, mode: str) -> np.ndarray:
-    """The L1 or L2 norm of each row of part, by one whole-block reduction."""
-    if mode == "l1":
-        return np.abs(part, dtype=np.float64).sum(axis=1)
-    return np.linalg.norm(part, axis=1)
-
-
-def row_divisor(features: np.ndarray, mode: str) -> np.ndarray | None:
-    """The N-vector row_normalize divides the rows by: each row's L1 or L2
-    norm, or 1 for a zero row; None for mode "none".
-
-    The norms are taken a block of rows at a time, each row by the same
-    reduction as over the whole matrix, so no N x d |x| is made. A row
-    whose norm so taken overflowed to inf, or whose L2 norm fell below
-    2**-511 (where its squares lose bits, or all underflow to 0), takes
-    its norm again from the row scaled by a power of two, exactly, to a
-    largest magnitude in [0.5, 1), then scaled back; every other row keeps
-    the bits of the plain reduction. An L2 norm below the normal range
-    (2**-1022) is then the norm rounded to the subnormal grid, so its row
-    is divided to a norm near 1, not to 1. Raises ValidationError for a
-    row whose norm lies beyond DBL_MAX: no float64 divisor gives it unit
-    norm.
-    """
-    if mode == "none":
-        return None
-    if mode not in ("l1", "l2"):
-        raise ConfigurationError(f"unknown feature_norm: {mode!r}")
-    features = np.asarray(features)
-    if features.ndim != 2:
-        raise ValidationError(f"feature matrix must be 2-D, got shape {features.shape}")
-    n = features.shape[0]
-    block = max(1, _DIVISOR_BLOCK_VALUES // max(1, features.shape[1]))
-    norms = np.empty(n)
-    floor = _L2_SQUARES_FLOOR if mode == "l2" else 0.0
-    with np.errstate(over="ignore"):  # an overflowed norm is taken again
-        for start in range(0, n, block):
-            part = features[start:start + block]
-            got = norms[start:start + block]
-            got[:] = _row_norms(part, mode)
-            redo = np.flatnonzero((got == np.inf) | (got < floor))
-            if redo.size:
-                scaled = np.abs(part[redo], dtype=np.float64)
-                _, exp = np.frexp(scaled.max(axis=1, initial=0.0))
-                got[redo] = np.ldexp(_row_norms(np.ldexp(scaled, -exp[:, None]), mode), exp)
-    if n and norms.max() == np.inf:
-        raise ValidationError(
-            f"row {int(np.argmax(norms))} of the features has an {mode.upper()} norm above "
-            f"DBL_MAX (1.8e308), so no float64 divisor gives it unit norm; scale the "
-            f"features down")
-    # a zero row divided by 1.0 stays as it is, -0.0 included
-    return np.where(norms > 0.0, norms, 1.0)
-
-
-def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
-    """Scale each row to unit L1/L2 norm; zero rows stay zero.
-
-    The rows are divided by row_divisor(features, mode); the pipeline hands
-    that divisor to the propagation walk instead of making this copy.
-    """
-    divisor = row_divisor(features, mode)
-    if divisor is None:
-        return features
-    return np.divide(features, divisor[:, None])
-
-
 def prepare_combined(graph: Graph, features: np.ndarray, *, dp: int, r: float,
-                     temperature: float, rows=None, divisor=None):
+                     temperature: float, rows=None):
     """Propagate, profile smoothness, and combine; returns (combined, profile).
 
     With rows (sorted node ids), combined holds those nodes' rows alone;
-    the profile always covers every node. With divisor (see row_divisor),
-    the walk starts from features / divisor[:, None].
+    the profile always covers every node.
     """
     walk = propagation_pass(graph, features, k=dp, r=r, temperature=temperature,
-                            rows=rows, divisor=divisor)
+                            rows=rows)
     return walk.combined, walk.profile
 
 
-def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float,
-                     divisor=None) -> np.ndarray:
-    """A_hat^k X, holding one step at a time; X is features / divisor[:, None]
-    with a divisor."""
-    return deque(propagation_steps(normalize(graph, r), features, k, divisor),
-                 maxlen=1)[0]
+def _propagated_step(graph: Graph, features: np.ndarray, *, k: int, r: float) -> np.ndarray:
+    """A_hat^k X, holding one step at a time."""
+    return deque(propagation_steps(normalize(graph, r), features, k), maxlen=1)[0]
 
 
 def _classifier_input(graph: Graph, features: np.ndarray, cfg: RunConfig,
-                      dp: int, rows: np.ndarray, divisor=None) -> np.ndarray:
+                      dp: int, rows: np.ndarray) -> np.ndarray:
     """Rows `rows` of A_hat^dp X for the SGC baseline, else of the
-    node-adaptive combination; X is features / divisor[:, None] with a
-    divisor."""
+    node-adaptive combination."""
     if cfg.baseline == "sgc":
-        return _propagated_step(graph, features, k=dp, r=cfg.r, divisor=divisor)[rows]
+        return _propagated_step(graph, features, k=dp, r=cfg.r)[rows]
     combined, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
-                                   temperature=cfg.temperature, rows=rows,
-                                   divisor=divisor)
+                                   temperature=cfg.temperature, rows=rows)
     return combined
 
 
@@ -280,9 +203,7 @@ def run_train(dataset: Dataset, cfg: RunConfig):
     """Full pipeline on a loaded dataset; returns (result dict, model, metrics)."""
     t0 = time.perf_counter()
     labeled = _labeled_rows(dataset.splits)
-    divisor = row_divisor(dataset.features, cfg.feature_norm)
-    feats = _classifier_input(dataset.graph, dataset.features, cfg, cfg.dp, labeled,
-                              divisor)
+    feats = _classifier_input(dataset.graph, dataset.features, cfg, cfg.dp, labeled)
     t1 = time.perf_counter()
     model, metrics = _train_on(feats, *_at_rows(labeled, dataset.labels, dataset.splits),
                                dataset.num_classes, cfg)
@@ -314,8 +235,7 @@ def run_profile(dataset: Dataset, cfg: RunConfig) -> dict:
                               f"got {dataset.num_nodes}")
     caps = cfg.caps if cfg.caps else _default_caps(cfg.dp)
     walk = propagation_pass(dataset.graph, dataset.features, k=cfg.dp, r=cfg.r,
-                            temperature=cfg.temperature, caps=caps,
-                            divisor=row_divisor(dataset.features, cfg.feature_norm))
+                            temperature=cfg.temperature, caps=caps)
     profile = walk.profile
     combined_gsl = [walk.cap_gsl[cap] for cap in caps]
 
@@ -345,9 +265,6 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
     if not axes:
         raise ConfigurationError("empty sweep grid: provide at least one *_grid")
 
-    # masking zeroes whole rows, which the divisor of the unmasked rows
-    # leaves zero
-    divisor = row_divisor(dataset.features, cfg.feature_norm)
     # subsample_labels draws from the train split, so these rows serve
     # every cell
     labeled = _labeled_rows(dataset.splits)
@@ -380,7 +297,7 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
         feats = _classifier_input(
             dataset.graph if keep >= 1.0 else drop_edges(dataset.graph, keep, seed),
             mask_features(dataset, mask, seed).features if mask > 0.0 else dataset.features,
-            cfg, dp, labeled, divisor)
+            cfg, dp, labeled)
         for i, s in runs:
             ds = targets[cells[i]["labels_per_class"], seeds[s]]
             _, metrics = _train_on(feats, *_at_rows(labeled, ds.labels, ds.splits),
@@ -444,6 +361,8 @@ def run_scale(cfg: RunConfig) -> list[dict]:
 
 
 def load_run_dataset(cfg: RunConfig) -> Dataset:
+    """cfg.dataset loaded, its feature rows normalized by cfg.feature_norm
+    as they are parsed: bit for bit row_normalize(raw, cfg.feature_norm)."""
     if not cfg.dataset:
         raise ConfigurationError("--dataset is required for this command")
-    return load_dataset(cfg.dataset)
+    return load_dataset(cfg.dataset, _feature_norm=cfg.feature_norm)

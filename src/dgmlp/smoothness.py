@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
 from .graph import Graph, NormalizedAdjacency, normalize
-from .propagation import PropagatedStack, _add_scaled_rows, _checked_walk, _fork_parts, \
-    _num_shards, _run_forked, _run_sharded, _weighted_row_sum, as_feature_matrix, \
-    propagation_steps
+from .propagation import PropagatedStack, _add_scaled_rows, _fork_parts, _num_shards, \
+    _run_forked, _run_sharded, _weighted_row_sum, as_feature_matrix, propagation_steps
 
 
 def cosine_similarity(a, b) -> float:
@@ -143,20 +142,6 @@ def smoothness_profile(stack: PropagatedStack, stationary, temperature: float = 
 # The pipeline's propagation pass: one walk over the steps in O(N*d) memory.
 # ---------------------------------------------------------------------------
 
-# With row divisors, y.x0 is (y.features) / divisor for a row whose divisor
-# lies in [1 / _DIVISOR_RANGE, _DIVISOR_RANGE] and whose divided row x0_v
-# has norm at most sqrt(_X0_SQ_BOUND): each product y_j f_j is then y_j x0_j
-# scaled by at most 2**64. A_hat^k has spectral norm at most sqrt(N), so
-# with x0's rows of norm <= 2 a step row has norm <= 2N and an accumulator
-# row <= 2(K+1)N, and the sum cannot overflow; a product underflows only
-# where y_j x0_j is below 2**-958. row_divisor's rows have norm <= 1 (up to
-# rounding); any other row (a subnormal or near-overflowing divisor, or a
-# divisor smaller than the row's norm) takes y.x0 from its row of x0,
-# divided out as the walk divides it.
-_DIVISOR_RANGE = 2.0 ** 64
-_X0_SQ_BOUND = 4.0
-
-
 def _overflow_error() -> ValidationError:
     return ValidationError(
         "feature rows too large: their products overflow float64 while smoothing "
@@ -229,7 +214,7 @@ def _check_rows(rows, num_nodes: int) -> np.ndarray:
 
 
 def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
-                     caps=(), rows=None, divisor=None) -> PropagationPass:
+                     caps=(), rows=None) -> PropagationPass:
     """Smoothing levels, combined features and per-cap combined GSL in one walk.
 
     Walks x_k = A_hat x_{k-1} once. Each step is scored against the rank-1
@@ -255,18 +240,11 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     arithmetic is the same whatever the block, shard or BLAS thread
     count, so the bits are too.
 
-    divisor (N positive row divisors; None for none) starts the walk from
-    x0 / divisor[:, None], as propagation_steps does: the rows of x0 are
-    divided where step 2 will later go, so the pass holds no divided copy
-    beside x0. The reductions against the divided x0 after step 0 read
-    the rows of x0 and divide each by its divisor, which agrees with the
-    pass on the divided features up to rounding (see _DIVISOR_RANGE).
-
     Each step's spmm and its scoring and fold are split over the cores by
     row shard: every part of the fold is row-local. The steps come from
     propagation_steps: x0, its two step buffers and acc (one row per
     picked node) are alive, O(N*d) at any depth, and no N x d array is
-    made per step; with a divisor the divided x0 lives in a step buffer.
+    made per step.
     """
     check_temperature(temperature)
     caps = set(caps)
@@ -278,11 +256,13 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                              "the combination over every node")
     picked = (np.arange(graph.num_nodes) if rows is None
               else _check_rows(rows, graph.num_nodes))
-    # normalize checks r and the walk checks k, x0 and divisor: all before
-    # any array below is made. features is then the array the walk checked,
-    # and x0 its first step: features itself, or features / divisor.
+    # normalize checks r and the walk checks k and x0: all before any array
+    # below is made. x0 is then the walk's first step, the checked features.
+    # adj is held until the pass returns: freed with the walk, before the
+    # weights are made, it raised the peak RSS of the training that follows
+    # by about 2 MB on the er-deep-head benchmark (2 cores, glibc malloc).
     adj = normalize(graph, r)
-    features, divisor, steps = _checked_walk(adj, x0, k, divisor)
+    steps = propagation_steps(adj, x0, k)
     x0 = next(steps)
     s = _weighted_row_sum(graph, x0, r)
     n, d = x0.shape
@@ -299,18 +279,6 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         cap_level = np.empty(n)
     nsl_of = _rank_one_nsl(x0_sq, s)
 
-    def x0_dots(y: np.ndarray, rows: slice) -> np.ndarray:
-        """y . x0 for the rows `rows` of x0, y holding those rows of a
-        step or of acc; x0 itself may since have been overwritten."""
-        dots = np.einsum("ij,ij->i", y, features[rows])
-        if divisor is not None:
-            dots /= divisor[rows]
-            far = beyond[rows]
-            if far.any():
-                dots[far] = np.einsum("ij,ij->i", y[far],
-                                      features[rows][far] / divisor[rows][far, None])
-        return dots
-
     def fold(shard: int, lo: int, hi: int) -> None:
         """Score rows lo..hi-1 of step `step` (the current x) and fold them
         into m, z and acc, one block at a time; after the last step, acc
@@ -325,7 +293,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
             if step == 0:
                 x0_sq[rows] = xx0 = xx  # x is x0
             else:
-                xx0 = x0_dots(x_rows, rows)
+                xx0 = np.einsum("ij,ij->i", x_rows, x0[rows])
             level[rows] = nsl_of(xx, xx0, np.einsum("ij,j->i", x_rows, s), rows)
             logit = level[rows] / temperature
             if step == 0:
@@ -350,18 +318,13 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                 # scale z: the GSL of acc is the GSL of acc / z. At step
                 # 0, acc is x0 and its level is step 0's.
                 cap_level[rows] = nsl_of(np.einsum("ij,ij->i", acc_rows, acc_rows),
-                                         x0_dots(acc_rows, rows),
+                                         np.einsum("ij,ij->i", acc_rows, x0[rows]),
                                          np.einsum("ij,j->i", acc_rows, s), rows)
             if step == k:
                 acc_rows /= z[rows][sel, None]
 
     for step, x in enumerate(itertools.chain([x0], steps)):
         _run_sharded(fold, n, shards, block)
-        if step == 0 and divisor is not None:
-            # the rows whose y.x0 is read from x0 itself (see _DIVISOR_RANGE);
-            # x0_dots runs after step 0 only
-            beyond = ((divisor < 1.0 / _DIVISOR_RANGE) | (divisor > _DIVISOR_RANGE)
-                      | (x0_sq > _X0_SQ_BOUND))
         nsl[:, step] = level
         gsl[step] = level.mean()
         if step in caps:

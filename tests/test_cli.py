@@ -2,24 +2,38 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgmlp import cli, load_checkpoint, load_dataset
+from dgmlp import cli, data, load_checkpoint, propagation
 from dgmlp.cli import build_parser, config_from_args, main
 from dgmlp.errors import DgmlpError
 from dgmlp.graph import MAX_NODES
-from dgmlp.runner import RunConfig, run_train
+from dgmlp.runner import RunConfig, load_run_dataset, run_train
+
+from conftest import linux_only
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -m dgmlp.cli in a child that imports dgmlp from where this
+    process does."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dgmlp.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
 
 
 def make_edgeless_dataset(tmp_path):
@@ -94,7 +108,7 @@ class TestTrainCommand:
         result = json.loads(out.read_text())
         assert result["checkpoint"] == str(ckpt)
         cfg = config_from_args(build_parser().parse_args([str(a) for a in argv]))
-        _, model, _ = run_train(load_dataset(tiny_dir), cfg)
+        _, model, _ = run_train(load_run_dataset(cfg), cfg)
         loaded = load_checkpoint(ckpt)
         assert loaded.num_layers == 1 and loaded.use_bias
         assert all(np.array_equal(a, b)
@@ -137,6 +151,31 @@ class TestTrainCommand:
         assert not out.exists()
         assert run_cli("train", "--dataset", data, "--feature-norm", "l2", "--epochs", 2,
                        "--out", out) == 0
+
+    @linux_only
+    def test_row_norm_beyond_dbl_max_in_a_forked_part_is_one_line(
+            self, tiny_dir, tmp_path, capsys, monkeypatch, no_worker_left, forks):
+        # the row's worker cannot normalize it, so the file is parsed again
+        # in this process, which reports the row as a one-process load does
+        data_dir = tmp_path / "ds"
+        shutil.copytree(tiny_dir, data_dir)
+        lines = (data_dir / "features.csv").read_text().splitlines()
+        lines[-1] = ",".join(["1e308"] * len(lines[-1].split(",")))
+        (data_dir / "features.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        argv = ["train", "--dataset", data_dir, "--feature-norm", "l1", "--out", out]
+        assert run_cli(*argv) == 2
+        one_process = capsys.readouterr().err
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        assert run_cli(*argv) == 2
+        assert forks  # features.csv was cut into parts
+        err = capsys.readouterr().err
+        assert err == one_process
+        assert err == (f"error: row {len(lines) - 1} of the features has an L1 norm above "
+                       f"DBL_MAX (1.8e308), so no float64 divisor gives it unit norm; "
+                       f"scale the features down\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("entries", [["a"], [0.7]])
     def test_non_integer_split_entry_is_one_line(self, tiny_dir, tmp_path, capsys, entries):
@@ -617,7 +656,7 @@ class TestOneFailurePath:
                                                            capsys):
         # numpy refuses the weight shape inside ResidualMlp.create
         code = run_cli("train", "--dataset", tiny_dir, "--dt", 2, "--hidden",
-                       10000000000000000000, "--epochs", 1, "--out", tmp_path / "r.json")
+                       10 ** 18, "--epochs", 1, "--out", tmp_path / "r.json")
         assert code == 1
         assert re.fullmatch(r"error: ValueError: [^\n]+ \(nn\.py:\d+, in create\)\n",
                             capsys.readouterr().err)
@@ -633,16 +672,24 @@ class TestOneFailurePath:
     def test_shape_numpy_rejects_is_one_line(self, tiny_dir, tmp_path):
         # numpy refuses the weight shape before it allocates anything
         out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "dgmlp.cli", "train", "--dataset", str(tiny_dir),
-             "--dt", "2", "--hidden", "10000000000000000000", "--epochs", "1",
-             "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = run_module("train", "--dataset", tiny_dir, "--dt", 2, "--hidden", 10 ** 18,
+                          "--epochs", 1, "--out", out)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ValueError: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_width_past_int64_fails_before_any_data_is_read(self, tiny_dir, tmp_path,
+                                                             capsys, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("data read")
+
+        monkeypatch.setattr("dgmlp.cli.load_run_dataset", no_load)
+        code = run_cli("train", "--dataset", tiny_dir, "--dt", 2, "--hidden",
+                       10000000000000000000, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: hidden must be <= 9223372036854775807, "
+                                           "got 10000000000000000000\n")
 
 
 class TestParserMatchesRunConfig:
@@ -693,20 +740,13 @@ class TestParserMatchesRunConfig:
 class TestEntryPoint:
     def test_module_invocation(self, tiny_dir, tmp_path):
         out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "dgmlp.cli", "train", "--dataset", str(tiny_dir),
-             "--dp", "1", "--epochs", "3", "--lr", "0.05", "--dropout", "0",
-             "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = run_module("train", "--dataset", tiny_dir, "--dp", 1, "--epochs", 3,
+                          "--lr", 0.05, "--dropout", 0, "--out", out)
         assert proc.returncode == 0, proc.stderr
         assert out.is_file()
 
     def test_error_exit_code(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dgmlp.cli", "train", "--dataset",
-             str(tmp_path / "missing"), "--out", str(tmp_path / "x.json")],
-            capture_output=True, text=True,
-        )
+        proc = run_module("train", "--dataset", tmp_path / "missing",
+                          "--out", tmp_path / "x.json")
         assert proc.returncode == 2
         assert proc.stderr.strip().startswith("error:")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgmlp import ParameterError, ValidationError, build_graph, data, drop_edges, \
-    erdos_renyi, load_dataset, mask_features, propagation, subsample_labels
+    erdos_renyi, load_dataset, mask_features, propagation, row_normalize, subsample_labels
 from dgmlp.graph import MAX_NODES
 
 from conftest import assert_no_worker_left, citation_dataset, linux_only, open_fds, \
@@ -438,12 +438,86 @@ class TestWorkerParsing:
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
         seen = []
         monkeypatch.setattr(data, "_load_parts",
-                            lambda path, dtype, delimiter, starts, rows:
+                            lambda path, dtype, delimiter, starts, rows, norm:
                             seen.append((starts, rows)))
         path = tmp_path / "t.csv"
         path.write_text("1" * 50 + "\n" + "2" * 10 + "\n" + "3" * 50)
         assert data._load_table(path, np.float64, ",") is not None
         assert seen == [(starts, rows)]
+
+
+def _extreme_rows(n: int = 40) -> np.ndarray:
+    """Signed rows, with rows that are zero, all -0.0, of subnormal L1 and
+    L2 norm, tiny, large, and of an L1 norm near DBL_MAX."""
+    x = np.random.default_rng(11).standard_normal((n, 5))
+    x[1] = -0.0
+    x[2] = 0.0
+    x[3] = [5e-324, -5e-324, 0.0, 0.0, 0.0]
+    x[4] = [5e-324, -1e-323, 1.5e-323, 0.0, -5e-324]
+    x[5] = [1e-300, -3e-301, 0.0, 0.0, 7e-302]
+    x[6] = [3e150, -2e150, 1e149, 0.0, 5e150]
+    x[n - 2] = np.array([0.9, -0.5, 0.7, 0.0, 0.99]) * (np.finfo(np.float64).max / 5)
+    x[n - 1] = [1e-200, 0.0, 0.0, 0.0, 0.0]
+    return x
+
+
+class TestFeatureNorm:
+    """load_dataset with a feature norm normalizes the rows where they are
+    parsed, with the bits row_normalize gives on the raw rows."""
+
+    @pytest.mark.parametrize("mode", ["l1", "l2", "none"])
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("path", [pytest.param("forked parts", marks=linux_only),
+                                      "one process", "per line"])
+    def test_table_is_row_normalize_of_the_raw_rows(self, tmp_path, monkeypatch, forks,
+                                                     no_worker_left, path, shards, mode):
+        x = _extreme_rows()
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        _write_dataset(tmp_path, rows, "0\n" * len(x), "0\t1\n1\t2\n")
+        parse_lines, by_line = data._parse_feature_lines, []
+
+        def counted(path):
+            by_line.append(path.name)
+            return parse_lines(path)
+
+        monkeypatch.setattr(data, "_parse_feature_lines", counted)
+        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        if path == "forked parts":
+            monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+            loadtxt = data._loadtxt
+
+            def in_workers_only(source, *args, **kwargs):
+                assert not isinstance(source, Path), "table parsed in this process"
+                return loadtxt(source, *args, **kwargs)
+
+            monkeypatch.setattr(data, "_loadtxt", in_workers_only)
+        elif path == "per line":
+            monkeypatch.setattr(data, "_load_table", lambda *args, **kwargs: None)
+        got = load_dataset(tmp_path, _feature_norm=mode).features
+        assert got.tobytes() == row_normalize(x, mode).tobytes()
+        # features.csv alone is cut into `shards` parts
+        assert len(forks) >= shards if path == "forked parts" else forks == []
+        assert by_line == (["features.csv"] if path == "per line" else [])
+
+    @linux_only
+    @pytest.mark.parametrize("mode", ["l1", "l2"])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_rows_are_rejected_in_every_path(self, tmp_path, monkeypatch,
+                                                        no_worker_left, mode, bad):
+        # a row holding inf has an infinite norm, which a worker cannot
+        # divide by; the rows are checked before they are normalized
+        _write_dataset(tmp_path, _lines(40, 35, f"1.0,{bad}"), "0\n" * 40, "0\t1\n")
+        errors = []
+        for min_part in (data._MIN_PART_BYTES, 1):
+            monkeypatch.setattr(data, "_MIN_PART_BYTES", min_part)
+            with pytest.raises(ValidationError) as exc:
+                load_dataset(tmp_path, _feature_norm=mode)
+            errors.append(str(exc.value))
+        with mock.patch.object(data, "_load_table", return_value=None), \
+                pytest.raises(ValidationError) as exc:
+            load_dataset(tmp_path, _feature_norm=mode)
+        errors.append(str(exc.value))
+        assert errors == [f"{tmp_path / 'features.csv'}: features contain NaN or Inf"] * 3
 
 
 def _layout(gen, lines: list[str]) -> str:

@@ -1,5 +1,8 @@
+import json
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,13 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgmlp import ConfigurationError, Dataset, ResidualMlp, Splits, ValidationError, \
-    combine, compute_nsl, drop_edges, erdos_renyi, load_checkpoint, load_dataset, \
+    combine, compute_nsl, data, drop_edges, erdos_renyi, load_checkpoint, load_dataset, \
     mask_features, normalize, propagate, propagation, propagation_pass, \
     propagation_weights, runner, save_checkpoint, stationary_features, subsample_labels, \
     train
-from dgmlp.runner import RunConfig, _propagated_step, _train_on, prepare_combined, \
-    row_divisor, row_normalize, run_profile, run_scale, run_sweep, run_train, \
-    synthetic_node_data
+from dgmlp.runner import RunConfig, _propagated_step, _train_on, load_run_dataset, \
+    prepare_combined, row_divisor, row_normalize, run_profile, run_scale, run_sweep, \
+    run_train, synthetic_node_data
 
 from conftest import FIXTURES, random_graph
 
@@ -34,6 +37,12 @@ class TestRunConfig:
             RunConfig(baseline="gcn")
         with pytest.raises(ConfigurationError, match="dt does not apply"):
             RunConfig(baseline="sgc", dt=3)
+
+    def test_hidden_width_fits_an_int64_dimension(self):
+        assert RunConfig(hidden=2 ** 63 - 1).hidden == 2 ** 63 - 1
+        with pytest.raises(ConfigurationError, match=r"^hidden must be <= "
+                           r"9223372036854775807, got 9223372036854775808$"):
+            RunConfig(hidden=2 ** 63)
 
     def test_num_seeds_must_be_positive(self):
         # checked when the config is built, before any data is read
@@ -85,7 +94,7 @@ class TestRowDivisor:
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     @pytest.mark.parametrize("block_values", [1 << 16, 12, 1])  # 3-row, 1-row blocks
     def test_bits_equal_whole_matrix_norms(self, monkeypatch, mode, block_values):
-        monkeypatch.setattr(runner, "_DIVISOR_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(data, "_DIVISOR_BLOCK_VALUES", block_values)
         x = np.random.default_rng(3).standard_normal((11, 4))
         x[2] = 0.0
         x[5] = -0.0
@@ -119,14 +128,18 @@ class TestRowDivisor:
     ]
 
     @staticmethod
-    def exact_norm(row, mode) -> float:
-        """The row's norm, correctly rounded to float64 (inf above DBL_MAX)."""
+    def decimal_norm(row, mode) -> Decimal:
+        """The row's norm to 80 digits."""
         with localcontext() as ctx:
             ctx.prec = 80
             values = [Decimal(float(v)) for v in row]
-            norm = (sum(abs(v) for v in values) if mode == "l1"
+            return (sum(abs(v) for v in values) if mode == "l1"
                     else sum(v * v for v in values).sqrt())
-            return float(norm) if norm <= Decimal(DBL_MAX) else np.inf
+
+    def exact_norm(self, row, mode) -> float:
+        """The row's norm, correctly rounded to float64 (inf above DBL_MAX)."""
+        norm = self.decimal_norm(row, mode)
+        return float(norm) if norm <= Decimal(DBL_MAX) else np.inf
 
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     def test_extreme_rows_match_exact_norms(self, mode):
@@ -139,14 +152,16 @@ class TestRowDivisor:
 
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     def test_extreme_rows_normalize_to_exact_quotients(self, mode):
-        # a subnormal L1 norm is exact; a subnormal L2 norm is rounded to
-        # the subnormal grid, so its quotients are not exact
-        lowest = 0.0 if mode == "l1" else 2.0 ** -1022
-        rows = [r for r in self.EXTREME_ROWS if lowest < self.exact_norm(r, mode) < np.inf]
+        # a subnormal L1 norm is exact; a row of subnormal L2 norm is
+        # divided after an exact power-of-two scale, so its quotients are
+        # near exact too
+        rows = [r for r in self.EXTREME_ROWS if 0.0 < self.exact_norm(r, mode) < np.inf]
         got = row_normalize(np.array(rows), mode)
         for row, out in zip(rows, got):
-            norm = Decimal(self.exact_norm(row, mode))
-            want = [float(Decimal(v) / norm) for v in row]
+            norm = self.decimal_norm(row, mode)
+            with localcontext() as ctx:
+                ctx.prec = 80
+                want = [float(Decimal(v) / norm) for v in row]
             assert np.abs(out - want).max() <= 4e-16, row
         assert got[0].tolist() == got[1].tolist() == [1.0, 0.0, 0.0]
 
@@ -157,6 +172,24 @@ class TestRowDivisor:
             row_normalize(x, "l1")
         with pytest.raises(ValidationError, match="row 0 .* L2 norm above DBL_MAX"):
             row_divisor(np.full((1, 5), DBL_MAX), "l2")
+
+    def test_subnormal_l2_row_has_unit_norm(self):
+        # its L2 norm, 7.4e-324, rounds to 1e-323 on the subnormal grid;
+        # one divisor would give [1, -1]
+        x = np.array([[5e-324, -5e-324], [3.0, -4.0], [1e-310, 0.0], [5e-324, 1.5e-323]])
+        got = row_normalize(x, "l2")
+        half = Decimal(0.5).sqrt()
+        for v, sign in zip(got[0], (1, -1)):
+            ulp = Decimal(float(abs(np.spacing(v))))
+            assert abs(Decimal(float(v)) - sign * half) <= ulp
+        want = [float(Decimal(v) / Decimal(10).sqrt() / Decimal(5e-324)) for v in x[3]]
+        assert np.abs(got[3] - want).max() <= 2.3e-16
+        # a normal norm divides its row as before
+        plain = np.divide(x[1:3], row_divisor(x[1:3], "l2")[:, None])
+        assert got[1:3].tobytes() == plain.tobytes()
+        # an exact subnormal L1 norm gives the plain quotients' bits
+        assert row_normalize(x, "l1").tobytes() == \
+            np.divide(x, row_divisor(x, "l1")[:, None]).tobytes()
 
     def test_none_and_bad_modes(self):
         x = np.ones((3, 2))
@@ -225,11 +258,11 @@ def traced_peak(fn) -> int:
 
 
 class TestRunnerMemory:
-    """The features are divided into the walk's first step buffer: no
-    normalized N x d copy beside them. The features are made before
-    tracing; the slack covers the N-vectors (nsl, weights, the pass's
-    scalars per node, the divisor), the adjacency and its construction,
-    and the training of a small model on the labeled rows."""
+    """The runners take the features as given and make no N x d copy of
+    them. The features are made before tracing; the slack covers the
+    N-vectors (nsl, weights, the pass's scalars per node), the adjacency
+    and its construction, and the training of a small model on the
+    labeled rows."""
 
     def test_profile_holds_two_step_buffers_and_the_accumulator(self):
         ds = labeled_er()
@@ -284,11 +317,15 @@ class TestRunTrain:
 
 
 class TestSgcBaseline:
-    BASE = dict(baseline="sgc", dp=2, epochs=15, lr=0.05, seed=3)
+    """run_train on the dataset load_run_dataset gives, against the
+    classifier on row_normalize'd features."""
+
+    BASE = dict(baseline="sgc", dp=2, epochs=15, lr=0.05, seed=3,
+                dataset=str(FIXTURES / "tiny"))
 
     def test_dp0_equals_plain_logistic(self, tiny_dataset):
         cfg = RunConfig(**{**self.BASE, "dp": 0})
-        _, model, metrics = run_train(tiny_dataset, cfg)
+        _, model, metrics = run_train(load_run_dataset(cfg), cfg)
         x = row_normalize(tiny_dataset.features, cfg.feature_norm)
         plain = ResidualMlp.create(x.shape[1], tiny_dataset.num_classes,
                                    dropout_rate=cfg.dropout, seed=cfg.seed)
@@ -302,7 +339,7 @@ class TestSgcBaseline:
     @pytest.mark.parametrize("use_bias", [False, True])
     def test_run_train_matches_train_on(self, tiny_dataset, use_bias):
         cfg = RunConfig(use_bias=use_bias, **self.BASE)
-        result, model, _ = run_train(tiny_dataset, cfg)
+        result, model, _ = run_train(load_run_dataset(cfg), cfg)
         x = row_normalize(tiny_dataset.features, cfg.feature_norm)
         xk = _propagated_step(tiny_dataset.graph, x, k=cfg.dp, r=cfg.r)
         _, expected = _train_on(xk, tiny_dataset.labels, tiny_dataset.splits,
@@ -311,20 +348,39 @@ class TestSgcBaseline:
         assert model.num_layers == 1 and model.use_bias == use_bias
 
 
+def loaded(ds: Dataset, directory: Path, mode: str) -> Dataset:
+    """ds written to a dataset directory and read back by load_run_dataset
+    with feature_norm=mode; its graph, labels and splits come back as they
+    were."""
+    directory.mkdir(exist_ok=True)
+    (directory / "features.csv").write_text(
+        "".join(",".join(map(repr, row)) + "\n" for row in ds.features.tolist()))
+    (directory / "labels.csv").write_text("".join(f"{c}\n" for c in ds.labels.tolist()))
+    (directory / "edges.tsv").write_text(
+        "".join(f"{u}\t{v}\n" for u, v in ds.graph.undirected_edges().tolist()))
+    (directory / "splits.json").write_text(json.dumps(
+        {name: getattr(ds.splits, name).tolist() for name in ("train", "val", "test")}))
+    got = load_run_dataset(RunConfig(dataset=str(directory), feature_norm=mode))
+    assert np.array_equal(got.graph.undirected_edges(), ds.graph.undirected_edges())
+    assert got.labels.tolist() == ds.labels.tolist() and got.num_classes == ds.num_classes
+    return got
+
+
 class TestSgcDivisorWalk:
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
-    def test_bitwise_equals_walk_on_normalized_features(self, mode, k):
-        # the walk divides x0 as row_normalize does, and the steps are its
-        # spmm products
+    def test_bitwise_equals_walk_on_normalized_features(self, tmp_path, mode, k):
+        # the loader divides each row as row_normalize does, so the SGC
+        # input of the loaded dataset is the walk on row_normalize'd rows
         g = random_graph(40, 120, k)
         x = np.random.default_rng(k).standard_normal((40, 5))
         x[1] = -0.0
         x[2] = [5e-324, -1e-323, 1.5e-323, 0.0, -5e-324]
         x[3] = np.finfo(np.float64).max / 6
-        with np.errstate(over="ignore"):
-            want = _propagated_step(g, row_normalize(x, mode), k=k, r=0.5)
-            got = _propagated_step(g, x, k=k, r=0.5, divisor=row_divisor(x, mode))
+        labels = np.arange(40) % 3
+        ds = loaded(Dataset(g, x, labels, Splits([0, 1, 2], [3], [4]), 3), tmp_path, mode)
+        want = _propagated_step(g, row_normalize(x, mode), k=k, r=0.5)
+        got = _propagated_step(ds.graph, ds.features, k=k, r=0.5)
         assert got.tobytes() == want.tobytes()
 
 
@@ -396,16 +452,15 @@ class TestRunScale:
         assert abs(first - second) <= 0.5
 
 
-def whole_matrix_run(graph, features, labels, splits, num_classes, cfg, *, dp, dt, seed,
-                     divisor=None):
+def whole_matrix_run(graph, features, labels, splits, num_classes, cfg, *, dp, dt, seed):
     """The classifier trained on a classifier input with a row for every
-    node, indexed by node id, from the (features, divisor) input the
-    runners hand the walk; returns (model, metrics)."""
+    node, indexed by node id, from the features the runners hand the
+    walk; returns (model, metrics)."""
     if cfg.baseline == "sgc":
-        x = _propagated_step(graph, features, k=dp, r=cfg.r, divisor=divisor)
+        x = _propagated_step(graph, features, k=dp, r=cfg.r)
     else:
         x, _ = prepare_combined(graph, features, dp=dp, r=cfg.r,
-                                temperature=cfg.temperature, divisor=divisor)
+                                temperature=cfg.temperature)
     model = ResidualMlp.create(x.shape[1], num_classes, num_layers=dt,
                                hidden_dim=cfg.hidden, use_bias=cfg.use_bias,
                                dropout_rate=cfg.dropout, seed=seed)
@@ -428,38 +483,45 @@ def partly_labeled(top_class_unlabeled=False) -> Dataset:
     return Dataset(graph, features, labels, splits, num_classes)
 
 
+def normalized(ds: Dataset, mode: str) -> Dataset:
+    return replace(ds, features=row_normalize(ds.features, mode))
+
+
 class TestLabeledRows:
-    """The runners combine only the labeled rows; their outputs are those
-    of the classifier trained on every node's row."""
+    """The runners combine only the labeled rows; on the dataset
+    load_run_dataset gives, their outputs are those of the classifier
+    trained on every node's row of the row_normalize'd features."""
 
     @pytest.mark.parametrize("which", ["tiny", "partly labeled"])
     @pytest.mark.parametrize("baseline", [None, "sgc"])
     def test_run_train_equals_whole_matrix_run(self, tiny_dataset, tmp_path, which,
                                                baseline):
-        ds = tiny_dataset if which == "tiny" else partly_labeled()
-        cfg = RunConfig(baseline=baseline, dp=3, dt=1 if baseline else 3, hidden=8,
-                        epochs=25, lr=0.05, dropout=0.2, seed=5, use_bias=True)
-        result, model, metrics = run_train(ds, cfg)
-        want_model, want = whole_matrix_run(ds.graph, ds.features, ds.labels, ds.splits,
-                                            ds.num_classes, cfg, dp=cfg.dp, dt=cfg.dt,
-                                            seed=cfg.seed,
-                                            divisor=row_divisor(ds.features,
-                                                                cfg.feature_norm))
-        assert result["metrics"] == want.to_dict() == metrics.to_dict()
-        assert result["test_accuracy"] == want.test_accuracy
-        assert result["best_epoch"] == want.best_epoch
-        save_checkpoint(model, tmp_path / "got.npz")
-        save_checkpoint(want_model, tmp_path / "want.npz")
-        assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+        raw = tiny_dataset if which == "tiny" else partly_labeled()
+        for mode in ("l1", "l2", "none"):
+            cfg = RunConfig(baseline=baseline, dp=3, dt=1 if baseline else 3, hidden=8,
+                            epochs=25, lr=0.05, dropout=0.2, seed=5, use_bias=True,
+                            feature_norm=mode)
+            ds = normalized(raw, mode)
+            result, model, metrics = run_train(loaded(raw, tmp_path / mode, mode), cfg)
+            want_model, want = whole_matrix_run(ds.graph, ds.features, ds.labels, ds.splits,
+                                                ds.num_classes, cfg, dp=cfg.dp, dt=cfg.dt,
+                                                seed=cfg.seed)
+            assert result["metrics"] == want.to_dict() == metrics.to_dict()
+            assert result["test_accuracy"] == want.test_accuracy
+            assert result["best_epoch"] == want.best_epoch
+            save_checkpoint(model, tmp_path / "got.npz")
+            save_checkpoint(want_model, tmp_path / "want.npz")
+            assert (tmp_path / "got.npz").read_bytes() == \
+                (tmp_path / "want.npz").read_bytes()
 
-    def test_run_sweep_equals_whole_matrix_run(self):
+    def test_run_sweep_equals_whole_matrix_run(self, tmp_path):
         # labels_per_class shrinks the train split inside the labeled rows
-        ds = partly_labeled()
+        raw = partly_labeled()
         cfg = RunConfig(dp_grid=[1, 3], keep_edges_grid=[1.0, 0.6],
                         labels_per_class_grid=[2], num_seeds=2, dt=2, hidden=8,
                         epochs=5, lr=0.05, seed=4)
-        rows = run_sweep(ds, cfg)
-        divisor = row_divisor(ds.features, cfg.feature_norm)
+        rows = run_sweep(loaded(raw, tmp_path, cfg.feature_norm), cfg)
+        ds = normalized(raw, cfg.feature_norm)
         assert len(rows) == 4
         for row in rows:
             accs = []
@@ -469,27 +531,27 @@ class TestLabeledRows:
                 sub = subsample_labels(ds, row["labels_per_class"], seed)
                 _, metrics = whole_matrix_run(graph, ds.features, sub.labels, sub.splits,
                                               ds.num_classes, cfg, dp=row["dp"],
-                                              dt=row["dt"], seed=seed, divisor=divisor)
+                                              dt=row["dt"], seed=seed)
                 accs.append(metrics.test_accuracy)
             assert row["test_acc_mean"] == float(np.mean(accs))
             assert row["test_acc_std"] == float(np.std(accs))
 
     @pytest.mark.parametrize("baseline", [None, "sgc"])
-    def test_run_sweep_over_every_axis_at_five_seeds(self, monkeypatch, baseline):
+    def test_run_sweep_over_every_axis_at_five_seeds(self, monkeypatch, tmp_path, baseline):
         # every axis kind at once; sgc trains one layer, so it has no dt axis
-        ds = partly_labeled()
+        raw = partly_labeled()
         calls = counted_inputs(monkeypatch)
         cfg = RunConfig(baseline=baseline, dp_grid=[1, 3],
                         dt_grid=None if baseline else [1, 2],
                         keep_edges_grid=[1.0, 0.6], labels_per_class_grid=[1, 2],
                         mask_features_grid=[0.0, 0.4], num_seeds=5, hidden=8,
-                        epochs=4, lr=0.05, seed=7)
-        rows = run_sweep(ds, cfg)
+                        epochs=4, lr=0.05, seed=7, feature_norm="l2")
+        rows = run_sweep(loaded(raw, tmp_path, cfg.feature_norm), cfg)
         assert len(rows) == (16 if baseline else 32)
         # per dp: the unperturbed input, plus one per seed for each of the
         # three perturbed (keep_edges, mask_features) pairs
         assert len(calls) == 2 * (1 + 3 * 5)
-        divisor = row_divisor(ds.features, cfg.feature_norm)
+        ds = normalized(raw, cfg.feature_norm)
         for row in rows:
             accs = []
             for seed in range(cfg.seed, cfg.seed + 5):
@@ -499,7 +561,7 @@ class TestLabeledRows:
                 sub = subsample_labels(ds, row["labels_per_class"], seed)
                 _, metrics = whole_matrix_run(graph, feats, sub.labels, sub.splits,
                                               ds.num_classes, cfg, dp=row["dp"],
-                                              dt=row["dt"], seed=seed, divisor=divisor)
+                                              dt=row["dt"], seed=seed)
                 accs.append(metrics.test_accuracy)
             assert row["test_acc_mean"] == float(np.mean(accs))
             assert row["test_acc_std"] == float(np.std(accs))

@@ -16,8 +16,7 @@ from scipy import sparse
 from dgmlp import DimensionError, ParameterError, SmoothnessProfile, ValidationError, \
     build_graph, combine, combine_streaming, compute_nsl, cosine_similarity, erdos_renyi, \
     matrix_nsl, normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
-    row_divisor, row_normalize, smoothness_profile, stationary_direction, \
-    stationary_features
+    row_normalize, smoothness_profile, stationary_direction, stationary_features
 import dgmlp
 from dgmlp import propagation, smoothness
 from dgmlp.graph import NormalizedAdjacency
@@ -271,48 +270,52 @@ def max_rel_error(got, oracle) -> float:
     return err / scale if scale > 0.0 else err
 
 
+# nsl and GSL are cosine products, bounded by 2, and are compared
+# absolutely; the combined features relative to their largest entry.
+ORACLE_TOL = 1e-12
+
+
+def check_against_stack(graph, x, k, r, temperature):
+    """The pass with every cap against compute_nsl and combine on the stored
+    stack, within ORACLE_TOL."""
+    adj = normalize(graph, r)
+    stack = propagate(adj, x, k)
+    stat = stationary_features(graph, x, r)
+    oracle = compute_nsl(stack, stat)
+    walk = propagation_pass(graph, x, k=k, r=r, temperature=temperature,
+                            caps=range(k + 1))
+    profile = walk.profile
+
+    assert np.abs(profile.nsl - oracle.nsl).max() <= ORACLE_TOL
+    assert np.abs(profile.gsl - oracle.gsl).max() <= ORACLE_TOL
+    weights = propagation_weights(profile, temperature)
+    assert np.array_equal(profile.weights, weights)
+    assert profile.temperature == temperature
+    combined = combine(stack, propagation_weights(oracle, temperature))
+    assert max_rel_error(walk.combined, combined) <= ORACLE_TOL
+
+    # each cap's combined GSL against truncate-then-combine
+    for cap in range(k + 1):
+        truncated = SmoothnessProfile(nsl=oracle.nsl[:, :cap + 1],
+                                      gsl=oracle.gsl[:cap + 1])
+        m = combine(PropagatedStack(stack.steps[:cap + 1]),
+                    propagation_weights(truncated, temperature))
+        assert abs(walk.cap_gsl[cap] - matrix_nsl(m, x, stat).mean()) <= ORACLE_TOL
+    assert walk.cap_gsl[0] == profile.gsl[0]
+
+    for values in (profile.nsl, profile.gsl, profile.weights, walk.combined,
+                   list(walk.cap_gsl.values())):
+        assert np.isfinite(values).all()
+
+
 class TestPropagationPass:
-    # nsl and GSL are cosine products, bounded by 2, and are compared
-    # absolutely; the combined features relative to their largest entry.
-    TOL = 1e-12
-
-    def check_against_stack(self, graph, x, k, r, temperature):
-        adj = normalize(graph, r)
-        stack = propagate(adj, x, k)
-        stat = stationary_features(graph, x, r)
-        oracle = compute_nsl(stack, stat)
-        walk = propagation_pass(graph, x, k=k, r=r, temperature=temperature,
-                                caps=range(k + 1))
-        profile = walk.profile
-
-        assert np.abs(profile.nsl - oracle.nsl).max() <= self.TOL
-        assert np.abs(profile.gsl - oracle.gsl).max() <= self.TOL
-        weights = propagation_weights(profile, temperature)
-        assert np.array_equal(profile.weights, weights)
-        assert profile.temperature == temperature
-        combined = combine(stack, propagation_weights(oracle, temperature))
-        assert max_rel_error(walk.combined, combined) <= self.TOL
-
-        # each cap's combined GSL against truncate-then-combine
-        for cap in range(k + 1):
-            truncated = SmoothnessProfile(nsl=oracle.nsl[:, :cap + 1],
-                                          gsl=oracle.gsl[:cap + 1])
-            m = combine(PropagatedStack(stack.steps[:cap + 1]),
-                        propagation_weights(truncated, temperature))
-            assert abs(walk.cap_gsl[cap] - matrix_nsl(m, x, stat).mean()) <= self.TOL
-        assert walk.cap_gsl[0] == profile.gsl[0]
-
-        for values in (profile.nsl, profile.gsl, profile.weights, walk.combined,
-                       list(walk.cap_gsl.values())):
-            assert np.isfinite(values).all()
-
     @settings(max_examples=300)
     @given(case=graphs_with_features(), k=st.integers(0, 6),
            r=st.sampled_from([0.0, 0.5, 1.0]),
            temperature=st.sampled_from([1e-3, 0.2, 1.0]))
     def test_matches_stack_oracle(self, case, k, r, temperature):
         graph, x = case
-        self.check_against_stack(graph, x, k, r, temperature)
+        check_against_stack(graph, x, k, r, temperature)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("temperature", [1e-3, 0.2, 1.0])
@@ -326,7 +329,7 @@ class TestPropagationPass:
         for col, (node, value) in enumerate([(0, 1.3), (2, -0.7), (5, 2.1)]):
             x[node, col], x[node + 6, col] = value, -value
         assert not stationary_direction(mirrored, x, r).any()
-        self.check_against_stack(mirrored, x, 5, r, temperature)
+        check_against_stack(mirrored, x, 5, r, temperature)
 
     def test_row_cancelled_to_a_rounding_residue(self):
         # node 3's step-1 row is exactly 0 in exact arithmetic but a residue
@@ -337,7 +340,7 @@ class TestPropagationPass:
         x = np.array([[-1.0], [0.0], [0.25], [-0.75], [0.25], [0.25], [0.0], [0.5]])
         step1 = normalize(graph, 0.0).matrix @ x
         assert 0.0 < abs(step1[3, 0]) < 1e-16
-        self.check_against_stack(graph, x, 8, 0.0, 1.0)
+        check_against_stack(graph, x, 8, 0.0, 1.0)
 
     def test_stationary_features_are_multiples_of_direction(self):
         g = random_graph(15, 30, 6)
@@ -584,8 +587,7 @@ class TestPipelinedPass:
         graph, x = signed_case()
         with pytest.raises(AssertionError, match="outside spmm"):
             guarded_normalize(graph, 0.5).matrix @ x[:, 0]
-        for extra in ({"rows": [0, 5, 17]}, {"caps": (0, 3, 6)},
-                      {"divisor": row_divisor(x, "l1")}):
+        for extra in ({"rows": [0, 5, 17]}, {"caps": (0, 3, 6)}):
             calls.clear()
             propagation_pass(graph, x, k=6, r=0.5, temperature=0.2, **extra)
             assert len(calls) == 6
@@ -766,8 +768,7 @@ def extreme_rows(seed, n=40, d=5):
 
 def hub_of_large_rows(leaves=6, d=3):
     """A star whose rows all have an L1 norm near DBL_MAX: at r = 1 the hub's
-    step rows grow to about leaves / 2 times x0's, so y . features / divisor
-    would overflow where y . x0 does not."""
+    step rows grow to about leaves / 2 times the normalized rows."""
     g = build_graph([(0, leaf) for leaf in range(1, leaves + 1)], leaves + 1)
     big = np.finfo(np.float64).max / d
     x = np.tile([0.9 * big, 0.05 * big, -0.04 * big], (leaves + 1, 1))
@@ -775,28 +776,9 @@ def hub_of_large_rows(leaves=6, d=3):
 
 
 class TestDivisorWalk:
-    """The walk from (features, row divisors) against the walk on the
-    row-normalized copy: within TOL absolutely, step 0 bit for bit."""
-
-    TOL = 1e-12
-
-    def check(self, graph, x, mode, k, r, temperature, caps=(), rows=None):
-        want = propagation_pass(graph, row_normalize(x, mode), k=k, r=r,
-                                temperature=temperature, caps=caps, rows=rows)
-        got = propagation_pass(graph, x, k=k, r=r, temperature=temperature, caps=caps,
-                               rows=rows, divisor=row_divisor(x, mode))
-        for a, b in [(got.profile.nsl, want.profile.nsl), (got.profile.gsl, want.profile.gsl),
-                     (got.profile.weights, want.profile.weights),
-                     (got.combined, want.combined)]:
-            assert a.shape == b.shape and np.isfinite(a).all()
-            assert np.abs(a - b).max(initial=0.0) <= self.TOL
-        # step 0 is scored on the divided x0 itself
-        assert got.profile.nsl[:, 0].tobytes() == want.profile.nsl[:, 0].tobytes()
-        assert got.cap_gsl.keys() == want.cap_gsl.keys()
-        for cap, level in want.cap_gsl.items():
-            assert np.isfinite(got.cap_gsl[cap])
-            assert abs(got.cap_gsl[cap] - level) <= self.TOL
-        assert got.profile.temperature == want.profile.temperature
+    """The pass on features divided by their row divisors (row_normalize,
+    as the loader applies --feature-norm) from extreme rows, against the
+    stack oracle at ORACLE_TOL."""
 
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
@@ -804,20 +786,22 @@ class TestDivisorWalk:
     @pytest.mark.parametrize("temperature", [1e-3, 1.0])
     def test_extreme_rows_with_caps(self, mode, k, r, temperature):
         graph, x = extreme_rows(seed=k)
-        self.check(graph, x, mode, k, r, temperature, caps=range(k + 1))
+        check_against_stack(graph, row_normalize(x, mode), k, r, temperature)
 
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_extreme_rows_with_rows(self, mode, k):
         graph, x = extreme_rows(seed=k + 10)
+        x = row_normalize(x, mode)
+        check_against_stack(graph, x, k, 0.5, 0.2)
         for rows in row_choices(x.shape[0], k) + [np.arange(1, 7)]:
-            self.check(graph, x, mode, k, 0.5, 0.2, rows=rows)
+            assert_rows_match_full_pass(graph, x, k, 0.5, 0.2, rows)
 
     @pytest.mark.parametrize("mode", ["l1", "l2"])
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
     def test_no_overflow_where_the_divided_rows_have_none(self, mode, r):
         graph, x = hub_of_large_rows()
-        self.check(graph, x, mode, 5, r, 0.2, caps=range(6))
+        check_against_stack(graph, row_normalize(x, mode), 5, r, 0.2)
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_across_blocks_and_shards(self, monkeypatch, shards):
@@ -826,8 +810,11 @@ class TestDivisorWalk:
         x[100] = 1e-318
         x[300, :6] = np.finfo(np.float64).max / 20
         for mode in ("l1", "l2"):
-            self.check(graph, x, mode, 6, 0.5, 1e-3, caps=(0, 3, 6))
-            self.check(graph, x, mode, 6, 0.5, 1e-3, rows=[0, 98, 99, 100, 300, 516])
+            divided = row_normalize(x, mode)
+            check_against_stack(graph, divided, 6, 0.5, 1e-3)
+            assert_pass_equals_sequential(graph, divided, 6, 0.5, 1e-3, (0, 3, 6))
+            assert_rows_match_full_pass(graph, divided, 6, 0.5, 1e-3,
+                                        [0, 98, 99, 100, 300, 516])
 
     @settings(max_examples=100)
     @given(case=graphs_with_features(), k=st.integers(0, 6),
@@ -835,54 +822,13 @@ class TestDivisorWalk:
            temperature=st.sampled_from([1e-3, 0.2, 1.0]))
     def test_small_graphs(self, case, k, r, mode, temperature):
         graph, x = case
-        self.check(graph, x, mode, k, r, temperature, caps=range(k + 1))
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
-    def test_divisor_below_the_row_norm(self, k, r):
-        # divisors inside [2**-64, 2**64] that leave rows of norm far above
-        # 1: y . features would overflow where y . x0 does not
-        graph, x = hub_of_large_rows()
-        x /= 1e143
-        divisor = np.full(x.shape[0], 1e19)
-        divisor[2] = 1e15
-        divisor[3] = np.abs(x[3]).sum()
-        x[4] = [3.0, -1.0, 0.5]
-        x[5], divisor[5] = [1e100, -2e99, 0.0], 1.0
-        want = propagation_pass(graph, x / divisor[:, None], k=k, r=r, temperature=0.2,
-                                caps=range(k + 1))
-        got = propagation_pass(graph, x, k=k, r=r, temperature=0.2, caps=range(k + 1),
-                               divisor=divisor)
-        for a, b in [(got.profile.nsl, want.profile.nsl),
-                     (got.profile.weights, want.profile.weights)]:
-            assert np.isfinite(a).all()
-            assert np.abs(a - b).max() <= self.TOL
-        assert np.isfinite(got.combined).all()
-        assert np.allclose(got.combined, want.combined, rtol=1e-12, atol=0.0)
-        for cap, level in want.cap_gsl.items():
-            assert abs(got.cap_gsl[cap] - level) <= self.TOL
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 5])
-    def test_unit_divisor_is_no_divisor(self, k):
-        # x / 1 and (y . x) / 1 are x and y . x: the same bits
-        graph, x = signed_case(seed=k)
-        x[1], x[2] = -0.0, 1e-310
-        for caps, rows in [(range(k + 1), None), ((), [0, 3, 5, 39])]:
-            want = propagation_pass(graph, x, k=k, r=0.5, temperature=0.2, caps=caps,
-                                    rows=rows)
-            got = propagation_pass(graph, x, k=k, r=0.5, temperature=0.2, caps=caps,
-                                   rows=rows, divisor=np.ones(x.shape[0]))
-            for a, b in [(got.profile.nsl, want.profile.nsl),
-                         (got.profile.weights, want.profile.weights),
-                         (got.combined, want.combined)]:
-                assert a.tobytes() == b.tobytes()
-            assert got.cap_gsl == want.cap_gsl
+        check_against_stack(graph, row_normalize(x, mode), k, r, temperature)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_no_divisor_bitwise_equals_sequential_walk(self, k):
         graph, x = signed_case(seed=k)
         walk = propagation_pass(graph, x, k=k, r=0.5, temperature=0.2,
-                                caps=range(k + 1), divisor=None)
+                                caps=range(k + 1))
         nsl, gsl, combined, cap_gsl = sequential_pass(graph, x, k, 0.5, 0.2, range(k + 1))
         for got, want in [(walk.profile.nsl, nsl), (walk.profile.gsl, gsl),
                           (walk.combined, combined)]:
@@ -904,18 +850,9 @@ class TestDivisorWalk:
         with pytest.raises(ValidationError, match=r"overflow.*--feature-norm l1\|l2"):
             propagation_pass(graph, x, k=3, r=0.5, temperature=1.0, caps=caps)
         for mode in ("l1", "l2"):  # the divided rows do not overflow
-            walk = propagation_pass(graph, x, k=3, r=0.5, temperature=1.0, caps=caps,
-                                    divisor=row_divisor(x, mode))
+            walk = propagation_pass(graph, row_normalize(x, mode), k=3, r=0.5,
+                                    temperature=1.0, caps=caps)
             assert np.isfinite(walk.profile.nsl).all() and np.isfinite(walk.combined).all()
-
-    def test_bad_divisor(self):
-        graph, x = signed_case()
-        with pytest.raises(DimensionError, match="row divisors"):
-            propagation_pass(graph, x, k=2, r=0.5, temperature=1.0,
-                             divisor=np.ones(x.shape[0] + 1))
-        with pytest.raises(ValidationError, match="positive"):
-            propagation_pass(graph, x, k=2, r=0.5, temperature=1.0,
-                             divisor=np.zeros(x.shape[0]))
 
 
 # Runs the pass on a 1502 x 500 input with K = 6 and caps 0, 3, 6, and

@@ -126,31 +126,22 @@ def _loadtxt(source, dtype, delimiter: str, max_rows=None) -> np.ndarray:
                           ndmin=2, max_rows=max_rows, encoding="utf-8")
 
 
-# The exit code of a forked worker whose loadtxt raised or warned on its
-# part of a table file.
-_BAD_DATA = 2
-
-
 def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
                 rows: list[int], norm: str = "none") -> np.ndarray | None:
-    """The table parsed by forked workers, or None: worker i parses rows[i]
-    lines from byte starts[i] with the np.loadtxt call of _load_table.
+    """The table parsed by forked workers, or None if any worker failed:
+    worker i parses rows[i] lines from byte starts[i] with the np.loadtxt
+    call of _load_table.
 
     The rows land in one table of sum(rows) rows, as wide as the file's
     first line has fields, held in a memfd made before the fork. Each
-    worker maps it shared, copies its part into its own row range (with
-    norm "l1" or "l2", its rows divided as row_normalize divides them)
-    and exits with 0. A part without exactly its own line count at that
-    width, in the requested dtype, is not copied, and its worker exits
-    with 1; so does a worker whose normalization raised (a row whose
-    norm is above DBL_MAX, or one holding inf). With max_rows, loadtxt
-    warns at a blank line, which it would skip and so count a row of the
-    next part; the warning is an error here. A worker whose loadtxt raises
-    or warns exits with _BAD_DATA, and ValueError is then raised, once
-    every worker is reaped: loadtxt of the whole file would fail too, or
-    count the blank line's row short. Any other nonzero code (a crash, a
-    misshapen part, a row it could not normalize) gives None, and the
-    caller parses the file in this process.
+    worker maps it shared and copies its part into its own row range
+    (with norm "l1" or "l2", its rows divided as row_normalize divides
+    them). A worker raises, and copies nothing, when its loadtxt raises or
+    warns, when its part has not exactly its own line count at that width
+    in the requested dtype, or when its rows cannot be normalized (a row
+    whose norm is above DBL_MAX, or one holding inf). With max_rows,
+    loadtxt warns at a blank line, which it would skip and so count a row
+    of the next part; the warning is an error here.
 
     The table returned maps the memfd privately: a process forked later
     that writes into it gets its own copy of the page, and this process's
@@ -166,22 +157,18 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
         return None
     nbytes = shape[0] * width * np.dtype(dtype).itemsize
 
-    def work(part: int) -> int:
+    def work(part: int) -> None:
         with open(path, encoding="utf-8") as fh:
             fh.seek(starts[part])
-            try:
-                got = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
-            except (ValueError, Warning):
-                return _BAD_DATA
+            got = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
         # assignment would cast a part of another dtype silently
         if got.shape != (rows[part], width) or got.dtype != dtype:
-            return 1
+            raise ValueError(f"part {part} of {path} is misshapen")
         table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
         if norm == "none":
             table[bounds[part]:bounds[part + 1]] = got
         else:
             _normalize_rows(got, norm, out=table[bounds[part]:bounds[part + 1]])
-        return 0
 
     try:
         fd = os.memfd_create(path.name, os.MFD_CLOEXEC)
@@ -189,10 +176,7 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
         return None
     try:
         os.ftruncate(fd, nbytes)
-        codes = _run_forked(len(starts), work)
-        if codes is not None and _BAD_DATA in codes:
-            raise ValueError(f"{path}: np.loadtxt rejected a part")
-        if codes != [0] * len(starts):
+        if not _run_forked(len(starts), work):
             return None
         mapped = mmap.mmap(fd, nbytes, flags=mmap.MAP_PRIVATE)
     except OSError:
@@ -213,11 +197,10 @@ def _load_table(path: Path, dtype, delimiter: str, norm: str = "none") -> np.nda
     A file of two _MIN_PART_BYTES or more is cut at line starts into parts,
     one per core, each parsed by the same loadtxt call in a forked worker
     that writes its rows into one table shared with this process (see
-    _load_parts); the table is the same bit for bit. If a worker's loadtxt
-    rejects its part, the answer is None once the workers are done. If the
-    workers give no table otherwise (a worker crashed, its part was
-    misshapen or its rows could not be normalized), the file is parsed in
-    this process, as a smaller one is.
+    _load_parts); the table is the same bit for bit. If any worker fails
+    (its part was rejected or misshapen, its rows could not be normalized,
+    or it crashed), the file is parsed in this process, as a smaller one
+    is.
 
     With norm "l1" or "l2", the rows of the table are divided as
     row_normalize divides them (see _normalize_finite).
@@ -251,11 +234,11 @@ def _load_table(path: Path, dtype, delimiter: str, norm: str = "none") -> np.nda
         return None
     num_lines += last != b"\n"  # an unterminated last line
     rows = np.diff(lines_before + [num_lines]).tolist()
+    if len(starts) > 1:
+        table = _load_parts(path, dtype, delimiter, starts, rows, norm)
+        if table is not None:  # one row per line by construction
+            return table
     try:
-        if len(starts) > 1:
-            table = _load_parts(path, dtype, delimiter, starts, rows, norm)
-            if table is not None:  # one row per line by construction
-                return table
         table = _loadtxt(path, dtype, delimiter)
     except (ValueError, Warning):
         return None

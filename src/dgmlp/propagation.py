@@ -102,15 +102,14 @@ def _fork_parts(size: int, min_part: int) -> int:
     return max(1, min(_num_shards(), size // min_part))
 
 
-def _run_forked(parts: int, work) -> list[int] | None:
-    """The exit codes of `parts` forked workers, in part order, or None if a
-    fork failed.
+def _run_forked(parts: int, work) -> bool:
+    """Whether `parts` forked workers all finished: worker `part` runs
+    work(part), whose return value is ignored, and nothing else of this
+    process.
 
-    Worker `part` runs work(part) and leaves by os._exit with its return
-    value (0 for None), or 1 if it raised; it runs nothing else of this
-    process. A worker killed by signal N gives -N. Every worker is reaped
-    before this returns; if a fork fails, the workers already made are
-    killed first.
+    False if any worker raised, exited otherwise or was killed, or if a
+    fork failed; the workers already made are then killed. Every worker
+    is reaped before this returns.
     """
     pids = []
     try:
@@ -119,7 +118,8 @@ def _run_forked(parts: int, work) -> list[int] | None:
             if pid == 0:
                 code = 1
                 try:
-                    code = work(part) or 0
+                    work(part)
+                    code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
@@ -127,8 +127,10 @@ def _run_forked(parts: int, work) -> list[int] | None:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        return None
-    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        return False
+    # a wait status is 0 only for an exit with 0; the list reaps every
+    # worker, where a generator would stop at the first failure
+    return not any([os.waitpid(pid, 0)[1] for pid in pids])
 
 
 def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -103,9 +103,14 @@ class RunConfig:
         for f in fields(self):
             if f.name in _LEAST or f.name in _FRACTIONS:
                 _check_knob(f.name, getattr(self, f.name))
-        for name, attr in _SWEEP_AXES + (("n", "sizes"),):
-            for value in getattr(self, attr) or ():
+        # a list value given twice would run, and write, the same cell
+        # twice; a cap has no knob rule, its range is checked against dp below
+        for name, attr in _SWEEP_AXES + (("n", "sizes"), ("cap", "caps")):
+            values = getattr(self, attr) or []
+            for i, value in enumerate(values):
                 _check_knob(name, value, attr)
+                if value in values[:i]:
+                    raise ConfigurationError(f"{attr} lists {value} more than once")
         if not 0.0 <= self.r <= 1.0:
             raise ConfigurationError(
                 f"normalization exponent r must lie in [0, 1], got {self.r}")

@@ -220,7 +220,8 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     Walks x_k = A_hat x_{k-1} once. Each step is scored against the rank-1
     stationary state and folded into a per-node online softmax: a running
     max m, an accumulator acc and a normalizer z (Milakov & Gimelshein
-    2018, arXiv:1805.02867). acc / z after step c is the combination of
+    2018, arXiv:1805.02867), from m = -inf and acc = z = 0, so step 0
+    folds as every other step does. acc / z after step c is the combination of
     steps 0..c weighted by propagation_weights on those steps alone, so
     every cap comes from the same walk. Agrees with compute_nsl and
     combine on the stored stack up to rounding.
@@ -273,8 +274,8 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
     nsl = np.empty((n, k + 1))
     gsl = np.empty(k + 1)
     cap_gsl = {}
-    acc = np.empty((len(picked), d))
-    x0_sq, level, m, z = np.empty(n), np.empty(n), np.empty(n), np.ones(n)
+    acc = np.zeros((len(picked), d))
+    x0_sq, level, m, z = np.empty(n), np.empty(n), np.full(n, -np.inf), np.zeros(n)
     if caps:
         cap_level = np.empty(n)
     nsl_of = _rank_one_nsl(x0_sq, s)
@@ -296,27 +297,21 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
                 xx0 = np.einsum("ij,ij->i", x_rows, x0[rows])
             level[rows] = nsl_of(xx, xx0, np.einsum("ij,j->i", x_rows, s), rows)
             logit = level[rows] / temperature
-            if step == 0:
-                m[rows] = logit
-                # "clip" writes straight into acc_rows; "raise" would
-                # buffer the output (sel is in range either way)
-                np.take(x_rows, sel, axis=0, out=acc_rows, mode="clip")
-            else:
-                m_rows = m[rows]
-                if (logit > m_rows).any():
-                    # rows whose running max rises are rescaled by
-                    # exp(m - logit) < 1, the others by exactly 1
-                    rescale = np.exp(np.minimum(m_rows - logit, 0.0))
-                    z[rows] *= rescale
-                    np.maximum(m_rows, logit, out=m_rows)
-                    acc_rows *= rescale[sel, None]
-                e = np.exp(logit - m_rows)
-                _add_scaled_rows(acc_rows, e, x_rows, sel)
-                z[rows] += e
-            if step and step in caps:
+            m_rows = m[rows]
+            if (logit > m_rows).any():
+                # rows whose running max rises are rescaled by
+                # exp(m - logit) < 1, the others by exactly 1; at step 0,
+                # from m = -inf, by 0
+                rescale = np.exp(np.minimum(m_rows - logit, 0.0))
+                z[rows] *= rescale
+                np.maximum(m_rows, logit, out=m_rows)
+                acc_rows *= rescale[sel, None]
+            e = np.exp(logit - m_rows)
+            _add_scaled_rows(acc_rows, e, x_rows, sel)
+            z[rows] += e
+            if step in caps:
                 # nsl is a product of cosines, blind to the positive row
-                # scale z: the GSL of acc is the GSL of acc / z. At step
-                # 0, acc is x0 and its level is step 0's.
+                # scale z: the GSL of acc is the GSL of acc / z
                 cap_level[rows] = nsl_of(np.einsum("ij,ij->i", acc_rows, acc_rows),
                                          np.einsum("ij,ij->i", acc_rows, x0[rows]),
                                          np.einsum("ij,j->i", acc_rows, s), rows)
@@ -328,7 +323,7 @@ def propagation_pass(graph: Graph, x0, *, k: int, r: float, temperature: float,
         nsl[:, step] = level
         gsl[step] = level.mean()
         if step in caps:
-            cap_gsl[step] = float((cap_level if step else level).mean())
+            cap_gsl[step] = float(cap_level.mean())
     del x, x0  # with the walk's buffers, freed before the weights are made
     profile = SmoothnessProfile(nsl=nsl, gsl=gsl)
     profile.weights = propagation_weights(profile, temperature)
@@ -404,7 +399,7 @@ def write_node_profile_csv(profile: SmoothnessProfile, path) -> None:
     forked workers, one range of nodes each (see propagation._run_forked).
     Each streams its rows into a memfd of its own, made before the fork,
     and this process copies the memfds into the file in node order once
-    every worker exited with 0: the file is the same byte for byte. If a
+    every worker has finished: the file is the same byte for byte. If any
     worker fails, the file is written in this process, as a smaller
     profile is.
     """
@@ -424,7 +419,7 @@ def write_node_profile_csv(profile: SmoothnessProfile, path) -> None:
             try:
                 for _ in range(parts):
                     fds.append(os.memfd_create("node_profile", os.MFD_CLOEXEC))
-                forked = _run_forked(parts, work) == [0] * parts
+                forked = _run_forked(parts, work)
             except OSError:  # out of memfds
                 pass
         with open(path, "wb") as fh:

@@ -57,7 +57,8 @@ def no_child_left():
         pytest.fail("test left a child process")
 
 
-# forked workers (propagation._run_forked) run on Linux only
+# forked workers (propagation._run_forked) run on Linux only; elsewhere the
+# parse and the CSV writer run in this process, as when a worker fails
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="forked workers run on Linux only")
 

@@ -177,6 +177,30 @@ class TestTrainCommand:
                        f"scale the features down\n")
         assert not out.exists()
 
+    @linux_only
+    def test_a_part_rejected_by_loadtxt_is_one_line(
+            self, tiny_dir, tmp_path, capsys, monkeypatch, no_worker_left, forks):
+        # the last part's worker fails, so the file is parsed again in this
+        # process, whose per-line parser names the line as a one-process load does
+        data_dir = tmp_path / "ds"
+        shutil.copytree(tiny_dir, data_dir)
+        lines = (data_dir / "features.csv").read_text().splitlines()
+        lines[-1] = ",".join(["x"] * len(lines[-1].split(",")))
+        (data_dir / "features.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        argv = ["train", "--dataset", data_dir, "--out", out]
+        assert run_cli(*argv) == 2
+        one_process = capsys.readouterr().err
+        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        assert run_cli(*argv) == 2
+        assert forks  # features.csv was cut into parts
+        err = capsys.readouterr().err
+        assert err == one_process
+        assert err == (f"error: {data_dir / 'features.csv'}: line {len(lines)}: "
+                       f"could not convert string to float: 'x'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("entries", [["a"], [0.7]])
     def test_non_integer_split_entry_is_one_line(self, tiny_dir, tmp_path, capsys, entries):
         data = tmp_path / "ds"
@@ -283,6 +307,18 @@ class TestProfileCommand:
                        "--caps", "0,7", "--out", tmp_path / "p")
         assert code == 2
         assert "cap 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["profile", "--dp", 3, "--caps", "3,0,3"], "caps lists 3 more than once"),
+        (["sweep", "--dp-grid", "1,1"], "dp_grid lists 1 more than once"),
+    ])
+    def test_a_value_listed_twice_is_one_line(self, tmp_path, capsys, argv, message):
+        # rejected before any data is read: the dataset directory is missing
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--dataset", tmp_path / "missing", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("num_nodes", [1, 2])
     def test_fewer_than_three_nodes_is_one_line(self, tmp_path, capsys, num_nodes):

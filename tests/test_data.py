@@ -359,27 +359,6 @@ class TestWorkerParsing:
         assert str(forked.value) == str(one_process.value)
         assert str(forked.value).endswith(f"features.csv: {message}")
 
-    @pytest.mark.parametrize("bad", ["1.0,x", ""])
-    def test_bad_part_goes_straight_to_the_line_parser(self, tmp_path, monkeypatch,
-                                                       no_worker_left, bad):
-        _write_dataset(tmp_path, _lines(40, 35, bad), "0\n" * 40, "0\t1\n")
-        with pytest.raises(ValidationError) as one_process:
-            load_dataset(tmp_path)
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
-        monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
-        parent, loadtxt, in_process = os.getpid(), data._loadtxt, []
-
-        def counted(source, *args, **kwargs):
-            if os.getpid() == parent:
-                in_process.append(Path(source).name)
-            return loadtxt(source, *args, **kwargs)
-
-        monkeypatch.setattr(data, "_loadtxt", counted)
-        with pytest.raises(ValidationError) as forked:
-            load_dataset(tmp_path)
-        assert str(forked.value) == str(one_process.value)
-        assert in_process == []
-
     @pytest.mark.parametrize("fault", ["exit", "kill", "a column", "a row", "one row",
                                        "half the bytes"])
     def test_failed_or_misshapen_part_is_parsed_in_this_process(

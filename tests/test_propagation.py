@@ -132,20 +132,23 @@ class TestRunSharded:
 @linux_only
 @pytest.mark.usefixtures("no_worker_left")
 class TestRunForked:
-    """Forked workers: their exit codes in part order, None when a fork
-    fails, and every worker reaped before the call returns."""
+    """Forked workers: True only when every worker finished, False when one
+    failed or a fork failed, and every worker reaped before the call
+    returns."""
 
-    def test_results_in_part_order(self, no_worker_left, forks):
+    def test_results_in_part_order(self, tmp_path, no_worker_left, forks):
         def work(part):
             time.sleep(0.1 * (2 - part))  # the last part finishes first
-            return part * 10 or None  # None exits with 0
+            (tmp_path / str(part)).write_text(str(os.getpid()))
+            return part * 10 or None  # ignored
 
-        assert propagation._run_forked(3, work) == [0, 10, 20]
-        assert len(forks) == 3
+        assert propagation._run_forked(3, work) is True
+        assert [int((tmp_path / str(part)).read_text()) for part in range(3)] == forks
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
-    def test_a_failed_worker_gives_its_code(self, no_worker_left, capfd, failing, how):
+    def test_a_failed_worker_fails_the_call(self, tmp_path, no_worker_left, capfd,
+                                            failing, how):
         def work(part):
             if part == failing:
                 if how == "raise":
@@ -153,19 +156,21 @@ class TestRunForked:
                 if how == "exit":
                     os._exit(3)
                 os.kill(os.getpid(), signal.SIGKILL)
+            (tmp_path / str(part)).touch()
 
-        code = {"raise": 1, "exit": 3, "kill": -signal.SIGKILL}[how]
-        assert propagation._run_forked(2, work) == [code if part == failing else 0
-                                                    for part in range(2)]
+        assert propagation._run_forked(2, work) is False
+        # the other worker still ran to its end
+        assert sorted(p.name for p in tmp_path.iterdir()) == [str(1 - failing)]
         assert capfd.readouterr() == ("", "")  # a worker prints no traceback
 
-    def test_a_slow_worker_is_waited_for(self, no_worker_left):
+    def test_a_slow_worker_is_waited_for(self, tmp_path, no_worker_left):
         def work(part):
             if part:
                 time.sleep(0.5)
-                return 7
+                (tmp_path / "slow").touch()
 
-        assert propagation._run_forked(2, work) == [0, 7]
+        assert propagation._run_forked(2, work) is True
+        assert (tmp_path / "slow").exists()
 
     def test_failed_fork_is_no_result(self, monkeypatch, no_worker_left):
         forks = []
@@ -180,7 +185,7 @@ class TestRunForked:
         monkeypatch.setattr(os, "fork", fork)
         start = time.perf_counter()
         # the worker already made is killed, not waited for
-        assert propagation._run_forked(3, lambda part: time.sleep(60)) is None
+        assert propagation._run_forked(3, lambda part: time.sleep(60)) is False
         assert time.perf_counter() - start < 10
 
     def test_fork_parts(self, monkeypatch):

@@ -49,6 +49,22 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="num_seeds must be >= 1"):
             RunConfig(dp_grid=[1], num_seeds=0)
 
+    @pytest.mark.parametrize("field,values", [
+        ("caps", [3, 0, 3]),
+        ("dp_grid", [1, 1]),
+        ("dt_grid", [1, 2, 1]),
+        ("keep_edges_grid", [0.5, 1.0, 0.5]),
+        ("labels_per_class_grid", [2, 2]),
+        ("mask_features_grid", [0.0, 0.2, 0.0]),
+        ("sizes", [100, 200, 100]),
+    ])
+    def test_a_value_listed_twice_is_rejected(self, field, values):
+        # a repeated value would run, and write, the same cell twice
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} lists {values[0]} more than once$"):
+            RunConfig(dp=3, **{field: values})
+        RunConfig(dp=3, **{field: values[:-1]})
+
     def test_echo_contains_seed(self):
         cfg = RunConfig(seed=42)
         assert cfg.to_dict()["seed"] == 42
@@ -222,7 +238,7 @@ def tiny_dataset():
 class TestRunProfile:
     @given(dp=st.integers(0, 8), data=st.data())
     def test_one_spmm_per_step_for_any_caps(self, tiny_dataset, dp, data):
-        caps = data.draw(st.lists(st.integers(0, dp), max_size=dp + 2))
+        caps = data.draw(st.lists(st.integers(0, dp), max_size=dp + 1, unique=True))
         calls = []
         spmm = propagation.spmm
 

@@ -14,23 +14,26 @@ treated as opaque strings and remapped to 0..N-1 in order of first
 appearance (the mapping is kept on the Dataset).
 
 Each text file is parsed by np.loadtxt when that provably gives what the
-per-line parser would (see ``_load_table``; a large file is cut into parts
-for forked workers); otherwise by the per-line parser, which names the
-offending line.
+per-line parser would (see ``_load_table``; a large file is cut into parts,
+all but the first parsed by forked workers); otherwise by the per-line
+parser, which names the offending line.
 
 The feature rows are normalized where they are parsed: a run's
-feature_norm ("l1" or "l2") divides each row as row_normalize does, in
-the forked workers for their parts or in this process, so a loaded
-table holds the bits row_normalize(raw, mode) gives whatever the part
-count.
+feature_norm ("l1" or "l2") divides each row as row_normalize does, part
+by part, so a loaded table holds the bits row_normalize(raw, mode) gives
+whatever the part count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
 import os
+import signal
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ValidationError
 from .graph import MAX_NODES, Graph, _IdOutOfRange, build_graph
-from .propagation import _fork_parts, _run_forked
+from .propagation import _num_shards
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,55 @@ def _read_lines(path: Path) -> list[str]:
     return lines
 
 
+def _fork_parts(size: int, min_part: int) -> int:
+    """Parts for _run_parts to cut a job of `size` units into: one per
+    core, each of at least min_part units. 1 (run the job in this process)
+    when there is too little work, or where a forked worker is not safe:
+    off Linux, or while another Python thread runs, since a worker gets
+    only the forking thread and any lock another thread held stays held."""
+    if not sys.platform.startswith("linux") or threading.active_count() != 1:
+        return 1
+    return max(1, min(_num_shards(), size // min_part))
+
+
+def _run_parts(parts: int, work) -> None:
+    """work(part) for every part in range(parts): parts 1 and up in forked
+    workers, which run nothing else of this process and whose return
+    values are ignored, and part 0 in this process meanwhile.
+
+    Once every worker is reaped, each part whose worker failed (raised,
+    exited otherwise or was killed) or could not be forked is run here,
+    in part order. An error raised here propagates only after every
+    worker is killed and reaped. One part forks nothing.
+    """
+    pids, statuses = {}, {}
+    try:
+        for part in range(1, parts):
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: this part and the rest run here
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    work(part)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[part] = pid
+        work(0)
+        for part, pid in pids.items():
+            statuses[part] = os.waitpid(pid, 0)[1]
+    finally:
+        for part in pids.keys() - statuses.keys():
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
+                os.kill(pids[part], signal.SIGKILL)  # already reaped if this raises
+                os.waitpid(pids[part], 0)
+    for part in range(1, parts):
+        if statuses.get(part, 1):  # a wait status is 0 only for an exit with 0
+            work(part)
+
+
 # Bytes on which np.loadtxt and the per-line parsers disagree: loadtxt also
 # ends a line at a bare CR (so a blank line can hide the extra row), and it
 # strips the ASCII separators 0x1c-0x1f around a float, which the per-line
@@ -109,12 +161,12 @@ _LOADTXT_ONLY = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # one whole-file buffer raised that threshold, and the heap it then grew
 # made peak RSS later in the run vary by ~35 MB from process to process.
 _SCAN_BLOCK = 1 << 16
-# Smallest part of a table file parsed by a forked worker (see _load_table).
-# On prefixes of a PubMed-like features.csv (2 cores, a parent holding one
-# 79 MB feature matrix, medians of 25 in three runs), two workers writing
-# into the shared table took 13.5-16.9 ms against 13.6-15.7 ms in this
-# process on 1 MiB, 22.3-22.5 against 27.2-30.6 ms on 2 MiB and 43.6-44.3
-# against 55.2-63.4 ms on 4 MiB.
+# Smallest part of a table file cut into parts (see _load_table). On
+# prefixes of a PubMed-like features.csv (2 cores, a parent holding one
+# 79 MB feature matrix, medians of 25 in three runs), two parts (one in a
+# worker, one in this process) took 16.7-24.5 ms against 16.7-24.0 ms for
+# one part on 1 MiB, 31.6-38.3 against 34.4-47.3 ms on 2 MiB and 52.3-64.3
+# against 65.7-70.3 ms on 4 MiB.
 _MIN_PART_BYTES = 1 << 20
 
 
@@ -127,26 +179,24 @@ def _loadtxt(source, dtype, delimiter: str, max_rows=None) -> np.ndarray:
 
 
 def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
-                rows: list[int], norm: str = "none") -> np.ndarray | None:
-    """The table parsed by forked workers, or None if any worker failed:
-    worker i parses rows[i] lines from byte starts[i] with the np.loadtxt
-    call of _load_table.
+                rows: list[int], norm: str = "none") -> np.ndarray:
+    """The table of the file cut into parts: part i is rows[i] lines from
+    byte starts[i], and _run_parts parses part 0 in this process and the
+    others in forked workers. Raises if any part fails in this process.
 
-    The rows land in one table of sum(rows) rows, as wide as the file's
-    first line has fields, held in a memfd made before the fork. Each
-    worker maps it shared and copies its part into its own row range
-    (with norm "l1" or "l2", its rows divided as row_normalize divides
-    them). A worker raises, and copies nothing, when its loadtxt raises or
-    warns, when its part has not exactly its own line count at that width
-    in the requested dtype, or when its rows cannot be normalized (a row
-    whose norm is above DBL_MAX, or one holding inf). With max_rows,
-    loadtxt warns at a blank line, which it would skip and so count a row
-    of the next part; the warning is an error here.
+    Each part is parsed by one np.loadtxt call, which must raise and warn
+    nothing (with max_rows it warns at a blank line, which it would skip
+    and so count a row of the next part) and return exactly the part's
+    line count of rows, as many columns as the file's first line has
+    fields, in the requested dtype. The rows are then copied into their
+    range of one table (with norm "l1" or "l2", divided as row_normalize
+    divides them, which raises for a row whose norm is above DBL_MAX).
 
-    The table returned maps the memfd privately: a process forked later
-    that writes into it gets its own copy of the page, and this process's
-    values stay as they are. The mapping keeps a descriptor of the memfd
-    open until the table is freed.
+    With more than one part, the table is held in a memfd made before the
+    fork and mapped shared. The table returned maps it privately: a
+    process forked later that writes into it gets its own copy of the
+    page, and this process's values stay as they are. The mapping keeps a
+    descriptor of the memfd open until the table is freed.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -154,8 +204,7 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
     bounds = np.cumsum([0] + rows).tolist()
     shape = (bounds[-1], width)
     if shape[0] * width > size:  # not loadtxt's table: each value takes a byte
-        return None
-    nbytes = shape[0] * width * np.dtype(dtype).itemsize
+        raise ValueError(f"{path}: more values than bytes")
 
     def work(part: int) -> None:
         with open(path, encoding="utf-8") as fh:
@@ -164,46 +213,36 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
         # assignment would cast a part of another dtype silently
         if got.shape != (rows[part], width) or got.dtype != dtype:
             raise ValueError(f"part {part} of {path} is misshapen")
-        table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
+        out = table[bounds[part]:bounds[part + 1]]
         if norm == "none":
-            table[bounds[part]:bounds[part + 1]] = got
+            out[:] = got
         else:
-            _normalize_rows(got, norm, out=table[bounds[part]:bounds[part + 1]])
+            _normalize_rows(got, norm, out=out)
 
-    try:
-        fd = os.memfd_create(path.name, os.MFD_CLOEXEC)
-    except OSError:
-        return None
+    if len(starts) == 1:
+        table = np.empty(shape, dtype)
+        _run_parts(1, work)
+        return table
+    nbytes = shape[0] * width * np.dtype(dtype).itemsize
+    fd = os.memfd_create(path.name, os.MFD_CLOEXEC)
     try:
         os.ftruncate(fd, nbytes)
-        if not _run_forked(len(starts), work):
-            return None
-        mapped = mmap.mmap(fd, nbytes, flags=mmap.MAP_PRIVATE)
-    except OSError:
-        return None
+        table = np.frombuffer(mmap.mmap(fd, nbytes), dtype).reshape(shape)
+        _run_parts(len(starts), work)
+        return np.frombuffer(mmap.mmap(fd, nbytes, flags=mmap.MAP_PRIVATE),
+                             dtype).reshape(shape)
     finally:
         os.close(fd)
-    return np.frombuffer(mapped, dtype).reshape(shape)
 
 
 def _load_table(path: Path, dtype, delimiter: str, norm: str = "none") -> np.ndarray | None:
-    """The whole file parsed by np.loadtxt, or None.
+    """The file parsed by np.loadtxt (see _load_parts), or None.
 
-    The table counts only if loadtxt raised nothing, warned nothing (it
-    only warns on an empty file) and returned one row per line as
-    ``_read_lines`` counts them (it skips blank lines). None sends the file
-    to its per-line parser, which alone reports what is wrong with it.
-
-    A file of two _MIN_PART_BYTES or more is cut at line starts into parts,
-    one per core, each parsed by the same loadtxt call in a forked worker
-    that writes its rows into one table shared with this process (see
-    _load_parts); the table is the same bit for bit. If any worker fails
-    (its part was rejected or misshapen, its rows could not be normalized,
-    or it crashed), the file is parsed in this process, as a smaller one
-    is.
-
-    With norm "l1" or "l2", the rows of the table are divided as
-    row_normalize divides them (see _normalize_finite).
+    The file is cut at line starts into parts, one per core for a file of
+    two _MIN_PART_BYTES or more (see _fork_parts), else one. None, when
+    the file holds a byte on which np.loadtxt and the per-line parser
+    disagree or when any part fails, sends the file to its per-line
+    parser, which alone reports what is wrong with it.
     """
     num_lines, last = 0, b"\n"
     try:
@@ -230,19 +269,11 @@ def _load_table(path: Path, dtype, delimiter: str, norm: str = "none") -> np.nda
                 num_lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
                 last = block[-1:]
                 pos += len(block)
-    except OSError:
+        num_lines += last != b"\n"  # an unterminated last line
+        rows = np.diff(lines_before + [num_lines]).tolist()
+        return _load_parts(path, dtype, delimiter, starts, rows, norm)
+    except (OSError, ValueError, Warning):  # the per-line parser names the fault
         return None
-    num_lines += last != b"\n"  # an unterminated last line
-    rows = np.diff(lines_before + [num_lines]).tolist()
-    if len(starts) > 1:
-        table = _load_parts(path, dtype, delimiter, starts, rows, norm)
-        if table is not None:  # one row per line by construction
-            return table
-    try:
-        table = _loadtxt(path, dtype, delimiter)
-    except (ValueError, Warning):
-        return None
-    return _normalize_finite(table, norm) if table.shape[0] == num_lines else None
 
 
 def _parse_feature_lines(path: Path) -> np.ndarray:
@@ -269,7 +300,9 @@ def _parse_feature_lines(path: Path) -> np.ndarray:
 def _parse_features(path: Path, norm: str) -> np.ndarray:
     feats = _load_table(path, np.float64, ",", norm)
     if feats is None:
-        feats = _normalize_finite(_parse_feature_lines(path), norm)
+        feats = _parse_feature_lines(path)
+        if np.isfinite(feats).all():  # else rejected below, unnormalized
+            feats = row_normalize(feats, norm)
     if not np.isfinite(feats).all():
         raise ValidationError(f"{path}: features contain NaN or Inf")
     return feats
@@ -505,15 +538,6 @@ def row_normalize(features: np.ndarray, mode: str) -> np.ndarray:
     if mode == "none":
         return features
     return _normalize_rows(features, mode)
-
-
-def _normalize_finite(table: np.ndarray, norm: str) -> np.ndarray:
-    """table, its rows divided in place as row_normalize divides them. A
-    table holding NaN or Inf is left as it is, for _parse_features to
-    reject."""
-    if norm != "none" and np.isfinite(table).all():
-        _normalize_rows(table, norm, out=table)
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import os
-import signal
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -89,48 +87,6 @@ def _run_sharded(fn, num_rows: int, shards: int, block: int = 1) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
-
-
-def _fork_parts(size: int, min_part: int) -> int:
-    """Parts for _run_forked to cut a job of `size` units into: one per
-    core, each of at least min_part units. 1 (run the job in this process)
-    when there is too little work, or where a forked worker is not safe:
-    off Linux, or while another Python thread runs, since a worker gets
-    only the forking thread and any lock another thread held stays held."""
-    if not sys.platform.startswith("linux") or threading.active_count() != 1:
-        return 1
-    return max(1, min(_num_shards(), size // min_part))
-
-
-def _run_forked(parts: int, work) -> bool:
-    """Whether `parts` forked workers all finished: worker `part` runs
-    work(part), whose return value is ignored, and nothing else of this
-    process.
-
-    False if any worker raised, exited otherwise or was killed, or if a
-    fork failed; the workers already made are then killed. Every worker
-    is reaped before this returns.
-    """
-    pids = []
-    try:
-        for part in range(parts):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    work(part)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-    except OSError:  # out of processes
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        return False
-    # a wait status is 0 only for an exit with 0; the list reaps every
-    # worker, where a generator would stop at the first failure
-    return not any([os.waitpid(pid, 0)[1] for pid in pids])
 
 
 def spmm(adj: NormalizedAdjacency, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ mean over nodes. Step weights are a per-node softmax of nsl over steps
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _fork_parts, _run_parts
 from .errors import DimensionError, ParameterError, ValidationError
 from .graph import Graph, NormalizedAdjacency, normalize
-from .propagation import PropagatedStack, _add_scaled_rows, _fork_parts, _num_shards, \
-    _run_forked, _run_sharded, _weighted_row_sum, as_feature_matrix, propagation_steps
+from .propagation import PropagatedStack, _add_scaled_rows, _num_shards, _run_sharded, \
+    _weighted_row_sum, as_feature_matrix, propagation_steps
 
 
 def cosine_similarity(a, b) -> float:
@@ -371,9 +373,11 @@ def combine_streaming(adj: NormalizedAdjacency, x0, weights: np.ndarray) -> np.n
 # rows formatted per write: joining all 2M rows of a depth-100 PubMed-sized
 # profile at once took ~550 MB, one block of this size ~16 MB
 _CSV_BLOCK_ROWS = 1 << 16
-# Smallest part of node_profile.csv, in rows, formatted by a forked worker:
-# on 2 cores, two workers took 26 ms against 18 ms in this process on 8,192
-# rows and 40 against 53 ms on 16,384.
+# Smallest part of node_profile.csv, in rows (see write_node_profile_csv):
+# on 2 cores (medians of 25 in three runs), two parts (one in a worker, one
+# in this process) took 13.0-21.4 ms against 14.1-15.0 ms for one part on
+# 8,203 rows, 21.9-32.2 against 28.6-32.0 ms on 16,393 and 39.6-59.2
+# against 57.8-61.4 ms on 32,773.
 _CSV_MIN_PART_ROWS = 1 << 13
 _CSV_HEADER = b"node_id,step,nsl,weight\r\n"
 
@@ -395,42 +399,42 @@ def _profile_rows(profile: SmoothnessProfile, lo: int, hi: int):
 def write_node_profile_csv(profile: SmoothnessProfile, path) -> None:
     """One row per (node, step): node_id, step, nsl, weight.
 
-    A profile of two _CSV_MIN_PART_ROWS rows or more is formatted by
-    forked workers, one range of nodes each (see propagation._run_forked).
-    Each streams its rows into a memfd of its own, made before the fork,
-    and this process copies the memfds into the file in node order once
-    every worker has finished: the file is the same byte for byte. If any
-    worker fails, the file is written in this process, as a smaller
-    profile is.
+    A profile of two _CSV_MIN_PART_ROWS rows or more is cut into ranges of
+    nodes, one per core, run by data._run_parts: this process writes the
+    header and the first range straight into the file, while each later
+    range is formatted by a forked worker into a memfd of its own, made
+    before the fork (or here, if its worker failed). The memfds are then
+    appended to the file in node order, so the file is the same byte for
+    byte whatever the part count.
     """
     if profile.weights is None:
         raise ParameterError("profile has no weights; compute them before exporting")
     num_nodes = profile.nsl.shape[0]
     parts = _fork_parts(profile.nsl.size, _CSV_MIN_PART_ROWS)
-    bounds = [num_nodes * i // parts for i in range(parts + 1)]
-    fds, forked = [], False
+    fds = []
 
     def work(part: int) -> None:
-        with open(fds[part], "wb", closefd=False) as out:
-            out.writelines(_profile_rows(profile, bounds[part], bounds[part + 1]))
+        rows = _profile_rows(profile, bounds[part], bounds[part + 1])
+        if part == 0:
+            fh.writelines(rows)
+            return
+        with open(fds[part - 1], "wb", closefd=False) as out:
+            out.seek(0)  # a failed worker may have written some of these rows
+            out.writelines(rows)
 
     try:
-        if parts > 1:
-            try:
-                for _ in range(parts):
-                    fds.append(os.memfd_create("node_profile", os.MFD_CLOEXEC))
-                forked = _run_forked(parts, work)
-            except OSError:  # out of memfds
-                pass
+        with contextlib.suppress(OSError):  # out of memfds: fewer parts
+            for _ in range(1, parts):
+                fds.append(os.memfd_create("node_profile", os.MFD_CLOEXEC))
+        parts = len(fds) + 1
+        bounds = [num_nodes * i // parts for i in range(parts + 1)]
         with open(path, "wb") as fh:
             fh.write(_CSV_HEADER)
-            if forked:
-                for fd in fds:
-                    os.lseek(fd, 0, os.SEEK_SET)  # its worker left the shared offset at the end
-                    with open(fd, "rb", closefd=False) as rows:
-                        shutil.copyfileobj(rows, fh)
-            else:
-                fh.writelines(_profile_rows(profile, 0, num_nodes))
+            _run_parts(parts, work)
+            for fd in fds:
+                os.lseek(fd, 0, os.SEEK_SET)  # its writer left the shared offset at the end
+                with open(fd, "rb", closefd=False) as rows:
+                    shutil.copyfileobj(rows, fh)
     finally:
         for fd in fds:
             os.close(fd)

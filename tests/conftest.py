@@ -57,8 +57,8 @@ def no_child_left():
         pytest.fail("test left a child process")
 
 
-# forked workers (propagation._run_forked) run on Linux only; elsewhere the
-# parse and the CSV writer run in this process, as when a worker fails
+# forked workers (data._run_parts) run on Linux only; elsewhere the parse
+# and the CSV writer run as one part, in this process
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="forked workers run on Linux only")
 

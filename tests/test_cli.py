@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgmlp import cli, data, load_checkpoint, propagation
+from dgmlp import cli, data, load_checkpoint
 from dgmlp.cli import build_parser, config_from_args, main
 from dgmlp.errors import DgmlpError
 from dgmlp.graph import MAX_NODES
@@ -155,8 +155,9 @@ class TestTrainCommand:
     @linux_only
     def test_row_norm_beyond_dbl_max_in_a_forked_part_is_one_line(
             self, tiny_dir, tmp_path, capsys, monkeypatch, no_worker_left, forks):
-        # the row's worker cannot normalize it, so the file is parsed again
-        # in this process, which reports the row as a one-process load does
+        # the row's part cannot be normalized, in its worker or here, so the
+        # file goes to the per-line parser, which reports the row as a
+        # one-part load does
         data_dir = tmp_path / "ds"
         shutil.copytree(tiny_dir, data_dir)
         lines = (data_dir / "features.csv").read_text().splitlines()
@@ -167,7 +168,7 @@ class TestTrainCommand:
         assert run_cli(*argv) == 2
         one_process = capsys.readouterr().err
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        monkeypatch.setattr(data, "_num_shards", lambda: 2)
         assert run_cli(*argv) == 2
         assert forks  # features.csv was cut into parts
         err = capsys.readouterr().err
@@ -180,8 +181,8 @@ class TestTrainCommand:
     @linux_only
     def test_a_part_rejected_by_loadtxt_is_one_line(
             self, tiny_dir, tmp_path, capsys, monkeypatch, no_worker_left, forks):
-        # the last part's worker fails, so the file is parsed again in this
-        # process, whose per-line parser names the line as a one-process load does
+        # the last part fails in its worker and again here, so the file goes
+        # to the per-line parser, which names the line as a one-part load does
         data_dir = tmp_path / "ds"
         shutil.copytree(tiny_dir, data_dir)
         lines = (data_dir / "features.csv").read_text().splitlines()
@@ -192,7 +193,7 @@ class TestTrainCommand:
         assert run_cli(*argv) == 2
         one_process = capsys.readouterr().err
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        monkeypatch.setattr(data, "_num_shards", lambda: 2)
         assert run_cli(*argv) == 2
         assert forks  # features.csv was cut into parts
         err = capsys.readouterr().err

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgmlp import ParameterError, ValidationError, build_graph, data, drop_edges, \
-    erdos_renyi, load_dataset, mask_features, propagation, row_normalize, subsample_labels
+    erdos_renyi, load_dataset, mask_features, row_normalize, subsample_labels
 from dgmlp.graph import MAX_NODES
 
 from conftest import assert_no_worker_left, citation_dataset, linux_only, open_fds, \
@@ -263,17 +263,19 @@ def _write_dataset(directory: Path, features: str, labels: str, edges: str) -> N
 
 
 def assert_workers_agree(features: str, labels: str, edges: str, shards: int = 2) -> None:
-    """load_dataset with every table of two or more lines cut into parts
-    for forked workers gives what it gives in one process, and leaves no
-    worker and no pipe behind."""
+    """load_dataset with every table of `shards` lines or more cut into
+    that many parts, all but the first for forked workers, gives what the
+    per-line parsers alone give, and leaves no worker and no descriptor
+    behind."""
     fds = open_fds()
     with tempfile.TemporaryDirectory() as tmp:
         _write_dataset(Path(tmp), features, labels, edges)
-        one_process = _outcome(tmp)
+        with mock.patch.object(data, "_load_table", return_value=None):
+            per_line = _outcome(tmp)
         with mock.patch.object(data, "_MIN_PART_BYTES", 1), \
-                mock.patch.object(propagation, "_num_shards", lambda: shards):
+                mock.patch.object(data, "_num_shards", lambda: shards):
             forked = _outcome(tmp)
-    assert forked == one_process
+    assert forked == per_line
     assert_no_worker_left(fds)
 
 
@@ -291,7 +293,7 @@ class TestWorkerParsing:
     """_load_table with its minimum part size lowered, so that small files
     go to the forked workers."""
 
-    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("case", DIVERGENT.values(), ids=DIVERGENT.keys())
     def test_divergent_inputs_as_in_one_process(self, case, shards):
         assert_workers_agree(*case, shards=shards)
@@ -315,13 +317,15 @@ class TestWorkerParsing:
     def test_clean_tables_come_from_the_workers(self, tmp_path, monkeypatch, no_worker_left):
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
         _write_dataset(tmp_path, _lines(40), "0\n" * 40, "0\t1\n1\t2\n")
-        loadtxt = data._loadtxt
+        parent, loadtxt = os.getpid(), data._loadtxt
 
-        def in_workers_only(source, *args, **kwargs):
-            assert not isinstance(source, Path), "table parsed in this process"
+        def later_parts_in_workers(source, *args, **kwargs):
+            assert os.getpid() != parent or source.tell() == 0, "later part parsed here"
             return loadtxt(source, *args, **kwargs)
 
-        monkeypatch.setattr(data, "_loadtxt", in_workers_only)
+        monkeypatch.setattr(data, "_loadtxt", later_parts_in_workers)
+        monkeypatch.setattr(data, "_parse_feature_lines",
+                            mock.Mock(side_effect=AssertionError("per-line parser called")))
         ds = load_dataset(tmp_path)
         assert ds.features.tobytes() == \
             np.array([[v + 0.5, -v] for v in range(40)]).tobytes()
@@ -365,15 +369,17 @@ class TestWorkerParsing:
             self, tmp_path, monkeypatch, no_worker_left, fault):
         _write_dataset(tmp_path, _lines(40), "0\n" * 40, "0\t1\n")
         want = _outcome(tmp_path)
+        size = (tmp_path / "features.csv").stat().st_size
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(data, "_num_shards", lambda: 3)
         parent, loadtxt, in_process = os.getpid(), data._loadtxt, []
 
         def faulty(source, *args, **kwargs):
             if os.getpid() == parent:
-                in_process.append(Path(source).name)
+                in_process.append((Path(source.name).name, source.tell()))
                 return loadtxt(source, *args, **kwargs)
-            if source.tell() == 0:  # the first part's worker
-                return loadtxt(source, *args, **kwargs)
+            if Path(source.name).name != "features.csv" or source.tell() < size // 2:
+                return loadtxt(source, *args, **kwargs)  # all but the last part's worker
             if fault == "exit":
                 os._exit(3)
             if fault == "kill":
@@ -386,15 +392,17 @@ class TestWorkerParsing:
 
         monkeypatch.setattr(data, "_loadtxt", faulty)
         assert _outcome(tmp_path) == want
-        assert "features.csv" in in_process
+        # part 0, then the last part, whose worker failed, and no other
+        starts = [tell for name, tell in in_process if name == "features.csv"]
+        assert len(starts) == 2 and starts[0] == 0 and starts[1] > size // 2
 
     def test_small_files_never_fork(self, tmp_path, monkeypatch, tiny_dir, forks):
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        monkeypatch.setattr(data, "_num_shards", lambda: 2)
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 64)
         load_dataset(tiny_dir)  # every file below 128 bytes
         assert forks == []
         path = tmp_path / "t.csv"
-        for text, workers in (("1.0,2.0\n" * 15 + "1.0,2.0", 0), ("1.0,2.0\n" * 16, 2)):
+        for text, workers in (("1.0,2.0\n" * 15 + "1.0,2.0", 0), ("1.0,2.0\n" * 16, 1)):
             path.write_text(text)  # 127 and 128 bytes
             forks.clear()
             assert data._load_table(path, np.float64, ",").shape == (16, 2)
@@ -413,7 +421,7 @@ class TestWorkerParsing:
     ])
     def test_parts_start_at_line_starts(self, tmp_path, monkeypatch, shards, starts, rows):
         # lines longer than a part: every part still holds whole lines
-        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        monkeypatch.setattr(data, "_num_shards", lambda: shards)
         monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
         seen = []
         monkeypatch.setattr(data, "_load_parts",
@@ -421,7 +429,7 @@ class TestWorkerParsing:
                             seen.append((starts, rows)))
         path = tmp_path / "t.csv"
         path.write_text("1" * 50 + "\n" + "2" * 10 + "\n" + "3" * 50)
-        assert data._load_table(path, np.float64, ",") is not None
+        data._load_table(path, np.float64, ",")
         assert seen == [(starts, rows)]
 
 
@@ -445,7 +453,7 @@ class TestFeatureNorm:
     parsed, with the bits row_normalize gives on the raw rows."""
 
     @pytest.mark.parametrize("mode", ["l1", "l2", "none"])
-    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("path", [pytest.param("forked parts", marks=linux_only),
                                       "one process", "per line"])
     def test_table_is_row_normalize_of_the_raw_rows(self, tmp_path, monkeypatch, forks,
@@ -460,22 +468,22 @@ class TestFeatureNorm:
             return parse_lines(path)
 
         monkeypatch.setattr(data, "_parse_feature_lines", counted)
-        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        monkeypatch.setattr(data, "_num_shards", lambda: shards)
         if path == "forked parts":
             monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
-            loadtxt = data._loadtxt
+            parent, loadtxt = os.getpid(), data._loadtxt
 
-            def in_workers_only(source, *args, **kwargs):
-                assert not isinstance(source, Path), "table parsed in this process"
+            def later_parts_in_workers(source, *args, **kwargs):
+                assert os.getpid() != parent or source.tell() == 0, "later part parsed here"
                 return loadtxt(source, *args, **kwargs)
 
-            monkeypatch.setattr(data, "_loadtxt", in_workers_only)
+            monkeypatch.setattr(data, "_loadtxt", later_parts_in_workers)
         elif path == "per line":
             monkeypatch.setattr(data, "_load_table", lambda *args, **kwargs: None)
         got = load_dataset(tmp_path, _feature_norm=mode).features
         assert got.tobytes() == row_normalize(x, mode).tobytes()
-        # features.csv alone is cut into `shards` parts
-        assert len(forks) >= shards if path == "forked parts" else forks == []
+        # features.csv alone is cut into `shards` parts, all but one forked
+        assert len(forks) >= shards - 1 if path == "forked parts" else forks == []
         assert by_line == (["features.csv"] if path == "per line" else [])
 
     @linux_only

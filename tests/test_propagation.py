@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 
 from dgmlp import DimensionError, NormalizedAdjacency, ParameterError, \
-    ValidationError, build_graph, erdos_renyi, normalize, propagate, propagation, \
+    ValidationError, build_graph, data, erdos_renyi, normalize, propagate, propagation, \
     propagation_steps, spmm, stationary_features
 
 from conftest import dense_normalized, linux_only, random_graph
@@ -132,9 +132,10 @@ class TestRunSharded:
 @linux_only
 @pytest.mark.usefixtures("no_worker_left")
 class TestRunForked:
-    """Forked workers: True only when every worker finished, False when one
-    failed or a fork failed, and every worker reaped before the call
-    returns."""
+    """data._run_parts: part 0 runs in this process and parts 1 and up in
+    forked workers; a part whose worker failed or was never forked runs
+    here after every worker is reaped, and an error here propagates only
+    once every worker is killed and reaped."""
 
     def test_results_in_part_order(self, tmp_path, no_worker_left, forks):
         def work(part):
@@ -142,25 +143,36 @@ class TestRunForked:
             (tmp_path / str(part)).write_text(str(os.getpid()))
             return part * 10 or None  # ignored
 
-        assert propagation._run_forked(3, work) is True
-        assert [int((tmp_path / str(part)).read_text()) for part in range(3)] == forks
+        data._run_parts(3, work)
+        assert [int((tmp_path / str(part)).read_text()) for part in range(3)] == \
+            [os.getpid()] + forks
 
-    @pytest.mark.parametrize("failing", [0, 1])
+    def test_one_part_forks_nothing(self, no_worker_left, forks):
+        ran = []
+        data._run_parts(1, lambda part: ran.append((part, os.getpid())))
+        assert ran == [(0, os.getpid())]
+        assert forks == []
+
+    @pytest.mark.parametrize("failing", [1, 2])
     @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
-    def test_a_failed_worker_fails_the_call(self, tmp_path, no_worker_left, capfd,
-                                            failing, how):
+    def test_a_failed_workers_part_is_redone_here(self, tmp_path, no_worker_left, capfd,
+                                                  failing, how):
+        parent = os.getpid()
+
         def work(part):
-            if part == failing:
+            if part == failing and os.getpid() != parent:
                 if how == "raise":
                     raise RuntimeError("worker failed")
                 if how == "exit":
                     os._exit(3)
                 os.kill(os.getpid(), signal.SIGKILL)
-            (tmp_path / str(part)).touch()
+            with open(tmp_path / str(part), "a") as fh:
+                fh.write(f"{os.getpid() == parent}\n")
 
-        assert propagation._run_forked(2, work) is False
-        # the other worker still ran to its end
-        assert sorted(p.name for p in tmp_path.iterdir()) == [str(1 - failing)]
+        data._run_parts(3, work)
+        # each part ran once to its end; only the failed one ran here
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == \
+            {str(part): f"{part in (0, failing)}\n" for part in range(3)}
         assert capfd.readouterr() == ("", "")  # a worker prints no traceback
 
     def test_a_slow_worker_is_waited_for(self, tmp_path, no_worker_left):
@@ -169,10 +181,10 @@ class TestRunForked:
                 time.sleep(0.5)
                 (tmp_path / "slow").touch()
 
-        assert propagation._run_forked(2, work) is True
+        data._run_parts(2, work)
         assert (tmp_path / "slow").exists()
 
-    def test_failed_fork_is_no_result(self, monkeypatch, no_worker_left):
+    def test_unforked_parts_run_here(self, tmp_path, monkeypatch, no_worker_left):
         forks = []
         real_fork = os.fork
 
@@ -183,20 +195,49 @@ class TestRunForked:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
+        parent = os.getpid()
+
+        def work(part):
+            (tmp_path / str(part)).write_text(str(os.getpid() == parent))
+
+        data._run_parts(4, work)
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == \
+            {"0": "True", "1": "False", "2": "True", "3": "True"}
+
+    @pytest.mark.parametrize("where", ["in part 0", "in the wait"])
+    def test_an_error_here_kills_and_reaps_the_workers(self, no_worker_left, where):
+        parent = os.getpid()
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        def work(part):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif where == "in part 0":
+                raise KeyboardInterrupt
+            else:  # interrupts this process while it waits for the workers
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+
+        handler = signal.signal(signal.SIGALRM, interrupt)
         start = time.perf_counter()
-        # the worker already made is killed, not waited for
-        assert propagation._run_forked(3, lambda part: time.sleep(60)) is False
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                data._run_parts(3, work)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
         assert time.perf_counter() - start < 10
 
     def test_fork_parts(self, monkeypatch):
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 3)
-        assert [propagation._fork_parts(size, 4) for size in (0, 7, 8, 11, 12, 100)] == \
+        monkeypatch.setattr(data, "_num_shards", lambda: 3)
+        assert [data._fork_parts(size, 4) for size in (0, 7, 8, 11, 12, 100)] == \
             [1, 1, 2, 2, 3, 3]
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert propagation._fork_parts(100, 4) == 1  # a worker would lack that thread
+            assert data._fork_parts(100, 4) == 1  # a worker would lack that thread
         finally:
             stop.set()
             thread.join()

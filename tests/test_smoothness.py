@@ -18,7 +18,7 @@ from dgmlp import DimensionError, ParameterError, SmoothnessProfile, ValidationE
     matrix_nsl, normalize, nsl_streaming, propagate, propagation_pass, propagation_weights, \
     row_normalize, smoothness_profile, stationary_direction, stationary_features
 import dgmlp
-from dgmlp import propagation, smoothness
+from dgmlp import data, propagation, smoothness
 from dgmlp.graph import NormalizedAdjacency
 from dgmlp.propagation import PropagatedStack
 from dgmlp.smoothness import MIN_TEMPERATURE, write_gsl_csv, write_node_profile_csv
@@ -955,16 +955,16 @@ class TestCsvExport:
             self.csv_writer_bytes(profile, tmp_path / "ref.csv")
 
     @linux_only
-    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("block_rows", [1 << 16, 6, 1])
     def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch, no_worker_left, forks,
                                           block_rows, shards):
         monkeypatch.setattr(smoothness, "_CSV_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(smoothness, "_CSV_MIN_PART_ROWS", 1)
-        monkeypatch.setattr(propagation, "_num_shards", lambda: shards)
+        monkeypatch.setattr(data, "_num_shards", lambda: shards)
         profile = self.odd_profile()
         write_node_profile_csv(profile, tmp_path / "out.csv")
-        assert len(forks) == shards
+        assert len(forks) == shards - 1  # part 0 is written here
         assert (tmp_path / "out.csv").read_bytes() == \
             self.csv_writer_bytes(profile, tmp_path / "ref.csv")
 
@@ -973,29 +973,32 @@ class TestCsvExport:
     def test_failed_worker_writes_in_this_process(self, tmp_path, monkeypatch,
                                                   no_worker_left, how):
         monkeypatch.setattr(smoothness, "_CSV_MIN_PART_ROWS", 1)
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 3)
+        monkeypatch.setattr(smoothness, "_CSV_BLOCK_ROWS", 1)
+        monkeypatch.setattr(data, "_num_shards", lambda: 3)
         parent, profile_rows, in_process = os.getpid(), smoothness._profile_rows, []
 
         def failing(profile, lo, hi):
+            rows = profile_rows(profile, lo, hi)
             if os.getpid() == parent:
                 in_process.append((lo, hi))
-            elif lo > 0:  # a later part's worker
+            elif lo == 1:  # the middle part's worker (one node each) fails after a row
+                yield next(rows)  # reaches its memfd when the raise closes the file
                 if how == "raise":
                     raise MemoryError
                 if how == "exit":
                     os._exit(3)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return profile_rows(profile, lo, hi)
+            yield from rows
 
         monkeypatch.setattr(smoothness, "_profile_rows", failing)
         profile = self.odd_profile()
         write_node_profile_csv(profile, tmp_path / "out.csv")
-        assert in_process == [(0, 3)]
+        assert in_process == [(0, 1), (1, 2)]  # part 0, then the failed part alone
         assert (tmp_path / "out.csv").read_bytes() == \
             self.csv_writer_bytes(profile, tmp_path / "ref.csv")
 
     def test_small_profiles_never_fork(self, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(propagation, "_num_shards", lambda: 2)
+        monkeypatch.setattr(data, "_num_shards", lambda: 2)
         monkeypatch.setattr(smoothness, "_CSV_MIN_PART_ROWS", 5)
         write_node_profile_csv(self.odd_profile(), tmp_path / "out.csv")  # 9 rows < 2 * 5
         assert forks == []

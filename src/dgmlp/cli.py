@@ -236,8 +236,8 @@ def _cmd_scale(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; 0 on success. Any failure prints one 'error:' line
     to stderr, never a traceback, and exits 2 for a rejected value or a file
-    that cannot be read or written (DgmlpError, OSError), 1 for any other
-    error (an allocation that fails, say; the line names its last dgmlp frame)."""
+    that cannot be read or written (DgmlpError, OSError), 130 for Ctrl-C, 1 for
+    any other error (an allocation that fails, say; the line names its last dgmlp frame)."""
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
@@ -252,6 +252,8 @@ def main(argv=None) -> int:
         raise DgmlpError(f"unknown command {args.command!r}")
     except (DgmlpError, OSError) as exc:
         code, message = 2, str(exc)
+    except KeyboardInterrupt:
+        code, message = 130, "interrupted"
     except Exception as exc:
         code, message = 1, f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         where = [f for f in traceback.extract_tb(exc.__traceback__)

@@ -1,4 +1,4 @@
-"""Dataset ingestion, splits, sparsity transforms, and synthetic graphs.
+"""Dataset ingestion, splits, sparsity transforms, and synthetic data.
 
 A dataset directory contains four UTF-8, LF-terminated files without
 header rows:
@@ -41,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ValidationError
-from .graph import MAX_NODES, Graph, _IdOutOfRange, build_graph
-from .propagation import _num_shards
+from .graph import MAX_NODES, Graph, _IdOutOfRange, build_graph, normalize
+from .propagation import _num_shards, spmm
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,9 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
     nothing (with max_rows it warns at a blank line, which it would skip
     and so count a row of the next part) and return exactly the part's
     line count of rows, as many columns as the file's first line has
-    fields, in the requested dtype. The rows are then copied into their
-    range of one table (with norm "l1" or "l2", divided as row_normalize
-    divides them, which raises for a row whose norm is above DBL_MAX).
+    fields, in the requested dtype. They are then copied into their range
+    of one table, or with one part are the table (norm "l1" or "l2" divides
+    them as row_normalize does, and raises for a row of norm > DBL_MAX).
 
     With more than one part, the table is held in a memfd made before the
     fork and mapped shared. The table returned maps it privately: a
@@ -206,23 +206,22 @@ def _load_parts(path: Path, dtype, delimiter: str, starts: list[int],
     if shape[0] * width > size:  # not loadtxt's table: each value takes a byte
         raise ValueError(f"{path}: more values than bytes")
 
-    def work(part: int) -> None:
+    def work(part: int) -> np.ndarray:
         with open(path, encoding="utf-8") as fh:
             fh.seek(starts[part])
             got = _loadtxt(fh, dtype, delimiter, max_rows=rows[part])
         # assignment would cast a part of another dtype silently
         if got.shape != (rows[part], width) or got.dtype != dtype:
             raise ValueError(f"part {part} of {path} is misshapen")
-        out = table[bounds[part]:bounds[part + 1]]
+        out = got if len(starts) == 1 else table[bounds[part]:bounds[part + 1]]
         if norm == "none":
-            out[:] = got
+            out[:] = got  # numpy copies nothing when out is got
         else:
             _normalize_rows(got, norm, out=out)
+        return out
 
     if len(starts) == 1:
-        table = np.empty(shape, dtype)
-        _run_parts(1, work)
-        return table
+        return work(0)
     nbytes = shape[0] * width * np.dtype(dtype).itemsize
     fd = os.memfd_create(path.name, os.MFD_CLOEXEC)
     try:
@@ -652,3 +651,23 @@ def _pair_of_index(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     t -= t * (t - 1) // 2 >= remaining
     u = n - 1 - t
     return u, u + 1 + (t * (t + 1) // 2 - remaining)
+
+
+def planted_dataset(graph: Graph, *, dim: int, classes: int,
+                    split_sizes: tuple[int, int, int], seed: int) -> Dataset:
+    """A node's label is the argmax of Gaussian noise smoothed by three spmm steps of
+    normalize(graph); its features are N(0, 1) plus 0.3 times its label's Gaussian mean.
+    Each split takes min(size, max(1, n // 4)) nodes of one permutation."""
+    n = graph.num_nodes
+    rng = np.random.default_rng(seed)
+    adj, z = normalize(graph), rng.standard_normal((n, classes))
+    for _ in range(3):
+        z = spmm(adj, z)
+    labels = z.argmax(axis=1)
+    means = 0.3 * rng.standard_normal((classes, dim))
+    features = rng.standard_normal((n, dim))
+    features += means[labels]
+    ends = np.cumsum([min(size, max(1, n // 4)) for size in split_sizes])
+    perm = rng.permutation(n)
+    train, val, test = (np.sort(perm[lo:hi]) for lo, hi in zip([0, *ends], ends))
+    return Dataset(graph, features, labels, Splits(train, val, test), classes)

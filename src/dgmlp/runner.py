@@ -24,7 +24,7 @@ import numpy as np
 # row_divisor and row_normalize live beside the parser that applies them;
 # they stay importable from here
 from .data import Dataset, Splits, drop_edges, erdos_renyi, load_dataset, \
-    mask_features, row_divisor, row_normalize, subsample_labels
+    mask_features, planted_dataset, row_divisor, row_normalize, subsample_labels
 from .errors import ConfigurationError, ValidationError
 from .graph import MAX_NODES, Graph, normalize
 from .nn import ResidualMlp, TrainConfig, train
@@ -312,50 +312,29 @@ def run_sweep(dataset: Dataset, cfg: RunConfig) -> list[dict]:
                      "test_acc_std": float(acc.std())} for point, acc in zip(cells, accs)]
 
 
-def synthetic_node_data(n: int, cfg: RunConfig, seed: int):
-    """Features, labels, and splits for benchmark graphs without data."""
-    rng = np.random.default_rng(seed)
-    features = rng.random((n, cfg.dim))
-    labels = rng.integers(0, cfg.classes, size=n).astype(np.int64)
-    n_train = min(cfg.train_nodes, max(1, n // 4))
-    n_val = min(cfg.val_nodes, max(1, n // 4))
-    n_test = min(cfg.test_nodes, max(1, n // 4))
-    perm = rng.permutation(n)
-    splits = Splits(
-        train=np.sort(perm[:n_train]),
-        val=np.sort(perm[n_train:n_train + n_val]),
-        test=np.sort(perm[n_train + n_val:n_train + n_val + n_test]),
-    )
-    return features, labels, splits
-
-
 def run_scale(cfg: RunConfig) -> list[dict]:
-    """Generate G(n, p) graphs over a size range and time the full pipeline.
-
-    The synthetic features are used as generated, so cfg.feature_norm (and
-    cfg.dataset) do not apply.
-    """
+    """For each size, time run_train on a G(n, p) graph and a planted dataset
+    on it, used as generated (cfg.feature_norm and cfg.dataset do not
+    apply). preprocess_seconds counts the generation and the pass."""
     if not cfg.sizes:
         raise ConfigurationError("scale benchmark needs at least one graph size")
+    split_sizes = (cfg.train_nodes, cfg.val_nodes, cfg.test_nodes)
     rows = []
     for n in cfg.sizes:
         tracemalloc.start()
         t0 = time.perf_counter()
         graph = erdos_renyi(n, cfg.edge_prob, cfg.seed)
-        features, labels, splits = synthetic_node_data(n, cfg, cfg.seed + 1)
-        labeled = _labeled_rows(splits)
-        features = _classifier_input(graph, features, cfg, cfg.dp, labeled)
-        t1 = time.perf_counter()
-        _, metrics = _train_on(features, *_at_rows(labeled, labels, splits), cfg.classes,
-                               cfg)
-        t2 = time.perf_counter()
+        dataset = planted_dataset(graph, dim=cfg.dim, classes=cfg.classes,
+                                  split_sizes=split_sizes, seed=cfg.seed + 1)
+        generation = time.perf_counter() - t0
+        result, _, metrics = run_train(dataset, cfg)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         rows.append({
             "num_nodes": n,
             "num_edges": graph.num_edges,
-            "preprocess_seconds": t1 - t0,
-            "train_seconds": t2 - t1,
+            "preprocess_seconds": generation + result["preprocess_seconds"],
+            "train_seconds": result["train_seconds"],
             "peak_traced_mb": peak / (1 << 20),
             "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "final_train_accuracy": metrics.train_accuracy[-1],

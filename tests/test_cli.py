@@ -9,11 +9,12 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dgmlp import cli, data, load_checkpoint
+from dgmlp import cli, data, load_checkpoint, nn
 from dgmlp.cli import build_parser, config_from_args, main
 from dgmlp.errors import DgmlpError
 from dgmlp.graph import MAX_NODES
@@ -674,6 +675,42 @@ class TestOneFailurePath:
         assert "injected" in err
         if expected == 1:
             assert err.startswith(f"error: {fault}: injected fault")
+
+    @pytest.mark.parametrize("where", ["run_train", "gradient pass",
+                                       pytest.param("forked parse", marks=linux_only)])
+    def test_interrupt_is_one_line_and_exit_130(self, tiny_dir, tmp_path, capsys,
+                                                monkeypatch, forks, where):
+        # Ctrl-C raises KeyboardInterrupt in this thread, wherever it is; the
+        # autouse fixtures fail the test if a thread or a child outlives it
+        if where == "run_train":
+            monkeypatch.setattr("dgmlp.cli.run_train", mock.Mock(side_effect=KeyboardInterrupt))
+        elif where == "gradient pass":  # epoch 1's, while the worker updates epoch 0
+            real, calls = nn.loss_and_grad, []
+
+            def interrupted(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(nn, "loss_and_grad", interrupted)
+        else:  # in part 0, while a forked worker parses part 1
+            monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+            monkeypatch.setattr(data, "_num_shards", lambda: 2)
+            parent, loadtxt = os.getpid(), data._loadtxt
+
+            def interrupted(source, *args, **kwargs):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return loadtxt(source, *args, **kwargs)
+
+            monkeypatch.setattr(data, "_loadtxt", interrupted)
+        code = run_cli("train", "--dataset", tiny_dir, "--dp", 1, "--dt", 2, "--epochs", 3,
+                       "--out", tmp_path / "r.json")
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not (tmp_path / "r.json").exists()
+        assert len(forks) == (where == "forked parse")
 
     def test_multi_line_message_stays_one_line(self, tiny_dir, tmp_path, capsys,
                                                monkeypatch):

@@ -4,6 +4,7 @@ import os
 import shutil
 import signal
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -505,6 +506,81 @@ class TestFeatureNorm:
             load_dataset(tmp_path, _feature_norm=mode)
         errors.append(str(exc.value))
         assert errors == [f"{tmp_path / 'features.csv'}: features contain NaN or Inf"] * 3
+
+
+class TestOnePartLoad:
+    """A file parsed as one part: np.loadtxt's rows are the table."""
+
+    def test_same_bits_as_the_per_line_parsers_at_one_table_of_peak(
+            self, tmp_path, monkeypatch, forks):
+        x = np.random.default_rng(5).standard_normal((3000, 40))
+        x[:40] = 0.0
+        x[:40, :5] = _extreme_rows()
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        _write_dataset(tmp_path, rows, "".join(f"{v % 3}\n" for v in range(3000)),
+                       "".join(f"{v}\t{(7 * v + 1) % 3000}\n" for v in range(3000)))
+        monkeypatch.setattr(data, "_num_shards", lambda: 1)
+        for mode in ("none", "l1", "l2"):
+            tracemalloc.start()
+            try:
+                got = load_dataset(tmp_path, _feature_norm=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            with mock.patch.object(data, "_load_table", return_value=None):
+                want = load_dataset(tmp_path, _feature_norm=mode)
+            for name in ("features", "labels"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert got.graph.row_offsets.tobytes() == want.graph.row_offsets.tobytes()
+            assert got.graph.col_indices.tobytes() == want.graph.col_indices.tobytes()
+            # a second table beside the parsed rows peaked at 2.03 (none)
+            # to 2.61 (l2) times the table's bytes; the rows alone at 1.29
+            # to 1.61, the rest being the labels, the edges and one 512 KB
+            # block of |x| while the row norms are taken
+            assert peak < 1.8 * x.nbytes
+        assert forks == []
+
+
+class TestPlantedDataset:
+    SIZES = (10, 20, 30)
+
+    def test_same_seed_same_bits(self):
+        graph = erdos_renyi(200, 0.02, seed=1)
+        a, b, c = (data.planted_dataset(graph, dim=6, classes=4, split_sizes=self.SIZES,
+                                        seed=seed) for seed in (3, 3, 4))
+        for name in ("features", "labels"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert getattr(a, name).tobytes() != getattr(c, name).tobytes()
+        for split in ("train", "val", "test"):
+            assert np.array_equal(getattr(a.splits, split), getattr(b.splits, split))
+
+    @pytest.mark.parametrize("n", [200, 100, 3])
+    def test_splits_are_disjoint_and_sized(self, n):
+        # each split takes min(size, max(1, n // 4)) nodes
+        ds = data.planted_dataset(erdos_renyi(n, 0.05, seed=0), dim=3, classes=2,
+                                  split_sizes=self.SIZES, seed=0)
+        parts = [ds.splits.train, ds.splits.val, ds.splits.test]
+        assert [p.size for p in parts] == [min(s, max(1, n // 4)) for s in self.SIZES]
+        assert np.unique(np.concatenate(parts)).size == sum(p.size for p in parts)
+        assert all((np.diff(p) > 0).all() and (p >= 0).all() and (p < n).all()
+                   for p in parts)
+        assert ds.features.shape == (n, 3) and ds.labels.shape == (n,)
+
+    def test_edgeless_graph(self):
+        # every node is isolated, so its smoothed noise is its own
+        graph = erdos_renyi(60, 1e-18, seed=0)
+        assert graph.num_edges == 0
+        ds = data.planted_dataset(graph, dim=4, classes=3, split_sizes=self.SIZES, seed=2)
+        assert np.isfinite(ds.features).all()
+        assert set(ds.labels.tolist()) == {0, 1, 2}
+
+    def test_num_classes_comes_from_classes(self):
+        # 5 nodes cannot hold 10 classes; the output layer still has 10
+        ds = data.planted_dataset(erdos_renyi(5, 0.5, seed=0), dim=2, classes=10,
+                                  split_sizes=self.SIZES, seed=0)
+        assert ds.num_classes == 10
+        assert ds.labels.dtype == np.int64 and 0 <= ds.labels.min() <= ds.labels.max() < 10
 
 
 def _layout(gen, lines: list[str]) -> str:

@@ -657,8 +657,15 @@ def planted_dataset(graph: Graph, *, dim: int, classes: int,
                     split_sizes: tuple[int, int, int], seed: int) -> Dataset:
     """A node's label is the argmax of Gaussian noise smoothed by three spmm steps of
     normalize(graph); its features are N(0, 1) plus 0.3 times its label's Gaussian mean.
-    Each split takes min(size, max(1, n // 4)) nodes of one permutation."""
+    Each split takes min(size, max(1, n // 4)) nodes of one permutation, so
+    none is empty: n must be at least 3 and each size at least 1."""
     n = graph.num_nodes
+    if n < 3:
+        raise ParameterError(f"the graph must have >= 3 nodes, one per split, got {n}")
+    if min(dim, classes) < 1:
+        raise ParameterError(f"dim and classes must be >= 1, got {dim} and {classes}")
+    if min(split_sizes) < 1:
+        raise ParameterError(f"every split size must be >= 1, got {tuple(split_sizes)}")
     rng = np.random.default_rng(seed)
     adj, z = normalize(graph), rng.standard_normal((n, classes))
     for _ in range(3):

@@ -54,6 +54,8 @@ class ResidualMlp:
             raise ParameterError(f"num_layers must be >= 1, got {num_layers}")
         if hidden_dim < 1:
             raise ParameterError(f"hidden_dim must be >= 1, got {hidden_dim}")
+        if hidden_dim > 2 ** 63 - 1:  # the largest int64 array dimension
+            raise ParameterError(f"hidden_dim must be <= 2**63 - 1, got {hidden_dim}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         rng = np.random.default_rng(seed)
@@ -137,9 +139,8 @@ def _forward(model: ResidualMlp, x: np.ndarray, rate: float, rng, caches=None,
     return h
 
 
-def forward(model: ResidualMlp, features: np.ndarray, training: bool = False, rng=None,
-            hidden_out=None) -> np.ndarray:
-    """Logits for every row of features; dropout only when training.
+def forward(model: ResidualMlp, features: np.ndarray, hidden_out=None) -> np.ndarray:
+    """Logits for every row of features, without dropout.
 
     hidden_out, two C-contiguous float64 arrays of shape (rows, hidden),
     receives the hidden activations in turn, so a repeated call makes
@@ -150,38 +151,32 @@ def forward(model: ResidualMlp, features: np.ndarray, training: bool = False, rn
         raise DimensionError(
             f"model expects width {model.in_dim}, features have shape {features.shape}"
         )
-    rate = model.dropout_rate if training else 0.0
-    if rate > 0.0 and rng is None:
-        raise ParameterError("an rng is required for dropout in training mode")
-    return _forward(model, features, rate, rng, hidden_out=hidden_out)
+    return _forward(model, features, 0.0, None, hidden_out=hidden_out)
 
 
 def loss_and_grad(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
-                  train_indices, weight_decay: float = 0.0,
-                  training: bool = True, rng=None, before_layer=None):
-    """Mean cross-entropy over the labeled rows plus weight_decay * sum ||W||^2.
+                  weight_decay: float = 0.0, rng=None, before_layer=None):
+    """Mean cross-entropy over the rows plus weight_decay * sum ||W||^2.
 
-    Returns (loss, grads) with grads aligned to model.parameters(). The L2
-    penalty covers weight matrices only, never biases. train_indices None
-    makes every row of features (and of labels) a training row, read in
-    place. before_layer, if given, is called with i before the forward
+    Every row of features (and of labels) is a training row, read in
+    place, under the model's dropout, whose masks rng draws (required when
+    the rate is above 0). Returns (loss, grads) with grads aligned to
+    model.parameters(). The L2 penalty covers weight matrices only, never
+    biases. before_layer, if given, is called with i before the forward
     pass reads layer i; every other read of the parameters comes after the
     forward pass.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
-    if train_indices is not None:
-        train_indices = np.asarray(train_indices, dtype=np.int64)
-        x, y = x[train_indices], y[train_indices]
     if len(x) == 0:
         raise ConfigurationError("the labeled training set is empty")
     if x.shape[1] != model.in_dim:
         raise DimensionError(
             f"model expects width {model.in_dim}, features have shape {x.shape}"
         )
-    rate = model.dropout_rate if training else 0.0
+    rate = model.dropout_rate
     if rate > 0.0 and rng is None:
-        raise ParameterError("an rng is required for dropout in training mode")
+        raise ParameterError("an rng is required for dropout")
 
     caches: list = []
     logits = _forward(model, x, rate, rng, caches, before_layer=before_layer)
@@ -260,9 +255,10 @@ class Adam:
     its own gradient and state, so the order of params changes no bits.
     """
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, learning_rate):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -484,7 +480,7 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
                            for _ in range(min(2, num_layers - 1)))
 
         def evaluate(epoch: int) -> list[tuple[float, float, float]]:
-            logits = forward(model, union_feats, training=False, hidden_out=hidden_out)
+            logits = forward(model, union_feats, hidden_out=hidden_out)
             return accuracies((logits.argmax(axis=1) == union_labels)[:, None])
     else:
         rows, classes, depth = union.size, model.num_classes, model.in_dim
@@ -549,11 +545,8 @@ def train(model: ResidualMlp, features: np.ndarray, labels: np.ndarray,
         pending = None
         for epoch in range(config.epochs):
             wait = (lambda i, ready=ready: ready[i].result()) if ready else None
-            loss, grads = loss_and_grad(
-                model, train_feats, train_labels, None,
-                weight_decay=config.weight_decay, training=True, rng=drop_rng,
-                before_layer=wait,
-            )
+            loss, grads = loss_and_grad(model, train_feats, train_labels,
+                                        config.weight_decay, drop_rng, wait)
             if pending is not None:
                 accs += pending.result()
             losses.append(loss)

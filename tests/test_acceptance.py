@@ -205,7 +205,6 @@ class TestCriterion7PropertySuite:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, 12)
-        idx = np.arange(12)
         ok = True
         worst = 0.0
         for kwargs, wd in [(dict(num_layers=1), 0.0),
@@ -213,8 +212,8 @@ class TestCriterion7PropertySuite:
                            (dict(num_layers=4, hidden_dim=6), 0.01)]:
             model = ResidualMlp.create(5, 3, seed=11, **kwargs)
             assert sum(p.size for p in model.parameters()) <= 1000
-            _, grads = loss_and_grad(model, x, y, idx, weight_decay=wd, training=False)
-            fd = finite_difference_grads(model, x, y, idx, wd)
+            _, grads = loss_and_grad(model, x, y, weight_decay=wd)
+            fd = finite_difference_grads(model, x, y, wd)
             for a, b in zip(grads, fd):
                 ok = ok and np.allclose(a, b, rtol=1e-4, atol=1e-7)
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-7)

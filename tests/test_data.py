@@ -575,6 +575,17 @@ class TestPlantedDataset:
         assert np.isfinite(ds.features).all()
         assert set(ds.labels.tolist()) == {0, 1, 2}
 
+    @pytest.mark.parametrize("n,kwargs,message", [
+        (20, dict(classes=0), "dim and classes must be >= 1, got 3 and 0"),
+        (20, dict(dim=0), "dim and classes must be >= 1, got 0 and 2"),
+        (20, dict(split_sizes=(10, 0, 30)), r"every split size must be >= 1, got \(10, 0, 30\)"),
+        (2, dict(), "the graph must have >= 3 nodes, one per split, got 2"),
+    ], ids=["classes-0", "dim-0", "val-size-0", "n-2"])
+    def test_rejects_what_leaves_a_split_or_an_array_empty(self, n, kwargs, message):
+        args = dict(dim=3, classes=2, split_sizes=self.SIZES, seed=0) | kwargs
+        with pytest.raises(ParameterError, match=message):
+            data.planted_dataset(erdos_renyi(n, 0.5, seed=0), **args)
+
     def test_num_classes_comes_from_classes(self):
         # 5 nodes cannot hold 10 classes; the output layer still has 10
         ds = data.planted_dataset(erdos_renyi(5, 0.5, seed=0), dim=2, classes=10,

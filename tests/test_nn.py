@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from conftest import FIXTURES
 GOLDEN = FIXTURES / "checkpoints"
 
 
-def finite_difference_grads(model, x, y, idx, weight_decay, h=1e-5):
-    """Central finite differences through the (dropout-free) loss."""
+def finite_difference_grads(model, x, y, weight_decay, h=1e-5):
+    """Central finite differences through the loss of a dropout-free model."""
     grads = []
     for p in model.parameters():
         g = np.zeros_like(p)
@@ -29,9 +30,9 @@ def finite_difference_grads(model, x, y, idx, weight_decay, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = loss_and_grad(model, x, y, idx, weight_decay, training=False)
+            lp, _ = loss_and_grad(model, x, y, weight_decay)
             flat[i] = orig - h
-            lm, _ = loss_and_grad(model, x, y, idx, weight_decay, training=False)
+            lm, _ = loss_and_grad(model, x, y, weight_decay)
             flat[i] = orig
             gflat[i] = (lp - lm) / (2 * h)
         grads.append(g)
@@ -73,9 +74,14 @@ class TestForward:
         x = np.random.default_rng(4).random((12, 6))
         eval1, eval2 = forward(model, x), forward(model, x)
         assert np.array_equal(eval1, eval2)
-        tr1 = forward(model, x, training=True, rng=np.random.default_rng(7))
-        tr2 = forward(model, x, training=True, rng=np.random.default_rng(7))
-        assert np.array_equal(tr1, tr2)
+        # forward never drops out: the model's rate changes no bit
+        assert eval1.tobytes() == forward(replace(model, dropout_rate=0.0), x).tobytes()
+        # the gradient pass draws its dropout from the rng it is given
+        y = np.random.default_rng(5).integers(0, 3, 12)
+        tr1, tr2 = (loss_and_grad(model, x, y, rng=np.random.default_rng(7))
+                    for _ in range(2))
+        assert tr1[0] == tr2[0]
+        assert [g.tobytes() for g in tr1[1]] == [g.tobytes() for g in tr2[1]]
 
     def test_width_mismatch(self):
         model = ResidualMlp.create(6, 3, num_layers=1, seed=0)
@@ -83,9 +89,11 @@ class TestForward:
             forward(model, np.zeros((4, 5)))
 
     def test_dropout_needs_rng(self):
+        # only the gradient pass drops out, so only it needs an rng
         model = ResidualMlp.create(3, 2, num_layers=1, dropout_rate=0.5, seed=0)
-        with pytest.raises(ParameterError):
-            forward(model, np.zeros((2, 3)), training=True)
+        assert forward(model, np.ones((2, 3))).shape == (2, 2)
+        with pytest.raises(ParameterError, match="an rng is required for dropout"):
+            loss_and_grad(model, np.ones((2, 3)), np.zeros(2, dtype=int))
 
     def test_softmax_rows_sum_to_one(self):
         logits = np.random.default_rng(5).standard_normal((40, 9)) * 30
@@ -98,7 +106,7 @@ class TestLossAndGrad:
         model.weights[-1][:] = 0.0
         x = np.random.default_rng(1).random((9, 5))
         y = np.random.default_rng(2).integers(0, 7, 9)
-        loss, _ = loss_and_grad(model, x, y, np.arange(9), training=False)
+        loss, _ = loss_and_grad(model, x, y)
         assert loss == pytest.approx(math.log(7), abs=1e-12)
 
     @pytest.mark.parametrize("kwargs,wd", [
@@ -110,11 +118,10 @@ class TestLossAndGrad:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, 12)
-        idx = np.arange(12)
         model = ResidualMlp.create(5, 3, seed=11, **kwargs)
         assert sum(p.size for p in model.parameters()) <= 1000
-        _, grads = loss_and_grad(model, x, y, idx, weight_decay=wd, training=False)
-        fd = finite_difference_grads(model, x, y, idx, wd)
+        _, grads = loss_and_grad(model, x, y, weight_decay=wd)
+        fd = finite_difference_grads(model, x, y, wd)
         for a, b in zip(grads, fd):
             assert np.allclose(a, b, rtol=1e-4, atol=1e-7)
 
@@ -122,33 +129,34 @@ class TestLossAndGrad:
         model = ResidualMlp.create(4, 3, num_layers=3, hidden_dim=5, seed=6)
         x = np.random.default_rng(7).random((10, 4))
         y = np.random.default_rng(8).integers(0, 3, 10)
-        idx = np.arange(10)
-        base, _ = loss_and_grad(model, x, y, idx, weight_decay=0.0, training=False)
+        base, _ = loss_and_grad(model, x, y, weight_decay=0.0)
         lam = 0.037
-        with_wd, _ = loss_and_grad(model, x, y, idx, weight_decay=lam, training=False)
+        with_wd, _ = loss_and_grad(model, x, y, weight_decay=lam)
         penalty = lam * sum(float((w * w).sum()) for w in model.weights)
         assert with_wd - base == pytest.approx(penalty, rel=1e-12)
 
     def test_empty_labeled_set(self):
         model = ResidualMlp.create(3, 2, num_layers=1, seed=0)
         with pytest.raises(ConfigurationError):
-            loss_and_grad(model, np.zeros((4, 3)), np.zeros(4, dtype=int), [])
-        with pytest.raises(ConfigurationError):
-            loss_and_grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int), None)
+            loss_and_grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_no_indices_reads_every_row(self, dropout):
-        model = ResidualMlp.create(5, 3, num_layers=3, hidden_dim=6, use_bias=True,
+        # every row given is a training row, under the model's dropout: a
+        # one-layer model's loss and gradient written out by hand, with
+        # the keep mask drawn as the pass draws it, over all 20 rows
+        model = ResidualMlp.create(5, 3, num_layers=1, use_bias=True,
                                    dropout_rate=dropout, seed=2)
         x = np.random.default_rng(4).standard_normal((20, 5))
         y = np.random.default_rng(5).integers(0, 3, 20)
-        idx = np.array([3, 17, 0, 8, 9, 12])
-        want = loss_and_grad(model, x, y, idx, weight_decay=0.01,
-                             rng=np.random.default_rng(6))
-        got = loss_and_grad(model, x[idx], y[idx], None, weight_decay=0.01,
-                            rng=np.random.default_rng(6))
-        assert got[0] == want[0]
-        assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
+        loss, (gw, gb) = loss_and_grad(model, x, y, rng=np.random.default_rng(6))
+        keep = np.random.default_rng(6).random(x.shape) >= dropout
+        xd = x * keep / (1.0 - dropout)
+        probs = softmax(xd @ model.weights[0] + model.biases[0])
+        assert loss == pytest.approx(-np.log(probs[np.arange(20), y]).mean(), rel=1e-12)
+        probs[np.arange(20), y] -= 1.0
+        assert np.allclose(gw, xd.T @ probs / 20, rtol=1e-12, atol=1e-15)
+        assert np.allclose(gb, probs.sum(axis=0) / 20, rtol=1e-12, atol=1e-15)
 
 
 class TestTrain:
@@ -253,8 +261,8 @@ def sequential_train(model, x, y, splits, config):
               "test_accuracy_per_epoch": []}
     best_val, best_epoch, best_test = -1.0, -1, 0.0
     for epoch in range(config.epochs):
-        loss, grads = loss_and_grad(model, x, y, splits.train, config.weight_decay,
-                                    training=True, rng=rng)
+        loss, grads = loss_and_grad(model, x[splits.train], y[splits.train],
+                                    config.weight_decay, rng)
         opt.step(params, grads)
         pred_ok = forward(model, x[union]).argmax(axis=1) == y[union]
         accs = [float(part.mean()) if part.size else 0.0
@@ -313,14 +321,14 @@ class TestPipelinedTrain:
         assert_matches_sequential(pipeline_case(**kwargs))
 
     def recorded_gradient_inputs(self, monkeypatch, case):
-        """train's result and the (features, train_indices) of each of
-        its gradient passes; the result must equal the sequential loop's."""
+        """The features of each of train's gradient passes; train's result
+        must equal the sequential loop's."""
         seen = []
         real = dgmlp.nn.loss_and_grad
 
-        def recording(model, features, labels, train_indices, **kwargs):
-            seen.append((features, train_indices))
-            return real(model, features, labels, train_indices, **kwargs)
+        def recording(model, features, *args, **kwargs):
+            seen.append(features)
+            return real(model, features, *args, **kwargs)
 
         monkeypatch.setattr(dgmlp.nn, "loss_and_grad", recording)
         assert_matches_sequential(case)
@@ -331,8 +339,8 @@ class TestPipelinedTrain:
         seen = self.recorded_gradient_inputs(monkeypatch, case)
         _, x, _, splits, config = case
         assert len(seen) == config.epochs
-        assert all(features is seen[0][0] and idx is None for features, idx in seen)
-        assert seen[0][0].tobytes() == x[splits.train].tobytes()
+        assert all(features is seen[0] for features in seen)
+        assert seen[0].tobytes() == x[splits.train].tobytes()
 
     def test_concurrent_train_calls_stay_independent(self):
         # more threads than cores and a short switch interval: each call
@@ -647,8 +655,8 @@ class TestAdam:
         shapes = [(5, 3), (3,), (7, 7), (1, 2), (300, 300), (100_000,), (2, 70_000)]
         params = [rng.normal(size=s) for s in shapes]
         ref = [p.copy() for p in params]
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr, b1, b2, eps)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8  # the usual betas and eps
+        opt = Adam(params, lr)
         assert all(s.size == 70_000 for s in opt._scratch)  # one row of the widest
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
@@ -764,6 +772,13 @@ class TestTrainConfig:
     def test_create_rejects_hidden_dim_below_one(self, hidden_dim):
         with pytest.raises(ParameterError, match="hidden_dim must be >= 1"):
             ResidualMlp.create(4, 2, num_layers=3, hidden_dim=hidden_dim, seed=0)
+
+
+    def test_create_rejects_hidden_dim_past_int64(self):
+        # the largest width passes, since one layer never makes a hidden array
+        ResidualMlp.create(4, 2, num_layers=1, hidden_dim=2 ** 63 - 1, seed=0)
+        with pytest.raises(ParameterError, match="hidden_dim must be <= 2\\*\\*63 - 1"):
+            ResidualMlp.create(4, 2, num_layers=3, hidden_dim=2 ** 63, seed=0)
 
 
 class TestCheckpoint:

@@ -6,6 +6,7 @@ checks the outputs of each pass. One traced toy pass per workload catches a
 library change that breaks the harness.
 """
 
+import importlib
 import importlib.util
 import json
 import os
@@ -32,6 +33,22 @@ inputs = perfbench_module("inputs")
 workloads = perfbench_module("workloads")
 WORKLOADS, INPUTS = workloads.WORKLOADS["toy"], workloads.INPUTS["toy"]
 SEED = 3
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install looks each name up with getattr on its dgmlp module;
+    # a name the library drops would fail only a traced benchmark run
+    tracer = perfbench_module("tracer")
+    missing = []
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"dgmlp.{layer}")
+        for name in names:
+            owner = module
+            for part in name.split("."):  # "Cls.meth" is a method of Cls
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{layer}.{name}")
+    assert missing == []
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
